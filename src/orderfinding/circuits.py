@@ -34,7 +34,6 @@ from .simulator import (
     NotGate,
     QuantumState,
     basis_state,
-    circuit_unitary,
     run_circuit,
     states_equal_up_to_phase,
 )
@@ -81,11 +80,6 @@ def format_native_sequence(seq: NativeSequence) -> str:
         else:
             raise ValueError(f"not a native op: {op!r}")
     return " ".join(tokens)
-
-
-def native_sequence_unitary(seq: NativeSequence) -> np.ndarray:
-    """32x32 unitary of a native sequence, first-listed op acting first."""
-    return circuit_unitary(Circuit(tuple(seq)))
 
 
 def build_qft3(include_final_swap: bool) -> Circuit:

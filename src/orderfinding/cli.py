@@ -205,10 +205,7 @@ def cmd_qft_check() -> int:
     eye4 = np.eye(4)
     u_swap = circuit_unitary(circuits.build_qft3(True))
     err_swap = float(np.max(np.abs(u_swap - np.kron(dft, eye4))))
-    rev = [int(format(b, "03b")[::-1], 2) for b in range(8)]
-    perm = np.zeros((8, 8))
-    for b in range(8):
-        perm[b, rev[b]] = 1.0
+    perm = np.eye(8)[[measurement.m_from_register_index(b) for b in range(8)]]
     u_noswap = circuit_unitary(circuits.build_qft3(False))
     err_noswap = float(np.max(np.abs(u_noswap - np.kron(perm @ dft, eye4))))
     ok = err_swap <= 1e-12 and err_noswap <= 1e-12

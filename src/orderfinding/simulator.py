@@ -6,21 +6,26 @@ index 16*b1 + 8*b2 + 4*b3 + 2*b4 + b5.  Gate angles are in degrees.  A
 conditional z-rotation puts the phase on the |11> component of the
 control/target pair, so it is symmetric in control and target.
 
+Every gate type is lowered once, by `_lowered`, to (controls, targets, m):
+the small unitary m acts on the target spins when every control spin is |1>.
+That table is the only place gate types are told apart.  One kernel,
+`apply_unitary`, applies a small unitary to chosen spins of every row of an
+amplitude array; a controlled op goes through it as diag(I, m) on the
+controls followed by the targets.  `apply_gate` runs the kernel on one state
+and `gate_unitary` on the 32 rows of the identity.
+
 All operations are pure functions; values are never mutated after
 construction and are safe to share across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 N_SPINS = 5
 DIM = 2**N_SPINS
-
-NORM_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,10 +34,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 def bit_of(index: int, spin: int) -> int:
     """Bit of basis label `index` carried by `spin` (1 = most significant)."""
     return (index >> (N_SPINS - spin)) & 1
-
-
-def flip_bit(index: int, spin: int) -> int:
-    return index ^ (1 << (N_SPINS - spin))
 
 
 def _check_spin(q: int) -> None:
@@ -111,30 +112,39 @@ class Circuit:
     """Ordered gate list; the first op acts first in time."""
 
     ops: tuple[GateOp, ...] = ()
-    n_spins: int = N_SPINS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            for q in _op_spins(op):
-                if not 1 <= q <= self.n_spins:
-                    raise ValueError(f"op {op!r} touches spin {q} outside 1..{self.n_spins}")
+            _lowered(op)  # validates the op type and its spin indices
 
     def __add__(self, other: "Circuit") -> "Circuit":
-        return Circuit(self.ops + other.ops, self.n_spins)
+        return Circuit(self.ops + other.ops)
 
 
-def _op_spins(op: GateOp) -> tuple[int, ...]:
-    if isinstance(op, (Hadamard, NotGate, ZRotation)):
-        _check_spin(op.spin)
-        return (op.spin,)
-    if isinstance(op, (ConditionalZRotation, ControlledNot)):
-        _check_distinct(op.control, op.target)
-        return (op.control, op.target)
-    if isinstance(op, ControlledTargetUnitary):
-        _check_distinct(op.control, *op.targets)
-        return (op.control, *op.targets)
-    raise TypeError(f"not a gate op: {op!r}")
+def _phase(angle_deg: float, dagger: bool = False) -> complex:
+    sign = -1.0 if dagger else 1.0
+    return np.exp(1j * sign * np.deg2rad(angle_deg))
+
+
+def _lowered(op: GateOp) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(controls, targets, m): m acts on `targets` (first = most significant) when all `controls` are |1>."""
+    if isinstance(op, Hadamard):
+        controls, targets, m = (), (op.spin,), _H
+    elif isinstance(op, NotGate):
+        controls, targets, m = (), (op.spin,), _X
+    elif isinstance(op, ZRotation):
+        controls, targets, m = (), (op.spin,), np.diag([1.0, _phase(op.angle_deg)])
+    elif isinstance(op, ConditionalZRotation):
+        controls, targets, m = (op.control,), (op.target,), np.diag([1.0, _phase(op.angle_deg, op.dagger)])
+    elif isinstance(op, ControlledNot):
+        controls, targets, m = (op.control,), (op.target,), _X
+    elif isinstance(op, ControlledTargetUnitary):
+        controls, targets, m = (op.control,), tuple(op.targets), op.matrix
+    else:
+        raise TypeError(f"not a gate op: {op!r}")
+    _check_distinct(*controls, *targets)
+    return controls, targets, m
 
 
 @dataclass(frozen=True)
@@ -188,49 +198,31 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def _phase(angle_deg: float, dagger: bool = False) -> complex:
-    sign = -1.0 if dagger else 1.0
-    return np.exp(1j * sign * np.deg2rad(angle_deg))
+def apply_unitary(amps: np.ndarray, spins: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+    """Apply `u` to `spins` (first listed = most significant) of every length-32 row of `amps`.
+
+    `amps` has shape (32,) or (k, 32); the result has the same shape.  The
+    listed spins are transposed to the front, `u` multiplies them, and the
+    inverse transpose restores the basis order.
+    """
+    _check_distinct(*spins)
+    rows = np.asarray(amps, dtype=complex).reshape((-1,) + (2,) * N_SPINS)
+    order = (*spins, 0, *(q for q in range(1, N_SPINS + 1) if q not in spins))
+    t = rows.transpose(order)
+    out = (u @ t.reshape(2 ** len(spins), -1)).reshape(t.shape)
+    return out.transpose(np.argsort(order)).reshape(np.shape(amps))
 
 
-def _apply_single(amps: np.ndarray, u: np.ndarray, spin: int) -> np.ndarray:
-    t = amps.reshape([2] * N_SPINS)
-    t = np.moveaxis(t, spin - 1, 0)
-    t = np.tensordot(u, t, axes=([1], [0]))
-    return np.moveaxis(t, 0, spin - 1).reshape(DIM)
+def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
+    controls, targets, m = _lowered(op)
+    u = np.eye(2 ** len(controls) * len(m), dtype=complex)
+    u[-len(m):, -len(m):] = m  # diag(I, m): m acts only when every control is |1>
+    return apply_unitary(amps, controls + targets, u)
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
-    """Apply one gate to a pure state.  Norm is preserved exactly by construction."""
-    _op_spins(op)  # validates indices
-    amps = state.amplitudes
-    if isinstance(op, Hadamard):
-        out = _apply_single(amps, _H, op.spin)
-    elif isinstance(op, NotGate):
-        out = _apply_single(amps, _X, op.spin)
-    elif isinstance(op, ZRotation):
-        u = np.diag([1.0, _phase(op.angle_deg)])
-        out = _apply_single(amps, u, op.spin)
-    elif isinstance(op, ConditionalZRotation):
-        t = amps.reshape([2] * N_SPINS).copy()
-        t = np.moveaxis(t, (op.control - 1, op.target - 1), (0, 1))
-        t[1, 1] = t[1, 1] * _phase(op.angle_deg, op.dagger)
-        out = np.moveaxis(t, (0, 1), (op.control - 1, op.target - 1)).reshape(DIM)
-    elif isinstance(op, ControlledNot):
-        t = amps.reshape([2] * N_SPINS).copy()
-        t = np.moveaxis(t, (op.control - 1, op.target - 1), (0, 1))
-        t[1] = t[1, ::-1]
-        out = np.moveaxis(t, (0, 1), (op.control - 1, op.target - 1)).reshape(DIM)
-    elif isinstance(op, ControlledTargetUnitary):
-        t1, t2 = op.targets
-        t = amps.reshape([2] * N_SPINS).copy()
-        t = np.moveaxis(t, (op.control - 1, t1 - 1, t2 - 1), (0, 1, 2))
-        block = t[1].reshape(4, -1)
-        t[1] = (op.matrix @ block).reshape(t[1].shape)
-        out = np.moveaxis(t, (0, 1, 2), (op.control - 1, t1 - 1, t2 - 1)).reshape(DIM)
-    else:
-        raise TypeError(f"not a gate op: {op!r}")
-    return QuantumState(out)
+    """Apply one gate to a pure state."""
+    return QuantumState(_apply_op(state.amplitudes, op))
 
 
 def run_circuit(circuit: Circuit, state: QuantumState) -> QuantumState:
@@ -240,51 +232,8 @@ def run_circuit(circuit: Circuit, state: QuantumState) -> QuantumState:
 
 
 def gate_unitary(op: GateOp) -> np.ndarray:
-    """Full 32x32 unitary of one gate, built by direct embedding.
-
-    Independent of the tensor-contraction path in apply_gate, so the two
-    can be cross-checked against each other.
-    """
-    _op_spins(op)
-    if isinstance(op, (Hadamard, NotGate, ZRotation)):
-        if isinstance(op, Hadamard):
-            u2 = _H
-        elif isinstance(op, NotGate):
-            u2 = _X
-        else:
-            u2 = np.diag([1.0, _phase(op.angle_deg)])
-        u = np.eye(1, dtype=complex)
-        for q in range(1, N_SPINS + 1):
-            u = np.kron(u, u2 if q == op.spin else np.eye(2))
-        return u
-    if isinstance(op, ConditionalZRotation):
-        diag = np.ones(DIM, dtype=complex)
-        for b in range(DIM):
-            if bit_of(b, op.control) and bit_of(b, op.target):
-                diag[b] = _phase(op.angle_deg, op.dagger)
-        return np.diag(diag)
-    if isinstance(op, ControlledNot):
-        u = np.zeros((DIM, DIM), dtype=complex)
-        for b in range(DIM):
-            b2 = flip_bit(b, op.target) if bit_of(b, op.control) else b
-            u[b2, b] = 1.0
-        return u
-    if isinstance(op, ControlledTargetUnitary):
-        t1, t2 = op.targets
-        u = np.zeros((DIM, DIM), dtype=complex)
-        for b in range(DIM):
-            if not bit_of(b, op.control):
-                u[b, b] = 1.0
-                continue
-            y = 2 * bit_of(b, t1) + bit_of(b, t2)
-            base = b & ~(1 << (N_SPINS - t1)) & ~(1 << (N_SPINS - t2))
-            for y2 in range(4):
-                amp = op.matrix[y2, y]
-                if amp != 0:
-                    b2 = base | ((y2 >> 1) << (N_SPINS - t1)) | ((y2 & 1) << (N_SPINS - t2))
-                    u[b2, b] = amp
-        return u
-    raise TypeError(f"not a gate op: {op!r}")
+    """Full 32x32 unitary of one gate: the kernel applied to the identity's rows (basis states)."""
+    return _apply_op(np.eye(DIM, dtype=complex), op).T
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -293,10 +242,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     for op in circuit.ops:
         u = gate_unitary(op) @ u
     return u
-
-
-def evolve_density(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
-    return DensityOperator(u @ rho.matrix @ u.conj().T, kind=rho.kind)
 
 
 def expectation_Iz(rho: DensityOperator, spin: int) -> float:

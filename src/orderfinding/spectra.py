@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import DIM, N_SPINS, DensityOperator, bit_of
+from .simulator import DIM, N_SPINS, DensityOperator, apply_unitary
 
 AMPLITUDE_SNAP = 1e-12
+MAX_GRID_POINTS = 1_000_000
 
 _RY90 = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2.0)
 
@@ -128,13 +129,18 @@ class SpectralLine:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
+    """`points` evenly spaced frequencies (Hz) from f_min to f_max; every point and rendered value is finite."""
+
     f_min: float
     f_max: float
     points: int
 
     def __post_init__(self) -> None:
-        if not (self.f_min < self.f_max and self.points >= 2):
-            raise ValueError("need f_min < f_max and at least 2 points")
+        # false for a NaN or infinite bound, an overflowing span, and f_min >= f_max
+        if not 0 < self.f_max - self.f_min < math.inf:
+            raise ValueError("need finite f_min < f_max with a finite span")
+        if not 2 <= self.points <= MAX_GRID_POINTS:
+            raise ValueError(f"need 2 to {MAX_GRID_POINTS} grid points")
 
 
 @dataclass(frozen=True)
@@ -250,9 +256,7 @@ def line_frequency(spin: int, label: str, params: MoleculeParams) -> float:
 
 
 def _rotated(rho: DensityOperator, spin: int) -> np.ndarray:
-    u = np.eye(1, dtype=complex)
-    for q in range(1, N_SPINS + 1):
-        u = np.kron(u, _RY90 if q == spin else np.eye(2))
+    u = apply_unitary(np.eye(DIM), (spin,), _RY90).T
     return u @ rho.matrix @ u.conj().T
 
 

@@ -9,7 +9,6 @@ from orderfinding.circuits import (
     dft_matrix,
     format_native_sequence,
     input_state,
-    native_sequence_unitary,
     oracle_target_state,
     parse_native_sequence,
     parse_readout_listing,
@@ -110,7 +109,7 @@ def test_native_sequence_bad_tokens(bad):
 
 
 def test_c35_flips_y0_conditioned_on_x0():
-    u = native_sequence_unitary(parse_native_sequence("C35"))
+    u = circuit_unitary(Circuit(parse_native_sequence("C35")))
     for b in range(32):
         x0 = (b >> 2) & 1
         expected = b ^ x0  # flip the lowest bit when spin 3 is set
@@ -120,12 +119,12 @@ def test_c35_flips_y0_conditioned_on_x0():
 
 
 def test_p54_inverse_pair_is_identity():
-    u = native_sequence_unitary(parse_native_sequence("P54 P54'"))
+    u = circuit_unitary(Circuit(parse_native_sequence("P54 P54'")))
     assert np.allclose(u, np.eye(32), atol=1e-12)
 
 
 def test_readout_d_maps_basis_to_basis_up_to_phase_from_ground_register():
-    u = native_sequence_unitary(readout_sequence(4))
+    u = circuit_unitary(Circuit(readout_sequence(4)))
     assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-12
     for x in range(8):
         col = u[:, 4 * x + 0]  # second register |00>

@@ -144,3 +144,15 @@ def test_run_non_object_molecule_exits_2_with_one_error_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {config}:1:1: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["-60,60", "60,-60,100", "nan,60,100", "-inf,inf,5", "-1e308,1e308,5",
+                                  "-60,60,1000001"])
+def test_run_bad_grid_exits_2_without_spectrum(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--perm", "()", "--y", "0", f"--grid={grid}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not (out / "spectrum_spin1.csv").exists()
+    err = capsys.readouterr().err
+    assert "--grid" in err and "Traceback" not in err

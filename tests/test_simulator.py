@@ -14,9 +14,9 @@ from orderfinding.simulator import (
     QuantumState,
     ZRotation,
     apply_gate,
+    apply_unitary,
     basis_state,
     circuit_unitary,
-    evolve_density,
     expectation_Iz,
     gate_unitary,
     maximally_mixed,
@@ -141,12 +141,55 @@ def test_gate_sequencing_matches_unitary_product(state, ops):
 def test_density_conjugation_preserves_hermiticity_and_trace(state, ops):
     rho = state.density()
     u = circuit_unitary(Circuit(tuple(ops)))
-    evolved = evolve_density(rho, u)  # validates hermiticity and unit trace
+    evolved = DensityOperator(u @ rho.matrix @ u.conj().T, kind=rho.kind)  # validates hermiticity and unit trace
     assert evolved.kind == "normalized"
 
 
+_KET0, _KET1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # |0><0|, |1><1|
+_H2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+_X2 = np.array([[0, 1], [1, 0]])
+
+
+def _kron_on(factors: dict) -> np.ndarray:
+    """Kronecker product over spins 1..5 (spin 1 leftmost) of the given 2x2 factors, identity elsewhere."""
+    u = np.eye(1)
+    for q in range(1, 6):
+        u = np.kron(u, factors.get(q, np.eye(2)))
+    return u
+
+
+def reference_unitary(op) -> np.ndarray:
+    """32x32 embedding written per op type from projectors and blocks, independent of the simulator's kernel."""
+    if isinstance(op, Hadamard):
+        return _kron_on({op.spin: _H2})
+    if isinstance(op, NotGate):
+        return _kron_on({op.spin: _X2})
+    if isinstance(op, ZRotation):
+        return _kron_on({op.spin: np.diag([1.0, np.exp(1j * np.deg2rad(op.angle_deg))])})
+    if isinstance(op, ConditionalZRotation):
+        phase = np.exp((-1j if op.dagger else 1j) * np.deg2rad(op.angle_deg))
+        return np.eye(DIM) + (phase - 1.0) * _kron_on({op.control: _KET1, op.target: _KET1})
+    if isinstance(op, ControlledNot):
+        return _kron_on({op.control: _KET0}) + _kron_on({op.control: _KET1, op.target: _X2})
+    (t1, t2), e = op.targets, np.eye(2)  # ControlledTargetUnitary: sum of m[r, c] |r><c| on (t1, t2)
+    u = _kron_on({op.control: _KET0})
+    for r in range(4):
+        for c in range(4):
+            on_targets = {t1: np.outer(e[r >> 1], e[c >> 1]), t2: np.outer(e[r & 1], e[c & 1])}
+            u = u + op.matrix[r, c] * _kron_on({op.control: _KET1, **on_targets})
+    return u
+
+
+def _assert_matches_reference(op) -> None:
+    expected = reference_unitary(op)
+    assert np.max(np.abs(gate_unitary(op) - expected)) < 1e-12, op
+    for b in range(DIM):
+        col = apply_gate(basis_state(b), op).amplitudes
+        assert np.max(np.abs(col - expected[:, b])) < 1e-12, op
+
+
 def test_gate_unitary_matches_apply_gate_on_basis_states():
-    # the kron/index construction and the tensor-contraction path are independent
+    # both share the simulator's kernel, so each is checked against the kron reference
     ops = [
         Hadamard(3),
         NotGate(5),
@@ -155,12 +198,28 @@ def test_gate_unitary_matches_apply_gate_on_basis_states():
         ConditionalZRotation(5, 1, 90.0, dagger=True),
         ControlledNot(4, 2),
         ControlledTargetUnitary(1, (4, 5), _random_unitary_4(7)),
+        ControlledTargetUnitary(3, (5, 2), _random_unitary_4(8)),
     ]
     for op in ops:
-        u = gate_unitary(op)
-        for b in range(DIM):
-            col = apply_gate(basis_state(b), op).amplitudes
-            assert np.max(np.abs(u[:, b] - col)) < 1e-12, op
+        _assert_matches_reference(op)
+
+
+@given(gate_strategy())
+def test_every_drawn_gate_matches_reference_embedding(op):
+    _assert_matches_reference(op)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3))
+def test_apply_unitary_batch_equals_row_by_row(seed, k, n_spins):
+    gen = np.random.default_rng(seed)
+    spins = tuple(int(q) for q in gen.permutation(np.arange(1, 6))[:n_spins])
+    n = 2**n_spins
+    u, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+    batch = gen.normal(size=(k, DIM)) + 1j * gen.normal(size=(k, DIM))
+    rows = np.array([apply_unitary(row, spins, u) for row in batch])
+    out = apply_unitary(batch, spins, u)
+    assert out.shape == (k, DIM)
+    assert np.max(np.abs(out - rows)) < 1e-12
 
 
 def test_invalid_spin_indices_rejected():
