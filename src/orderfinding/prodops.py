@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import NativeSequence, format_native_sequence, parse_native_sequence
-from .simulator import DIM, N_SPINS, Circuit, ControlledNot, NotGate, bit_of, circuit_unitary
+from .circuits import NativeSequence, parse_native_sequence
+from .simulator import DIM, N_SPINS, Circuit, ControlledNot, NotGate, circuit_unitary
 
 
 class SearchExhausted(RuntimeError):
@@ -188,27 +187,25 @@ def standard_prep_sequences() -> list[PrepSequence]:
 
 # Dense cross-check: the same conjugation computed with 32x32 matrices.
 
+# _PARITY[a, b] = (-1)^popcount(a & b): the sign of Z-string b on basis state a.
+_PARITY = np.array([[-1.0 if bin(a & b).count("1") & 1 else 1.0 for b in range(DIM)] for a in range(DIM)])
+
+
 def zsum_to_matrix(terms: ZTermSum) -> np.ndarray:
-    out = np.zeros((DIM, DIM), dtype=complex)
-    diag = np.zeros(DIM)
+    coeffs = np.zeros(DIM)
     for pattern, coeff in terms.items():
-        mask = pattern_to_mask(pattern)
-        for b in range(DIM):
-            parity = bin(b & mask).count("1") & 1
-            diag[b] += coeff * (-1 if parity else 1)
-    np.fill_diagonal(out, diag)
-    return out
+        coeffs[pattern_to_mask(pattern)] += coeff
+    return np.diag(coeffs @ _PARITY).astype(complex)
 
 
 def matrix_to_zsum(matrix: np.ndarray) -> ZTermSum:
     """Exact Z-string decomposition of a diagonal integer-coefficient operator."""
-    out = ZTermSum()
-    diag = np.real(np.diag(matrix))
     if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) > 1e-9:
         raise ValueError("operator is not diagonal in the computational basis")
+    coeffs = _PARITY @ np.real(np.diag(matrix)) / DIM
+    out = ZTermSum()
     for mask in range(1, DIM):
-        signs = np.array([-1.0 if (bin(b & mask).count("1") & 1) else 1.0 for b in range(DIM)])
-        coeff = float(np.dot(signs, diag)) / DIM
+        coeff = float(coeffs[mask])
         rounded = round(coeff)
         if abs(coeff - rounded) > 1e-9:
             raise ValueError(f"non-integer coefficient {coeff} for mask {mask}")
@@ -235,27 +232,7 @@ def _span(vectors: Sequence[int]) -> set[int]:
 
 
 def _is_basis_set(vectors: Sequence[int]) -> bool:
-    span = {0}
-    for v in vectors:
-        if v in span:
-            return False
-        span |= {s ^ v for s in span}
-    return True
-
-
-def _greedy_independent(pool: Sequence[int], k: int) -> list[int] | None:
-    """First k pool vectors (in pool order) that are linearly independent."""
-    chosen: list[int] = []
-    if k == 0:
-        return chosen
-    span = {0}
-    for v in pool:
-        if v not in span:
-            chosen.append(v)
-            span |= {s ^ v for s in span}
-            if len(chosen) == k:
-                return chosen
-    return None
+    return len(_span(vectors)) == 2 ** len(vectors)
 
 
 def _greedy_joint(pool: Sequence[int], k: int, contexts: Sequence[Sequence[int]]) -> list[int] | None:
@@ -272,34 +249,6 @@ def _greedy_joint(pool: Sequence[int], k: int, contexts: Sequence[Sequence[int]]
         if len(chosen) == k:
             return chosen
     return None
-
-
-def _solve_gf2(columns: Sequence[int], rhs: Sequence[int], n: int) -> int:
-    """Solve <t, u_k> = rhs_k over GF(2) for t, given basis columns u_k."""
-    rows = list(columns)
-    b = list(rhs)
-    t = 0
-    # Gaussian elimination on the n x n system whose k-th equation is parity(t & u_k) = b_k.
-    pivots = []
-    for bit in range(n - 1, -1, -1):
-        sel = None
-        for idx in range(len(rows)):
-            if idx in [p[0] for p in pivots]:
-                continue
-            if (rows[idx] >> bit) & 1:
-                sel = idx
-                break
-        if sel is None:
-            continue
-        pivots.append((sel, bit))
-        for idx in range(len(rows)):
-            if idx != sel and ((rows[idx] >> bit) & 1):
-                rows[idx] ^= rows[sel]
-                b[idx] ^= b[sel]
-    for sel, bit in pivots:
-        if b[sel]:
-            t |= 1 << bit
-    return t
 
 
 def synthesize_sequence(basis: Sequence[int], signs: Sequence[int], n: int = N_SPINS) -> PrepSequence:
@@ -330,16 +279,14 @@ def synthesize_sequence(basis: Sequence[int], signs: Sequence[int], n: int = N_S
                 add_row(row, col)
     # E_s ... E_1 A = I, so A = E_1 ... E_s; time order is the reversed list.
     ops: list = [ControlledNot(control=i + 1, target=j + 1) for i, j in reversed(elementary)]
-    beta = [0 if s == 1 else 1 for s in signs]
-    t = _solve_gf2(cols, beta, n)
-    for spin in range(1, n + 1):
-        if (t >> (n - spin)) & 1:
-            ops.append(NotGate(spin))
+    # The N layer flips the sign of image k iff <t, basis[k]> = 1, so t solves
+    # A^T t = beta: t = E_1^T ... E_s^T beta, each E being its own inverse,
+    # and E^T for (i, j) adds entry i to entry j.
+    t = [0 if s == 1 else 1 for s in signs]
+    for i, j in reversed(elementary):
+        t[j] ^= t[i]
+    ops.extend(NotGate(row + 1) for row in range(n) if t[row])
     return tuple(ops)
-
-
-def _experiment_zsum(basis: Sequence[int], signs: Sequence[int], n: int) -> ZTermSum:
-    return ZTermSum((mask_to_pattern(v, n), s) for v, s in zip(basis, signs))
 
 
 def _endgame(remaining: list[int], covered: list[int], n: int) -> list[tuple[list[int], list[int]]] | None:
@@ -385,71 +332,21 @@ def _endgame(remaining: list[int], covered: list[int], n: int) -> list[tuple[lis
     return None
 
 
-def _schedule_small(n: int, max_experiments: int) -> list[tuple[list[int], list[int]]] | None:
-    """Exhaustive depth-first search over signed bases; practical for n <= 3."""
-    import itertools
-
-    vectors = list(range(1, 2**n))
-    bases = []
-    for combo in itertools.combinations(vectors, n):
-        if _is_basis_set(combo):
-            bases.append(list(combo))
-    experiments = []
-    for basis in bases:
-        for signs in itertools.product((1, -1), repeat=n):
-            experiments.append((basis, list(signs)))
-
-    target = {v: 1 for v in vectors}
-
-    def deficit_size(deficit: dict[int, int]) -> int:
-        return sum(abs(c) for c in deficit.values())
-
-    def dfs(deficit: dict[int, int], depth: int, start: int) -> list | None:
-        size = deficit_size(deficit)
-        if size == 0:
-            return []
-        if depth == 0 or size > n * depth:
-            return None
-        for idx in range(start, len(experiments)):
-            basis, signs = experiments[idx]
-            nd = dict(deficit)
-            for v, s in zip(basis, signs):
-                c = nd.get(v, 0) - s
-                if c:
-                    nd[v] = c
-                else:
-                    nd.pop(v, None)
-            tail = dfs(nd, depth - 1, idx)
-            if tail is not None:
-                return [(basis, signs)] + tail
-        return None
-
-    # The first experiment can be fixed to the equilibrium itself; iterative
-    # deepening returns a shortest schedule rather than a first-found deep one.
-    units = [1 << k for k in range(n)]
-    first = (sorted(units, reverse=True), [1] * n)
-    deficit = dict(target)
-    for v in units:
-        deficit.pop(v)
-    for depth in range(max_experiments):
-        tail = dfs(deficit, depth, 0)
-        if tail is not None:
-            return [first] + tail
-    return None
-
-
 def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequence]:
     """Search for a temporal-labeling schedule on an n-spin system.
 
+    One search serves every odd n: a greedy cover of the 2^n - 1 target
+    strings by independent sets plus a pairing endgame, with seeded restarts.
     Returns preparation sequences whose summed experiments equal the n-spin
     effective pure target, verified before returning.  Raises
-    SearchExhausted when no schedule exists within max_experiments; for even
-    n no schedule exists at all, because every experiment contributes n
-    signed terms (an even total) while the target's coefficients sum to the
-    odd number 2^n - 1.
+    SearchExhausted when no schedule is found within max_experiments, as
+    below the counting bound ceil((2^n - 1) / n), since every experiment
+    contributes n signed terms; for even n no schedule exists at all,
+    because those terms total an even number while the target's
+    coefficients sum to the odd number 2^n - 1.
 
-    Best effort: the experiment count is not claimed minimal, though for
-    n = 5 the search does reach the counting lower bound of 7.
+    Best effort: the experiment count is not claimed minimal, though the
+    search reaches the counting bound for n = 3 (3 experiments) and n = 5 (7).
     """
     if not 1 <= n <= N_SPINS:
         raise ValueError(f"spin count {n} out of range 1..{N_SPINS}")
@@ -460,14 +357,7 @@ def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequen
             f"no schedule exists for n={n}: experiments contribute n terms each, "
             f"so total coefficients are even, but the target sums to {2**n - 1}"
         )
-    if n == 1:
-        return [()]
-
-    plan: list[tuple[list[int], list[int]]] | None = None
-    if n <= 3:
-        plan = _schedule_small(n, max_experiments)
-    else:
-        plan = _schedule_greedy(n, max_experiments)
+    plan = _schedule_greedy(n, max_experiments)
     if plan is None or len(plan) > max_experiments:
         raise SearchExhausted(f"no schedule found for n={n} within {max_experiments} experiments")
 
@@ -494,7 +384,7 @@ def _schedule_greedy(n: int, max_experiments: int, attempts: int = 64) -> list[t
             uncovered = [v for v in order if v not in covered]
             if len(uncovered) <= 2 * n:
                 break
-            pick = _greedy_independent(uncovered, n)
+            pick = _greedy_joint(uncovered, n, contexts=[()])
             if pick is None:
                 break
             plan.append((pick, [1] * n))

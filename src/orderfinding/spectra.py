@@ -73,18 +73,17 @@ def _entries(value, count: int, reason: str, *where: str | int) -> list | tuple:
 
 @dataclass(frozen=True)
 class MoleculeParams:
-    """Chemical shifts (Hz, relative to the reference spin), J couplings (Hz), linewidth (Hz FWHM).
+    """Chemical shifts (Hz, on the spectrum grid's frequency axis), J couplings (Hz), linewidth (Hz FWHM).
 
     Every value is validated on construction: shifts, couplings and
     linewidth must be finite numbers, couplings a symmetric 5x5 array with
-    zero diagonal, linewidth positive, and the reference spin an integer in
-    1..5.  A bad value raises MoleculeError naming it.
+    zero diagonal, and linewidth positive.  A bad value raises MoleculeError
+    naming it.
     """
 
     shifts: tuple[float, float, float, float, float]
     couplings: np.ndarray
     linewidth_hz: float
-    reference_spin: int = 1
 
     def __post_init__(self) -> None:
         shifts = tuple(
@@ -103,17 +102,9 @@ class MoleculeParams:
         linewidth = _finite(self.linewidth_hz, "linewidth_hz")
         if not linewidth > 0:
             raise MoleculeError("linewidth must be positive", "linewidth_hz")
-        ref = self.reference_spin
-        if isinstance(ref, bool) or not isinstance(ref, numbers.Real):
-            raise MoleculeError("reference spin must be an integer", "reference_spin")
-        if not isinstance(ref, numbers.Integral) and not _finite(ref, "reference_spin").is_integer():
-            raise MoleculeError("reference spin must be an integer", "reference_spin")
-        if not 1 <= ref <= N_SPINS:
-            raise MoleculeError("reference spin out of range", "reference_spin")
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "couplings", j)
         object.__setattr__(self, "linewidth_hz", linewidth)
-        object.__setattr__(self, "reference_spin", int(ref))
 
     def coupling(self, i: int, j: int) -> float:
         return float(self.couplings[i - 1, j - 1])
@@ -165,26 +156,23 @@ def synthetic_molecule() -> MoleculeParams:
         shifts=(0.0, -13200.0, 9100.0, 21500.0, -4300.0),
         couplings=j,
         linewidth_hz=1.0,
-        reference_spin=1,
     )
 
 
 # MoleculeParams field -> JSON config key.
-_CONFIG_KEYS = {"shifts": "shifts", "couplings": "J", "linewidth_hz": "linewidth_hz", "reference_spin": "reference_spin"}
-_REQUIRED_KEYS = ("shifts", "J", "linewidth_hz")
+_CONFIG_KEYS = {"shifts": "shifts", "couplings": "J", "linewidth_hz": "linewidth_hz"}
 
 
 def load_molecule(path: str | Path) -> MoleculeParams:
     """Read molecule parameters from a UTF-8 JSON config.
 
-    The config is an object with keys shifts (5 numbers), J (5x5 numbers),
-    linewidth_hz and optionally reference_spin (default 1); other keys are
-    ignored.  Every malformed config raises ValueError with the one-line
-    message "path:line:col: reason", the position counted as
-    json.JSONDecodeError counts it.  A syntax error points where decoding
-    stopped, a missing key or a document that is not an object points at
-    the enclosing object, and a bad value points at that value.  A file that
-    cannot be read raises OSError.
+    The config is an object with keys shifts (5 numbers), J (5x5 numbers)
+    and linewidth_hz; other keys are ignored.  Every malformed config
+    raises ValueError with the one-line message "path:line:col: reason",
+    the position counted as json.JSONDecodeError counts it.  A syntax
+    error points where decoding stopped, a missing key or a document that
+    is not an object points at the enclosing object, and a bad value points
+    at that value.  A file that cannot be read raises OSError.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -199,10 +187,10 @@ def load_molecule(path: str | Path) -> MoleculeParams:
     try:
         if not isinstance(data, dict):
             raise MoleculeError("config must be a JSON object")
-        for key in _REQUIRED_KEYS:
+        for key in _CONFIG_KEYS.values():
             if key not in data:
                 raise MoleculeError(f"missing config key {key!r}")
-        return MoleculeParams(**{field: data[key] for field, key in _CONFIG_KEYS.items() if key in data})
+        return MoleculeParams(**{field: data[key] for field, key in _CONFIG_KEYS.items()})
     except MoleculeError as err:
         where = (_CONFIG_KEYS[err.where[0]], *err.where[1:]) if err.where else ()
         raise _located(path, text, _value_offset(text, where), _describe(err.reason, where)) from err

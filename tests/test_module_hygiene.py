@@ -1,0 +1,38 @@
+"""Every module-level import and private function in the package is used in its own module.
+
+`__init__` is skipped, since its imports are the package's re-exports, and
+`from __future__` imports are exempt.  A private function counts as used
+only when a top-level statement other than its own definition names it.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orderfinding"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unreferenced(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    uses = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)} for node in tree.body]
+    dead = []
+    for idx, node in enumerate(tree.body):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_") \
+                and not node.name.startswith("__"):
+            names = [node.name]
+        else:
+            continue
+        dead += [name for name in names if not any(name in used for k, used in enumerate(uses) if k != idx)]
+    return dead
+
+
+def test_package_modules_are_found():
+    assert {p.stem for p in MODULES} >= {"circuits", "prodops", "simulator", "spectra"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_level_names_are_referenced(path):
+    assert _unreferenced(path) == []

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -158,6 +160,14 @@ def test_schedule_prep_five_spins_reaches_seven_experiments():
     assert verify_prep_set(seqs, 5).is_effective_pure
 
 
+@pytest.mark.parametrize(("n", "max_experiments"), [(3, 2), (5, 6)])
+def test_schedule_prep_below_counting_bound_is_exhausted(n, max_experiments):
+    # each experiment contributes n signed terms and the target has 2^n - 1
+    assert max_experiments == math.ceil((2**n - 1) / n) - 1
+    with pytest.raises(SearchExhausted, match=f"within {max_experiments} experiments"):
+        schedule_prep(n, max_experiments)
+
+
 def test_schedule_prep_even_spin_counts_are_infeasible():
     for n in (2, 4):
         with pytest.raises(SearchExhausted):
@@ -189,12 +199,21 @@ def test_two_spin_schedules_are_impossible_for_any_experiment_count():
 
 
 def test_synthesize_sequence_round_trip():
-    basis = [0b10110, 0b01001, 0b00010, 0b11000, 0b00100]
-    signs = [1, -1, 1, 1, -1]
-    seq = synthesize_sequence(basis, signs)
-    out = apply_prep(seq, equilibrium_zsum())
-    expected = ZTermSum((mask_to_pattern(v), s) for v, s in zip(basis, signs))
-    assert out == expected
+    """Seeded random signed bases: 100 for each of n = 3, 4 and 5."""
+    rng = random.Random(20210405)
+    for n in (3, 4, 5):
+        checked = 0
+        while checked < 100:
+            basis = [rng.randrange(1, 2**n) for _ in range(n)]
+            span = {0}
+            for v in basis:
+                span |= {s ^ v for s in span}
+            if len(span) < 2**n:
+                continue
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            out = apply_prep(synthesize_sequence(basis, signs, n), equilibrium_zsum(n))
+            assert out == ZTermSum((mask_to_pattern(v, n), s) for v, s in zip(basis, signs))
+            checked += 1
 
 
 def test_pattern_mask_round_trip():

@@ -198,12 +198,13 @@ def test_molecule_config_round_trip(tmp_path):
         "shifts": list(PARAMS.shifts),
         "J": PARAMS.couplings.tolist(),
         "linewidth_hz": PARAMS.linewidth_hz,
-        "reference_spin": 1,
+        "reference_spin": 1,  # not a config key: ignored like any other
     }
     path.write_text(json.dumps(payload))
     loaded = load_molecule(path)
     assert loaded.shifts == PARAMS.shifts
     assert np.array_equal(loaded.couplings, PARAMS.couplings)
+    assert loaded.linewidth_hz == PARAMS.linewidth_hz
 
 
 def test_molecule_config_missing_key_named(tmp_path):
@@ -233,17 +234,15 @@ def test_molecule_validation():
         MoleculeParams((0, 0, 0, 0, 0), np.zeros((5, 5)), float("inf"))  # non-finite linewidth
     with pytest.raises(ValueError):
         MoleculeParams((0, 0, 0, 0, 0), np.where(np.eye(5) > 0, 0.0, np.nan), 1.0)  # NaN couplings
-    with pytest.raises(ValueError):
-        MoleculeParams((0, 0, 0, 0, 0), np.zeros((5, 5)), 1.0, None)  # no reference spin
 
 
 _ZERO_J = "[[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]"
 
 
-def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1", reference_spin="1"):
-    """One key per line, so a value starts at column 13, 8, 19 or 21 of lines 2-5; None drops the key."""
+def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1"):
+    """One key per line, so a value starts at column 13, 8 or 19 of lines 2-4; None drops the key."""
     members = [f'  "{key}": {value}' for key, value in
-               (("shifts", shifts), ("J", J), ("linewidth_hz", linewidth_hz), ("reference_spin", reference_spin))
+               (("shifts", shifts), ("J", J), ("linewidth_hz", linewidth_hz))
                if value is not None]
     return "{\n" + ",\n".join(members) + "\n}"
 
@@ -269,18 +268,11 @@ def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1", referenc
         (_config_text(linewidth_hz="[1]"), "4:19", "linewidth_hz"),
         (_config_text(linewidth_hz="true"), "4:19", "linewidth_hz"),
         (_config_text(linewidth_hz="0"), "4:19", "linewidth_hz"),
-        (_config_text(reference_spin="null"), "5:21", "reference_spin"),
-        (_config_text(reference_spin="1.7"), "5:21", "reference_spin"),
-        (_config_text(reference_spin="6"), "5:21", "reference_spin"),
-        (_config_text(reference_spin="1" + "0" * 400), "5:21", "reference_spin"),
-        (_config_text(reference_spin="1e400"), "5:21", "reference_spin"),
     ],
     ids=[
         "not_object", "array_document", "missing_key", "nan_shift", "inf_shift", "overflow_shift",
         "int_overflow_shift", "string_shift", "shifts_not_list", "four_shifts", "ragged_J", "one_row_J",
         "nan_J", "asymmetric_J", "linewidth_null", "linewidth_list", "linewidth_bool", "linewidth_zero",
-        "reference_spin_null", "reference_spin_fraction", "reference_spin_range",
-        "reference_spin_int_overflow", "reference_spin_overflow",
     ],
 )
 def test_molecule_config_errors_are_located(tmp_path, text, location, names):
@@ -305,4 +297,4 @@ def test_molecule_config_shipped_file_matches_synthetic_parameters():
     loaded = load_molecule(Path(__file__).resolve().parents[1] / "configs" / "molecule_synthetic.json")
     assert loaded.shifts == PARAMS.shifts
     assert np.array_equal(loaded.couplings, PARAMS.couplings)
-    assert (loaded.linewidth_hz, loaded.reference_spin) == (PARAMS.linewidth_hz, PARAMS.reference_spin)
+    assert loaded.linewidth_hz == PARAMS.linewidth_hz
