@@ -6,19 +6,45 @@ for every y, by relabeling; the implementation checks this), the one-query
 game is a finite zero-sum game: the guesser randomizes over the exponent x
 in 1..12 (pi^12 is the identity, so larger exponents add nothing), sees
 z = pi^x(0), and guesses r'; the adversary picks one of the 24 permutations.
-The LP is solved in exact rational arithmetic, so "the value is exactly 1/2"
-is a hard assertion, certified on both sides: the witness strategy achieves
-1/2 against every permutation, and the dual prior proves no strategy beats it.
+Everything a query can see is the trajectory pi^0(y), ..., pi^12(y), so one
+table of trajectories per start y builds the LP and evaluates strategies.
+The LP's exact solution is certified by exactlp, and "the value is exactly
+1/2" is a hard assertion, checked again in rational arithmetic on both
+sides: the witness strategy achieves 1/2 against every permutation, and the
+dual prior proves no strategy beats it.  A failed check raises
+CertificateError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .exactlp import simplex_maximize
-from .permutations import Permutation, all_permutations, compose, order_of, power
+from .exactlp import CertificateError, simplex_maximize
+from .permutations import N_ELEMENTS, Permutation, all_permutations, compose, order_of, power
 
 MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
+
+
+def _trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
+    """(pi^0(y), pi^1(y), ..., pi^12(y)): every observation a query can make."""
+    if not 0 <= y < N_ELEMENTS:
+        raise ValueError(f"element {y} out of range 0..3")
+    path = [y]
+    for _ in range(MAX_EXPONENT):
+        path.append(pi(path[-1]))
+    return tuple(path)
+
+
+@cache
+def _trajectories(y: int) -> tuple[tuple[int, ...], ...]:
+    """The trajectory of y under each permutation, in all_permutations() order."""
+    return tuple(_trajectory(pi, y) for pi in all_permutations())
+
+
+def _order(path: tuple[int, ...]) -> int:
+    """The cycle length of y = path[0]: the first return of the trajectory."""
+    return path.index(path[0], 1)
 
 
 @dataclass(frozen=True)
@@ -29,17 +55,18 @@ class OneQueryStrategy:
     guesses: dict[tuple[int, int], tuple[Fraction, Fraction, Fraction, Fraction]]
 
     def payoff(self, pi: Permutation, y: int = 0) -> Fraction:
-        total = Fraction(0)
-        r = order_of(pi, y)
-        for x, qx in self.x_weights.items():
-            if qx == 0:
-                continue
-            z = power(pi, x)(y)
-            total += qx * self.guesses[(x, z)][r - 1]
-        return total
+        return self._payoff(_trajectory(pi, y))
 
     def min_payoff(self, y: int = 0) -> Fraction:
-        return min(self.payoff(pi, y) for pi in all_permutations())
+        return min(self._payoff(path) for path in _trajectories(y))
+
+    def _payoff(self, path: tuple[int, ...]) -> Fraction:
+        total = Fraction(0)
+        r = _order(path)
+        for x, qx in self.x_weights.items():
+            if qx:
+                total += qx * self.guesses[(x, path[x])][r - 1]
+        return total
 
 
 @dataclass(frozen=True)
@@ -91,7 +118,7 @@ def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
     Variables: q[x] (probability of exponent x), w[x][z][r'] = q[x] * Pr[guess r'
     after seeing z], the game value v, and one slack per permutation.
     """
-    perms = all_permutations()
+    paths = _trajectories(y)
     xs = list(range(1, MAX_EXPONENT + 1))
     n_q = len(xs)
     n_w = n_q * 4 * 4
@@ -104,17 +131,16 @@ def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
 
     v_var = n_q + n_w
     slack0 = v_var + 1
-    n_vars = slack0 + len(perms)
+    n_vars = slack0 + len(paths)
     zero, one = Fraction(0), Fraction(1)
 
     A: list[list[Fraction]] = []
     b: list[Fraction] = []
-    for pidx, pi in enumerate(perms):
+    for pidx, path in enumerate(paths):
         row = [zero] * n_vars
-        r = order_of(pi, y)
+        r = _order(path)
         for xi, x in enumerate(xs):
-            z = power(pi, x)(y)
-            row[wvar(xi, z, r - 1)] += one
+            row[wvar(xi, path[x], r - 1)] += one
         row[v_var] = -one
         row[slack0 + pidx] = -one
         A.append(row)
@@ -148,7 +174,7 @@ def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
                 dist = (one, zero, zero, zero)
             guesses[(x, z)] = dist
     witness = OneQueryStrategy(x_weights, guesses)
-    prior = [-duals[pidx] for pidx in range(len(perms))]
+    prior = [-duals[pidx] for pidx in range(len(paths))]
     total = sum(prior)
     if total:
         prior = [p / total for p in prior]
@@ -157,17 +183,14 @@ def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
 
 def prior_best_response_value(prior: list[Fraction], y: int = 0) -> Fraction:
     """Value of the best deterministic single-query reply to a prior over permutations."""
-    perms = all_permutations()
+    paths = _trajectories(y)
     best = Fraction(0)
     for x in range(1, MAX_EXPONENT + 1):
-        total = Fraction(0)
-        for z in range(4):
-            mass = [Fraction(0)] * 4
-            for p, pi in zip(prior, perms):
-                if power(pi, x)(y) == z:
-                    mass[order_of(pi, y) - 1] += p
-            total += max(mass)
-        best = max(best, total)
+        mass = [[Fraction(0)] * 4 for _ in range(4)]  # mass[z][r - 1]
+        for p, path in zip(prior, paths):
+            if p:
+                mass[path[x]][_order(path) - 1] += p
+        best = max(best, sum((max(m) for m in mass), Fraction(0)))
     return best
 
 
@@ -196,7 +219,7 @@ def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fra
     lower = witness_y.min_payoff(y)
     upper = prior_best_response_value(prior_y, y)
     if lower != upper:
-        raise AssertionError(f"certificate transport failed at y={y}: {lower} != {upper}")
+        raise CertificateError(f"certificate transport failed at y={y}: {lower} != {upper}")
     return lower
 
 
@@ -250,7 +273,7 @@ def two_query_certainty() -> TwoQueryReport:
     for pi in all_permutations():
         for y in range(4):
             if witness.guess(pi, y) != order_of(pi, y):
-                raise AssertionError(f"two-query witness failed on {pi}, y={y}")
+                raise CertificateError(f"two-query witness failed on {pi}, y={y}")
             cases += 1
     checked, perfect = _single_query_deterministic_perfect_count()
     return TwoQueryReport(

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits, classical, measurement, prodops, spectra
+from .exactlp import CertificateError
 from .permutations import OracleSpec, all_permutations, format_cycles, order_of, parse_permutation
 from .simulator import circuit_unitary
 
@@ -287,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except CertificateError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

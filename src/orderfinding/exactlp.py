@@ -1,16 +1,30 @@
-"""Exact linear programming over ordered fields.
+"""Exact linear programming over ordered fields: float search, exact certificate.
 
 The guessing-game and classical-bound analyses both reduce to small zero-sum
-games solved as linear programs.  Floating-point LP cannot certify answers
-like "the value is exactly 1/2", so the simplex method here runs in exact
-arithmetic: plain Fractions for rational data, and the quadratic field
-Q(sqrt(2)) for the order-3 outcome distribution, whose entries involve
-sqrt(2).  Bland's rule guarantees termination.
+games solved as linear programs, and their answers ("the value is exactly
+1/2") must be exact.  The data are Fractions, or elements of the quadratic
+field Q(sqrt(2)) for the order-3 outcome distribution, whose entries involve
+sqrt(2).
+
+`simplex_maximize` does not pivot in exact arithmetic.  A float64 two-phase
+simplex picks a basis.  One sparse exact solve in the data's own field then
+gives that basis's primal and dual solutions, and exact checks certify them:
+x >= 0, A x = b on every row, and no column with a positive reduced cost.
+A basis that fails a check raises CertificateError; nothing falls back to
+exact pivoting.  Infeasible and Unbounded come with an exactly checked
+Farkas vector or improving ray.  This follows Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
+Lett. 2007), and Dhiflaoui et al., "Certifying and repairing solutions to
+large LPs" (SODA 2003).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
+
+TOL = 1e-9  # float search: values within TOL count as equal, so near-ties are exact ties
 
 
 class QSqrt2:
@@ -128,168 +142,220 @@ class QSqrt2:
 
 
 class Infeasible(ValueError):
-    pass
+    """A x = b, x >= 0 has no solution; `farkas` is an exact y with y.A >= 0 and y.b < 0."""
+
+    def __init__(self, message: str, farkas: list):
+        super().__init__(message)
+        self.farkas = farkas
 
 
 class Unbounded(ValueError):
-    pass
+    """`x` is an exact feasible point and `ray` an exact d >= 0 with A d = 0 and c.d > 0."""
+
+    def __init__(self, message: str, x: list, ray: list):
+        super().__init__(message)
+        self.x = x
+        self.ray = ray
 
 
-def _pivot(rows, rhs, obj, obj_rhs, basis, pr, pc):
-    piv = rows[pr][pc]
-    inv = 1 / piv
-    rows[pr] = [v * inv for v in rows[pr]]
-    rhs[pr] = rhs[pr] * inv
-    prow = rows[pr]
-    for i in range(len(rows)):
-        if i == pr:
-            continue
-        f = rows[i][pc]
-        if f:
-            row = rows[i]
-            rows[i] = [v - f * w for v, w in zip(row, prow)]
-            rhs[i] = rhs[i] - f * rhs[pr]
-    f = obj[pc]
-    if f:
-        obj[:] = [v - f * w for v, w in zip(obj, prow)]
-        obj_rhs[0] = obj_rhs[0] - f * rhs[pr]
+class CertificateError(RuntimeError):
+    """The basis the float search ended on fails an exact check."""
+
+
+def _exact_data(A, b, c):
+    """Sparse rows and columns of A, with b and c, all in one exact field.
+
+    The field is Q(sqrt 2) if any entry is a QSqrt2, else the rationals:
+    int (or float) entries become Fractions, so no result is ever a float.
+    """
+    rows = [{j: v for j, v in enumerate(row) if v} for row in A]
+    entries = [v for row in rows for v in row.values()] + list(b) + list(c)
+    if any(isinstance(v, QSqrt2) for v in entries):
+        def field(v):
+            return v if isinstance(v, QSqrt2) else QSqrt2(v)
+    else:
+        def field(v):
+            return v if type(v) is Fraction else Fraction(v)
+    rows = [{j: field(v) for j, v in row.items()} for row in rows]
+    cols = [{} for _ in c]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return rows, cols, [field(v) for v in b], [field(v) for v in c], field(0)
+
+
+def _pivot(T, basis, pr, pc):
+    T[pr] /= T[pr, pc]
+    col = T[:, pc].copy()
+    col[pr] = 0.0
+    T -= np.outer(col, T[pr])
     basis[pr] = pc
 
 
-def _run_simplex(rows, rhs, obj, obj_rhs, basis):
-    """Maximize; obj holds reduced costs (positive = improving).
+def _float_simplex(T, basis):
+    """Pivot the float tableau T to an optimum; return None there, or an unbounded column.
 
-    Uses Dantzig's rule for speed, switching to Bland's rule (which cannot
-    cycle) once the pivot count passes a safety threshold.
+    T's last row holds the reduced costs (positive = improving) and its last
+    column the right-hand side.  The rule is Dantzig's, switching to Bland's
+    (which cannot cycle) after 3(rows + columns) + 100 pivots; ratio ties go
+    to the lowest basic index.  Values within TOL count as equal.
     """
-    bland_after = 3 * (len(rows) + len(obj)) + 100
+    m = T.shape[0] - 1
+    bland_after = 3 * (m + T.shape[1] - 1) + 100
     pivots = 0
     while True:
-        pc = None
+        rc = T[m, :-1]
         if pivots < bland_after:
-            best_rc = None
-            for j, v in enumerate(obj):
-                if v > 0 and (best_rc is None or v > best_rc):
-                    best_rc = v
-                    pc = j
+            top = rc.max(initial=0.0)
+            if top <= TOL:
+                return None
+            pc = int(np.argmax(rc >= top - TOL))
         else:
-            pc = next((j for j, v in enumerate(obj) if v > 0), None)
-        if pc is None:
-            return
-        pr = None
-        best = None
-        for i, row in enumerate(rows):
-            a = row[pc]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
-                    best = ratio
-                    pr = i
-        if pr is None:
-            raise Unbounded("LP is unbounded")
-        _pivot(rows, rhs, obj, obj_rhs, basis, pr, pc)
+            improving = np.flatnonzero(rc > TOL)
+            if improving.size == 0:
+                return None
+            pc = int(improving[0])
+        rising = np.flatnonzero(T[:m, pc] > TOL)
+        if rising.size == 0:
+            return pc
+        ratios = T[rising, -1] / T[rising, pc]
+        ties = rising[ratios <= ratios.min() + TOL]
+        _pivot(T, basis, min(ties, key=basis.__getitem__), pc)
         pivots += 1
 
 
-def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
-    """Maximize c.x subject to A x = b, x >= 0, in exact arithmetic.
+def _solve(M, r):
+    """Solve M z = r exactly for a square M given as sparse rows {column: value}.
 
-    Entries may be int, Fraction or QSqrt2 (consistently mixed).  Returns
-    (value, x, duals) with duals y solving y.A = c on the optimal basis,
-    i.e. the exact dual solution for the equality constraints.
+    Gauss-Jordan elimination: each step updates only the pivot row's nonzero
+    columns of the rows that hold the pivot column.
+    """
+    M = [dict(row) for row in M]
+    r = list(r)
+    holders = [set() for _ in M]  # column -> rows with a nonzero there
+    for i, row in enumerate(M):
+        for j in row:
+            holders[j].add(i)
+    pivot_row = []
+    used = set()
+    for j in range(len(M)):
+        free = holders[j] - used
+        if not free:
+            raise CertificateError(f"the basis is singular at column {j}")
+        p = min(free, key=lambda i: (len(M[i]), i))
+        used.add(p)
+        prow = M[p]
+        inv = 1 / prow[j]
+        for k in prow:
+            prow[k] *= inv
+        r[p] *= inv
+        for i in holders[j] - {p}:
+            row = M[i]
+            f = row[j]
+            for k, v in prow.items():
+                new = row[k] - f * v if k in row else -f * v
+                if new:
+                    row[k] = new
+                    holders[k].add(i)
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+            r[i] -= f * r[p]
+        pivot_row.append(p)
+    return [r[p] for p in pivot_row]
+
+
+def _dot(pairs, vec, zero):
+    """sum of value * vec[index] over (index, value) pairs, exactly."""
+    return sum((v * vec[k] for k, v in pairs), zero)
+
+
+def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
+    """Maximize c.x subject to A x = b, x >= 0; exact result, certified.
+
+    Entries may be int, Fraction or QSqrt2: ints count as Fractions, and one
+    QSqrt2 entry puts the whole LP in Q(sqrt(2)).  Returns
+    (value, x, duals) in the data's exact field, with duals y the exact
+    dual solution of the optimal basis: y.b = value and y.A >= c.  A float
+    two-phase simplex picks the basis; an exact solve and exact checks
+    certify it, or raise CertificateError.  Infeasible and Unbounded carry
+    their exact certificates.
     """
     m, n = len(A), len(c)
-    rows = [list(row) for row in A]
-    rhs = list(b)
-    flips = [1] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            flips[i] = -1
+    rows, cols, b, c, zero = _exact_data(A, b, c)
+    one = zero + 1
+    flips = [-1 if v < 0 else 1 for v in b]
 
-    zero = 0 * rhs[0] if m else 0
     # Phase 1: artificial basis, maximize -(sum of artificials).
-    for i in range(m):
-        rows[i] = rows[i] + [1 if j == i else 0 for j in range(m)]
-    basis = [n + i for i in range(m)]
-    obj = [zero] * (n + m)
-    obj_rhs = [zero]
-    for i in range(m):
-        for j in range(n):
-            obj[j] = obj[j] + rows[i][j]
-        obj_rhs[0] = obj_rhs[0] + rhs[i]
-    # reduced costs of artificials are 0 in the starting basis
-    _run_simplex(rows, rhs, obj, obj_rhs, basis)
-    if obj_rhs[0] != 0:
-        raise Infeasible("LP is infeasible")
-    # Drive any degenerate artificials out of the basis.
-    drop = []
+    T = np.zeros((m + 1, n + m + 1))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            T[i, j] = flips[i] * float(v)
+        T[i, n + i] = 1.0
+        T[i, -1] = flips[i] * float(b[i])
+    T[m, :n] = T[:m, :n].sum(axis=0)
+    T[m, -1] = T[:m, -1].sum()
+    basis = list(range(n, n + m))
+    _float_simplex(T, basis)
+    if T[m, -1] > TOL:
+        # y' solves B'^T y' = -1 on basic artificials, 0 elsewhere; y = flips * y'.
+        M = [cols[j] if j < n else {j - n: one} for j in basis]
+        farkas = _solve(M, [zero if j < n else -flips[j - n] * one for j in basis])
+        if all(_dot(col.items(), farkas, zero) >= 0 for col in cols) and _dot(enumerate(b), farkas, zero) < 0:
+            raise Infeasible("LP is infeasible", farkas)
+        raise CertificateError("phase 1 ended infeasible, but its Farkas vector fails the exact check")
+    # Drive degenerate artificials out; a row with no real column left is redundant.
+    dropped = []
     for i in range(m):
         if basis[i] >= n:
-            pc = next((j for j in range(n) if rows[i][j] != 0), None)
-            if pc is None:
-                drop.append(i)
+            nonzero = np.flatnonzero(np.abs(T[i, :n]) > TOL)
+            if nonzero.size:
+                _pivot(T, basis, i, int(nonzero[0]))
             else:
-                _pivot(rows, rhs, obj, obj_rhs, basis, i, pc)
-    for i in reversed(drop):
-        del rows[i], rhs[i], basis[i]
-    rows = [row[:n] for row in rows]
+                dropped.append(i)
+    kept = [i for i in range(m) if i not in dropped]
+    redundant = {basis[i] - n for i in dropped}
+    basis = [basis[i] for i in kept]
 
-    # Phase 2 objective: reduced costs for the current basis.
-    obj = list(c)
-    obj_rhs = [zero]
-    for i, bi in enumerate(basis):
-        f = obj[bi]
-        if f:
-            obj = [v - f * w for v, w in zip(obj, rows[i])]
-            obj_rhs[0] = obj_rhs[0] - f * rhs[i]
-    _run_simplex(rows, rhs, obj, obj_rhs, basis)
+    # Phase 2 on the kept tableau rows, with reduced costs for the current basis.
+    T = np.vstack([T[kept][:, list(range(n)) + [-1]], np.zeros(n + 1)])
+    cf = np.array([float(v) for v in c])
+    T[-1, :n] = cf - cf[basis] @ T[:-1, :n]
+    T[-1, -1] = -cf[basis] @ T[:-1, -1]
+    entering = _float_simplex(T, basis)
 
+    # Exact solve on the basis: rows of A outside `redundant`, columns `basis`.
+    live = [i for i in range(m) if i not in redundant]
+    at = {j: k for k, j in enumerate(basis)}
+    B = [{at[j]: v for j, v in rows[i].items() if j in at} for i in live]
     x = [zero] * n
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    value = sum((ci * xi for ci, xi in zip(c, x)), zero)
+    for j, v in zip(basis, _solve(B, [b[i] for i in live])):
+        x[j] = v
+    if any(x[j] < 0 for j in basis):
+        raise CertificateError("the basic solution has a negative entry")
+    for i, row in enumerate(rows):
+        if _dot(row.items(), x, zero) != b[i]:
+            raise CertificateError(f"the basic solution violates row {i}")
+    if entering is not None:
+        ray = [zero] * n
+        ray[entering] = one
+        for j, v in zip(basis, _solve(B, [cols[entering].get(i, zero) for i in live])):
+            ray[j] = -v
+        if all(v >= 0 for v in ray) and all(not _dot(row.items(), ray, zero) for row in rows) \
+                and _dot(enumerate(c), ray, zero) > 0:
+            raise Unbounded("LP is unbounded", x, ray)
+        raise CertificateError(f"column {entering} is no exact improving ray")
 
-    duals = _basis_duals(A, c, basis, flips, zero)
-    return value, x, duals
-
-
-def _basis_duals(A, c, basis, flips, zero):
-    """Solve B^T y = c_B exactly for the optimal basis (original row signs)."""
-    m = len(A)
-    if m == 0:
-        return []
-    cols = []
-    cb = []
-    for bi in basis:
-        cols.append([A[i][bi] for i in range(m)])
-        cb.append(c[bi])
-    # Solve sum_k y_i (col_k)_i ... i.e. (B^T) y = c_B with B columns = cols.
-    size = len(cols)
-    mat = [[cols[k][i] for i in range(m)] + [cb[k]] for k in range(size)]
-    # Gaussian elimination (the system is square and nonsingular on a basis).
+    at = {i: k for k, i in enumerate(live)}
     y = [zero] * m
-    piv_cols = []
-    r = 0
-    for col in range(m):
-        sel = next((i for i in range(r, size) if mat[i][col] != 0), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(size):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == size:
-            break
-    for idx, col in enumerate(piv_cols):
-        y[col] = mat[idx][m]
-    return [yi * fi for yi, fi in zip(y, flips)]
+    Bt = [{at[i]: v for i, v in cols[j].items() if i in at} for j in basis]
+    for i, v in zip(live, _solve(Bt, [c[j] for j in basis])):
+        y[i] = v
+    for j, col in enumerate(cols):
+        if c[j] - _dot(col.items(), y, zero) > 0:
+            raise CertificateError(f"column {j} has a positive reduced cost")
+    value = _dot(((j, c[j]) for j in basis), x, zero)
+    return value, x, y
 
 
 def solve_maximin_assignment(payoffs: Sequence[Sequence]):

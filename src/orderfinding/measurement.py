@@ -149,17 +149,16 @@ class GuessGameSolution:
 def solve_guess_game(dists: tuple[OutcomeDistribution, ...] | None = None) -> GuessGameSolution:
     """Maximin guess strategy: maximize the worst-case (over r) success probability.
 
-    Solved as an exact LP; for the four order-finding distributions the
-    arithmetic runs in Q(sqrt(2)) and the optimum comes out rational.  The
-    dual solution is the hardest prior over r and certifies optimality.
+    Solved as an LP with an exactly certified solution; for the four
+    order-finding distributions the data lie in Q(sqrt(2)) and the optimum
+    comes out rational.  The dual solution is the hardest prior over r and
+    certifies optimality.
     """
     if dists is None:
         dists = tuple(analytic_distribution(r) for r in ORDERS)
     if len(dists) != 4:
         raise InfeasibleInput("need one distribution per order 1..4")
     exact = [d.exact_entries() for d in dists]
-    if any(isinstance(e, QSqrt2) for entries in exact for e in entries):
-        exact = [[e if isinstance(e, QSqrt2) else QSqrt2(e) for e in entries] for entries in exact]
     payoffs = [[exact[k][m] for k in range(4)] for m in range(8)]
     value, g, prior = solve_maximin_assignment(payoffs)
     strategy = GuessStrategy(np.array([[float(g[m][k]) for k in range(4)] for m in range(8)]))

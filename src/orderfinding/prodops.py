@@ -369,7 +369,13 @@ def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequen
 
 
 def _schedule_greedy(n: int, max_experiments: int, attempts: int = 64) -> list[tuple[list[int], list[int]]] | None:
-    """Greedy cover by independent sets plus a pairing endgame, with seeded restarts."""
+    """Greedy cover by independent sets plus a pairing endgame, with seeded restarts.
+
+    Each experiment covers at most n of the 2^n - 1 target terms, so a plan
+    of ceil((2^n - 1) / n) experiments cannot be beaten; the search returns
+    the first such plan, since later restarts could only tie it.
+    """
+    bound = -(-(2**n - 1) // n)
     rng = random.Random(20210405)
     base_order = sorted(range(1, 2**n))
     best: list[tuple[list[int], list[int]]] | None = None
@@ -396,4 +402,6 @@ def _schedule_greedy(n: int, max_experiments: int, attempts: int = 64) -> list[t
         plan = plan + tail
         if len(plan) <= max_experiments and (best is None or len(plan) < len(best)):
             best = plan
+            if len(plan) == bound:
+                break
     return best

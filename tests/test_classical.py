@@ -87,3 +87,12 @@ def test_hardest_prior_supported_on_every_order(one_query_report):
 
         orders.add(order_of(parse_permutation(text), 0))
     assert orders == {1, 2, 3, 4}
+
+
+def test_lp_vertex_is_pinned(one_query_report):
+    # the CLI report prints this vertex; a search that lands on another optimal one must fail here
+    twelfth = ["(0 1 2)", "(0 1 3 2)", "(0 1)", "(0 2 1 3)", "(0 2 3)", "(0 2)(1 3)", "(0 3 1)",
+               "(0 3 2 1)", "(0 3)(1 2)"]
+    assert one_query_report.prior == {**{p: Fraction(1, 12) for p in twelfth}, "(1 3)": Fraction(1, 4)}
+    weights = {x: w for x, w in one_query_report.witness.x_weights.items() if w}
+    assert weights == {1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4), 7: Fraction(1, 4)}

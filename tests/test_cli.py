@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from orderfinding import classical, exactlp
 from orderfinding.cli import main
 
 
@@ -156,3 +157,18 @@ def test_run_bad_grid_exits_2_without_spectrum(tmp_path, capsys, grid):
     assert not (out / "spectrum_spin1.csv").exists()
     err = capsys.readouterr().err
     assert "--grid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, argv", [
+    (classical, ["classical"]),
+    (exactlp, ["guess-table"]),
+    (exactlp, ["run", "--perm", "(0 1 2)", "--y", "0"]),
+], ids=["classical", "guess-table", "run"])
+def test_certificate_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, module, argv):
+    def failing_solver(A, b, c):
+        raise exactlp.CertificateError("column 7 has a positive reduced cost")
+
+    monkeypatch.setattr(module, "simplex_maximize", failing_solver)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: column 7 has a positive reduced cost\n"

@@ -1,8 +1,19 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orderfinding.exactlp import Infeasible, QSqrt2, simplex_maximize, solve_maximin_assignment
+from orderfinding import exactlp
+from orderfinding.exactlp import (
+    CertificateError,
+    Infeasible,
+    QSqrt2,
+    Unbounded,
+    simplex_maximize,
+    solve_maximin_assignment,
+)
 
 
 def q(a, b=0):
@@ -52,6 +63,7 @@ def test_simplex_small_known_lp():
     c = [Fraction(1), Fraction(2), Fraction(0), Fraction(0)]
     value, x, duals = simplex_maximize(A, b, c)
     assert value == Fraction(7)
+    assert type(value) is Fraction
     assert x[0] == 1 and x[1] == 3
     # duals: y1 = 1 (binding on row 1), y2 = 1
     assert duals == [Fraction(1), Fraction(1)]
@@ -94,3 +106,210 @@ def test_maximin_in_quadratic_field():
     expected = q(1) - q(0, Fraction(1, 2))  # 1 - sqrt(2)/2
     assert value == expected
     assert g[0][0] == expected
+
+
+def test_simplex_int_data_gives_exact_fractions():
+    value, x, duals = simplex_maximize([[3, 1]], [1], [1, 0])
+    assert value == Fraction(1, 3)
+    assert type(value) is Fraction
+    assert all(type(v) is Fraction for v in x + duals)
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _columns(A):
+    return [list(col) for col in zip(*A)]
+
+
+def _assert_optimal(A, b, c, value, x, duals):
+    """x is feasible with c.x = value, and the duals certify it: y.b = value, y.A >= c."""
+    assert all(v >= 0 for v in x)
+    assert [_dot(row, x) for row in A] == list(b)
+    assert _dot(c, x) == value
+    assert _dot(duals, b) == value
+    assert all(_dot(duals, col) >= cj for col, cj in zip(_columns(A), c))
+
+
+@pytest.mark.parametrize("A, b, c", [
+    ([[-1, -1]], [-1], [1, 0]),
+    ([[1, 1], [2, 2]], [1, 2], [1, 0]),
+    ([[1, 1], [-2, -2]], [1, -2], [0, 1]),
+], ids=["negative_rhs", "redundant_rows", "redundant_negative_row"])
+def test_simplex_duals_certify_the_value(A, b, c):
+    value, x, duals = simplex_maximize(A, b, c)
+    assert value == 1
+    _assert_optimal(A, b, c, value, x, duals)
+
+
+# Brute-force reference: every basic feasible solution, found by trying every
+# support of independent columns.  Exact, and independent of the solver.
+
+def _support_solution(cols, b):
+    """x with sum_k x_k cols[k] = b if the columns are independent and b in their span, else None."""
+    k = len(cols)
+    M = [[col[i] for col in cols] + [b[i]] for i in range(len(b))]
+    r = 0
+    for j in range(k + 1):
+        sel = next((i for i in range(r, len(M)) if M[i][j] != 0), None)
+        if sel is None:
+            if j < k:
+                return None  # dependent columns
+            continue
+        if j == k:
+            return None  # b outside the span
+        M[r], M[sel] = M[sel], M[r]
+        M[r] = [v / M[r][j] for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][j] != 0:
+                f = M[i][j]
+                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
+        r += 1
+    return [M[i][k] for i in range(k)]
+
+
+def _vertices(A, b):
+    n = len(A[0])
+    cols = _columns(A)
+    out = []
+    for size in range(min(len(A), n) + 1):
+        for support in combinations(range(n), size):
+            sol = _support_solution([cols[j] for j in support], b)
+            if sol is not None and all(v >= 0 for v in sol):
+                x = [Fraction(0)] * n
+                for j, v in zip(support, sol):
+                    x[j] = v
+                out.append(x)
+    return out
+
+
+def _brute_force(A, b, c):
+    """'infeasible', 'unbounded', or the optimal value of max c.x, A x = b, x >= 0."""
+    vertices = _vertices(A, b)
+    if not vertices:
+        return "infeasible"
+    # extreme rays of {d >= 0, A d = 0} are the vertices of its slice sum(d) = 1
+    rays = _vertices(A + [[1] * len(c)], [0] * len(A) + [1])
+    if any(_dot(c, d) > 0 for d in rays):
+        return "unbounded"
+    return max(_dot(c, x) for x in vertices)
+
+
+def _solve_or_verdict(A, b, c):
+    """Run the solver; check whichever certificate it returns or raises, exactly."""
+    try:
+        value, x, duals = simplex_maximize(A, b, c)
+    except Infeasible as err:
+        y = err.farkas
+        assert all(_dot(y, col) >= 0 for col in _columns(A)) and _dot(y, b) < 0
+        return "infeasible"
+    except Unbounded as err:
+        assert all(v >= 0 for v in err.x) and [_dot(row, err.x) for row in A] == list(b)
+        d = err.ray
+        assert all(v >= 0 for v in d) and all(_dot(row, d) == 0 for row in A) and _dot(c, d) > 0
+        return "unbounded"
+    assert type(value) is Fraction
+    _assert_optimal(A, b, c, value, x, duals)
+    return value
+
+
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonneg = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+
+
+@st.composite
+def shapes(draw):
+    m = draw(st.integers(1, 3))
+    return m, draw(st.integers(1, 6))
+
+
+def _vector(draw, size, entries=small):
+    return draw(st.lists(entries, min_size=size, max_size=size))
+
+
+def _matrix(draw, m, n):
+    return [_vector(draw, n) for _ in range(m)]
+
+
+@st.composite
+def bounded_lps(draw):
+    """Feasible (b = A x0, x0 >= 0) and bounded (c = y0.A - s, s >= 0) by construction."""
+    m, n = draw(shapes())
+    A = _matrix(draw, m, n)
+    x0 = _vector(draw, n, nonneg)
+    y0 = _vector(draw, m)
+    s = _vector(draw, n, nonneg)
+    b = [_dot(row, x0) for row in A]
+    c = [_dot(y0, col) - sj for col, sj in zip(_columns(A), s)]
+    return A, b, c
+
+
+@st.composite
+def infeasible_lps(draw):
+    """One row has entries of one sign and a rhs of the other, so no x >= 0 meets it."""
+    m, n = draw(shapes())
+    A = _matrix(draw, m - 1, n)
+    b = _vector(draw, m - 1)
+    sign = draw(st.sampled_from([1, -1]))
+    row = [sign * v for v in _vector(draw, n, nonneg)]
+    rhs = -sign * draw(st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)))
+    at = draw(st.integers(0, m - 1))
+    return A[:at] + [row] + A[at:], b[:at] + [rhs] + b[at:], _vector(draw, n)
+
+
+@st.composite
+def unbounded_lps(draw):
+    """Feasible by construction, with a ray d >= 0, A d = 0 and c.d > 0."""
+    m, n = draw(shapes())
+    A = _matrix(draw, m, n)
+    k = draw(st.integers(0, n - 1))
+    d = _vector(draw, n, nonneg)
+    d[k] = Fraction(1)
+    for row in A:  # make column k cancel the rest of d
+        row[k] = -sum((row[j] * d[j] for j in range(n) if j != k), Fraction(0))
+    c = _vector(draw, n)
+    c[k] += 1 - _dot(c, d)  # now c.d = 1
+    x0 = _vector(draw, n, nonneg)
+    return A, [_dot(row, x0) for row in A], c
+
+
+@settings(max_examples=100)
+@given(bounded_lps())
+def test_simplex_matches_brute_force_on_bounded_lps(lp):
+    A, b, c = lp
+    assert _solve_or_verdict(A, b, c) == _brute_force(A, b, c)
+
+
+@settings(max_examples=100)
+@given(st.one_of(infeasible_lps(), unbounded_lps()))
+def test_simplex_verdicts_carry_exact_certificates(lp):
+    A, b, c = lp
+    verdict = _brute_force(A, b, c)
+    assert verdict in ("infeasible", "unbounded")
+    assert _solve_or_verdict(A, b, c) == verdict
+
+
+@st.composite
+def any_lps(draw):
+    m, n = draw(shapes())
+    return _matrix(draw, m, n), _vector(draw, m), _vector(draw, n)
+
+
+@settings(max_examples=100)
+@given(any_lps())
+def test_simplex_matches_brute_force_on_any_small_lp(lp):
+    A, b, c = lp
+    assert _solve_or_verdict(A, b, c) == _brute_force(A, b, c)
+
+
+@pytest.mark.parametrize("tol, c, match", [
+    # the search stops at once, on the all-artificial basis, so x = 0 misses A x = b
+    (1e3, [1, 2, 0, 0], "violates row"),
+    # phase 1 leaves column 3 nonbasic; phase 2 takes its reduced cost 1/4 for a tie with 0
+    (0.5, [0, 0, 0, Fraction(1, 4)], "positive reduced cost"),
+], ids=["infeasible_basis", "suboptimal_basis"])
+def test_wrong_float_basis_raises_certificate_error(monkeypatch, tol, c, match):
+    monkeypatch.setattr(exactlp, "TOL", tol)
+    with pytest.raises(CertificateError, match=match):
+        simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], c)

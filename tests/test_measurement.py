@@ -138,6 +138,11 @@ def test_guess_game_value_is_60_over_109():
     assert best == sol.exact_value
 
 
+def test_guess_game_hardest_prior_is_pinned():
+    # guess_report.json prints this prior; another optimal dual vertex must fail here
+    assert solve_guess_game().prior == tuple(Fraction(k, 109) for k in (11, 22, 32, 44))
+
+
 def test_optimal_guess_strategy_tuple_api():
     strategy, value = optimal_guess_strategy()
     assert 0.545 <= value <= 0.560
