@@ -12,7 +12,6 @@ from .circuits import build_orderfinding, build_qft3, verify_oracle_sequence
 from .measurement import (
     analytic_distribution,
     observables_from_distribution,
-    optimal_guess_strategy,
     simulated_distribution,
 )
 from .permutations import OracleSpec, Permutation, oracle_unitary, order_of, parse_permutation, power

@@ -108,14 +108,18 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
 
 
+# The instance-independent parts of the order-finding circuit.
+_HADAMARD_FRONT = Circuit((Hadamard(1), Hadamard(2), Hadamard(3)))
+_QFT_NO_SWAP = build_qft3(include_final_swap=False)
+
+
 def build_orderfinding(spec: OracleSpec) -> Circuit:
     """The full order-finding circuit, assuming input |000>|y1 y0>.
 
     Hadamards on spins 1-3, the three controlled permutation stages, then
     the QFT without final swap (bit-reversed output).
     """
-    front = Circuit((Hadamard(1), Hadamard(2), Hadamard(3)))
-    return front + oracle_stages(spec.pi) + build_qft3(include_final_swap=False)
+    return Circuit(_HADAMARD_FRONT.ops + oracle_stages(spec.pi).ops + _QFT_NO_SWAP.ops)
 
 
 def input_state(spec: OracleSpec) -> QuantumState:
@@ -145,8 +149,7 @@ def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int, atol: f
     """
     if not 0 <= y < 4:
         raise ValueError(f"start element {y} out of range 0..3")
-    prep = Circuit((Hadamard(1), Hadamard(2), Hadamard(3)))
-    state = run_circuit(prep, basis_state(y))
+    state = run_circuit(_HADAMARD_FRONT, basis_state(y))
     state = run_circuit(Circuit(tuple(seq)), state)
     return states_equal_up_to_phase(state.amplitudes, oracle_target_state(pi, y), atol=atol)
 

@@ -66,14 +66,15 @@ def cmd_run(config: RunConfig) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
 
-    dist = measurement.simulated_distribution(spec)
+    state = circuits.run_orderfinding(spec)
+    dist = measurement.simulated_distribution(state)
     _write_csv(out / "distribution.csv", ["m", "probability"],
                [[m, float(dist.probs[m])] for m in range(8)])
 
-    observables = measurement.simulated_observables(spec)
+    observables = measurement.simulated_observables(state)
     _write_json(out / "observables.json", {"O": list(observables)})
 
-    rho = measurement.final_density(spec)
+    rho = measurement.final_density(state)
     lines = spectra.readout_lines(rho, 1, params)
     _write_csv(out / "lines_spin1.csv", ["spin", "label", "frequency_hz", "amp_real", "amp_imag"],
                [[l.spin, l.label, l.frequency_hz, l.amplitude.real, l.amplitude.imag] for l in lines])
@@ -101,16 +102,17 @@ def cmd_run(config: RunConfig) -> int:
 
 def cmd_sweep(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
+    analytic = {r: measurement.analytic_distribution(r).probs for r in measurement.ORDERS}
     rows = []
     worst = 0.0
     for pi in all_permutations():
         for y in range(4):
-            spec = OracleSpec(pi, y)
+            state = circuits.run_orderfinding(OracleSpec(pi, y))
             r = order_of(pi, y)
-            dist = measurement.simulated_distribution(spec)
-            err = float(np.abs(dist.probs - measurement.analytic_distribution(r).probs).max())
+            dist = measurement.simulated_distribution(state)
+            err = float(np.abs(dist.probs - analytic[r]).max())
             worst = max(worst, err)
-            observables = measurement.simulated_observables(spec)
+            observables = measurement.simulated_observables(state)
             rows.append([format_cycles(pi), y, r, err] + [float(v) for v in observables])
     _write_csv(out / "sweep.csv",
                ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], rows)

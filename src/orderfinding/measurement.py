@@ -4,6 +4,10 @@ The measured three-bit outcome is assembled as m = 4*m3 + 2*m2 + m1, where
 m_i is the bit read from spin i: the QFT is run without its final swap, so
 spin 1 ends up holding the least significant bit of m.  The ensemble
 observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
+
+`simulated_distribution`, `simulated_observables` and `final_density` read
+the circuit's final `QuantumState`, so one `circuits.run_orderfinding(spec)`
+serves all three for an instance.
 """
 from __future__ import annotations
 
@@ -12,10 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import run_orderfinding
 from .exactlp import QSqrt2, solve_maximin_assignment
-from .permutations import OracleSpec
-from .simulator import DensityOperator, expectation_Iz, register_probabilities
+from .simulator import DensityOperator, QuantumState, expectation_Iz, register_probabilities
 
 ORDERS = (1, 2, 3, 4)
 
@@ -33,7 +35,7 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float).reshape(8)
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
+        if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-12):
             raise InfeasibleInput(f"not a probability vector: {p}")
         object.__setattr__(self, "probs", p)
         if self.exact is not None:
@@ -56,7 +58,7 @@ class GuessStrategy:
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g, dtype=float).reshape(8, 4)
-        if g.min() < -1e-12 or np.max(np.abs(g.sum(axis=1) - 1.0)) > 1e-12:
+        if not (g.min() >= -1e-12 and np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-12):
             raise InfeasibleInput("strategy rows must be probability vectors")
         object.__setattr__(self, "g", g)
 
@@ -101,23 +103,24 @@ def m_from_register_index(b: int) -> int:
     return 4 * b3 + 2 * b2 + b1
 
 
-def simulated_distribution(spec: OracleSpec) -> OutcomeDistribution:
-    """Outcome distribution from full state-vector simulation of the circuit."""
-    reg = register_probabilities(run_orderfinding(spec))
+def simulated_distribution(state: QuantumState) -> OutcomeDistribution:
+    """Outcome distribution of the circuit's final state, e.g. `run_orderfinding(spec)`."""
+    reg = register_probabilities(state)
     probs = np.zeros(8)
     for b in range(8):
         probs[m_from_register_index(b)] = reg[b]
     return OutcomeDistribution(probs)
 
 
-def simulated_observables(spec: OracleSpec) -> tuple[float, float, float, float, float]:
-    """O_1..O_5 of the final state, via 2 Tr(rho I_zi)."""
-    rho = run_orderfinding(spec).density()
+def simulated_observables(state: QuantumState) -> tuple[float, float, float, float, float]:
+    """O_1..O_5 of the circuit's final state, via 2 Tr(rho I_zi)."""
+    rho = state.density()
     return tuple(expectation_Iz(rho, i) for i in range(1, 6))
 
 
-def final_density(spec: OracleSpec) -> DensityOperator:
-    return run_orderfinding(spec).density()
+def final_density(state: QuantumState) -> DensityOperator:
+    """Density operator of the circuit's final state."""
+    return state.density()
 
 
 def observables_from_distribution(dist: OutcomeDistribution) -> tuple[float, float, float]:
@@ -171,11 +174,6 @@ def solve_guess_game(dists: tuple[OutcomeDistribution, ...] | None = None) -> Gu
         prior=tuple(prior),
         per_order_success=per,
     )
-
-
-def optimal_guess_strategy(dists: tuple[OutcomeDistribution, ...] | None = None) -> tuple[GuessStrategy, float]:
-    sol = solve_guess_game(dists)
-    return sol.strategy, sol.value
 
 
 def guess_success_per_r(strategy: GuessStrategy, dists: tuple[OutcomeDistribution, ...] | None = None):

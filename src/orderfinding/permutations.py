@@ -59,10 +59,10 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 def power(pi: Permutation, k: int) -> Permutation:
     if k < 0:
         raise ValueError("exponent must be nonnegative")
-    out = IDENTITY
+    images = IDENTITY.images
     for _ in range(k):
-        out = compose(pi, out)
-    return out
+        images = tuple(pi.images[v] for v in images)  # pi after the power so far
+    return Permutation(images)
 
 
 def order_of(pi: Permutation, y: int) -> int:

@@ -6,13 +6,22 @@ index 16*b1 + 8*b2 + 4*b3 + 2*b4 + b5.  Gate angles are in degrees.  A
 conditional z-rotation puts the phase on the |11> component of the
 control/target pair, so it is symmetric in control and target.
 
-Every gate type is lowered once, by `_lowered`, to (controls, targets, m):
-the small unitary m acts on the target spins when every control spin is |1>.
+Every gate type is lowered by `_lowered` to (controls, targets, m): the
+small unitary m acts on the target spins when every control spin is |1>.
 That table is the only place gate types are told apart.  One kernel,
 `apply_unitary`, applies a small unitary to chosen spins of every row of an
 amplitude array; a controlled op goes through it as diag(I, m) on the
 controls followed by the targets.  `apply_gate` runs the kernel on one state
 and `gate_unitary` on the 32 rows of the identity.
+
+Each op value is lowered once: `_kernel_operands` memoizes (spins,
+diag(I, m)) by op value in an LRU memo of at most `_MEMO_SIZE` entries, and
+`Circuit` validates through the same memo, so a circuit that is built and
+then run lowers each op once.  `ControlledTargetUnitary` holds an array and
+compares by identity, so it stays out of the memo: `Circuit` only checks its
+spins, and each apply builds its diag(I, m) afresh.  The transpose
+orders of the kernel are memoized per spin tuple in a memo of the same
+size.  The memoized arrays are read-only.
 
 All operations are pure functions; values are never mutated after
 construction and are safe to share across threads.
@@ -20,6 +29,7 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -29,6 +39,8 @@ DIM = 2**N_SPINS
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+_EYE4 = np.eye(4)
+_MEMO_SIZE = 256
 
 
 def bit_of(index: int, spin: int) -> int:
@@ -37,8 +49,14 @@ def bit_of(index: int, spin: int) -> int:
 
 
 def _check_spin(q: int) -> None:
-    if not 1 <= q <= N_SPINS:
-        raise ValueError(f"spin index {q} out of range 1..{N_SPINS}")
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= N_SPINS:
+        raise ValueError(f"spin index {q!r} is not an integer in 1..{N_SPINS}")
+
+
+def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """np.allclose(a, b, rtol=1e-5, atol) for finite entries; any NaN or infinite entry fails."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the comparison
+        return bool(np.all(np.abs(a - b) <= atol + 1e-5 * np.abs(b)))
 
 
 def _check_distinct(*qs: int) -> None:
@@ -48,20 +66,32 @@ def _check_distinct(*qs: int) -> None:
         raise ValueError(f"spin indices must be distinct, got {qs}")
 
 
+# Each gate checks its spins when built: the lowering memo treats equal ops
+# (e.g. Hadamard(1) and Hadamard(1.0)) as one, so equal ops must be equally valid.
+
 @dataclass(frozen=True)
 class Hadamard:
     spin: int
+
+    def __post_init__(self) -> None:
+        _check_distinct(self.spin)
 
 
 @dataclass(frozen=True)
 class NotGate:
     spin: int
 
+    def __post_init__(self) -> None:
+        _check_distinct(self.spin)
+
 
 @dataclass(frozen=True)
 class ZRotation:
     spin: int
     angle_deg: float
+
+    def __post_init__(self) -> None:
+        _check_distinct(self.spin)
 
 
 @dataclass(frozen=True)
@@ -73,11 +103,17 @@ class ConditionalZRotation:
     angle_deg: float
     dagger: bool = False
 
+    def __post_init__(self) -> None:
+        _check_distinct(self.control, self.target)
+
 
 @dataclass(frozen=True)
 class ControlledNot:
     control: int
     target: int
+
+    def __post_init__(self) -> None:
+        _check_distinct(self.control, self.target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +125,15 @@ class ControlledTargetUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        targets = tuple(self.targets)
+        if len(targets) != 2:
+            raise ValueError(f"embedded block needs two target spins, got {targets}")
+        _check_distinct(self.control, *targets)
+        object.__setattr__(self, "targets", targets)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("embedded block must be 4x4")
-        if not np.allclose(m.conj().T @ m, np.eye(4), atol=1e-12):
+        if not _close(m.conj().T @ m, _EYE4, atol=1e-12):
             raise ValueError("embedded block is not unitary")
         object.__setattr__(self, "matrix", m)
 
@@ -105,6 +146,8 @@ GateOp = Union[
     ControlledNot,
     ControlledTargetUnitary,
 ]
+# Gate types that hash and compare by value, so their lowering is memoized.
+_BY_VALUE = (Hadamard, NotGate, ZRotation, ConditionalZRotation, ControlledNot)
 
 
 @dataclass(frozen=True)
@@ -115,11 +158,11 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            _lowered(op)  # validates the op type and its spin indices
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        return Circuit(self.ops + other.ops)
+        for op in self.ops:  # validates each op's type; the ops checked their spins when built
+            if isinstance(op, _BY_VALUE):
+                _memo_operands(op)
+            else:
+                _lowered(op)
 
 
 def _phase(angle_deg: float, dagger: bool = False) -> complex:
@@ -140,10 +183,9 @@ def _lowered(op: GateOp) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     elif isinstance(op, ControlledNot):
         controls, targets, m = (op.control,), (op.target,), _X
     elif isinstance(op, ControlledTargetUnitary):
-        controls, targets, m = (op.control,), tuple(op.targets), op.matrix
+        controls, targets, m = (op.control,), op.targets, op.matrix
     else:
         raise TypeError(f"not a gate op: {op!r}")
-    _check_distinct(*controls, *targets)
     return controls, targets, m
 
 
@@ -155,8 +197,8 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex).reshape(DIM)
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > 1e-9:
+        norm = np.sqrt(np.vdot(a, a).real)
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", a)
 
@@ -184,18 +226,26 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (DIM, DIM):
             raise ValueError("density operator must be 32x32")
-        if not np.allclose(m, m.conj().T, atol=1e-9):
+        if not _close(m, m.conj().T, atol=1e-9):
             raise ValueError("density operator must be Hermitian")
         tr = np.trace(m)
         if self.kind == "normalized":
-            if abs(tr - 1.0) > 1e-9:
+            if not abs(tr - 1.0) <= 1e-9:
                 raise ValueError(f"normalized density operator has trace {tr}")
         elif self.kind == "deviation":
-            if abs(tr) > 1e-9 * max(1.0, np.abs(m).max()):
+            if not abs(tr) <= 1e-9 * max(1.0, np.abs(m).max()):
                 raise ValueError(f"deviation density operator has trace {tr}")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "matrix", m)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _axis_orders(spins: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axes that bring `spins` to the front of a (rows, 2, ..., 2) array, and the inverse order."""
+    _check_distinct(*spins)
+    order = (*spins, 0, *(q for q in range(1, N_SPINS + 1) if q not in spins))
+    return order, tuple(int(k) for k in np.argsort(order))
 
 
 def apply_unitary(amps: np.ndarray, spins: tuple[int, ...], u: np.ndarray) -> np.ndarray:
@@ -205,19 +255,35 @@ def apply_unitary(amps: np.ndarray, spins: tuple[int, ...], u: np.ndarray) -> np
     listed spins are transposed to the front, `u` multiplies them, and the
     inverse transpose restores the basis order.
     """
-    _check_distinct(*spins)
+    order, inverse = _axis_orders(tuple(spins))
     rows = np.asarray(amps, dtype=complex).reshape((-1,) + (2,) * N_SPINS)
-    order = (*spins, 0, *(q for q in range(1, N_SPINS + 1) if q not in spins))
     t = rows.transpose(order)
     out = (u @ t.reshape(2 ** len(spins), -1)).reshape(t.shape)
-    return out.transpose(np.argsort(order)).reshape(np.shape(amps))
+    return out.transpose(inverse).reshape(np.shape(amps))
+
+
+def _controlled_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
+    """(controls + targets, diag(I, m)): m acts only when every control is |1>."""
+    controls, targets, m = _lowered(op)
+    u = np.eye(2 ** len(controls) * len(m), dtype=complex)
+    u[-len(m):, -len(m):] = m
+    u.setflags(write=False)
+    return controls + targets, u
+
+
+_memo_operands = lru_cache(maxsize=_MEMO_SIZE)(_controlled_operands)
+
+
+def _kernel_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
+    """Kernel spins and matrix of `op`, memoized by op value except for ControlledTargetUnitary."""
+    if isinstance(op, _BY_VALUE):
+        return _memo_operands(op)
+    return _controlled_operands(op)  # raises TypeError for anything that is not a gate op
 
 
 def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
-    controls, targets, m = _lowered(op)
-    u = np.eye(2 ** len(controls) * len(m), dtype=complex)
-    u[-len(m):, -len(m):] = m  # diag(I, m): m acts only when every control is |1>
-    return apply_unitary(amps, controls + targets, u)
+    spins, u = _kernel_operands(op)
+    return apply_unitary(amps, spins, u)
 
 
 def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
@@ -244,6 +310,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
+# _IZ_SIGNS[i - 1, b] = +1 if spin i of basis label b is |0>, else -1.
+_IZ_SIGNS = np.array([[1.0 if bit_of(b, spin) == 0 else -1.0 for b in range(DIM)]
+                      for spin in range(1, N_SPINS + 1)])
+
+
 def expectation_Iz(rho: DensityOperator, spin: int) -> float:
     """O_i = 2 Tr(rho I_zi), with I_z eigenvalue +1/2 on |0>.
 
@@ -251,12 +322,7 @@ def expectation_Iz(rho: DensityOperator, spin: int) -> float:
     the operator itself.
     """
     _check_spin(spin)
-    signs = np.array([1.0 if bit_of(b, spin) == 0 else -1.0 for b in range(DIM)])
-    return float(np.real(np.sum(signs * np.diag(rho.matrix))))
-
-
-def maximally_mixed() -> DensityOperator:
-    return DensityOperator(np.eye(DIM, dtype=complex) / DIM, kind="normalized")
+    return float(np.real(np.sum(_IZ_SIGNS[spin - 1] * np.diag(rho.matrix))))
 
 
 def register_probabilities(state: QuantumState) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from orderfinding import circuits, classical, measurement, prodops
+from orderfinding.circuits import run_orderfinding
 from orderfinding.permutations import OracleSpec, all_permutations, order_of, parse_permutation
 from orderfinding.simulator import circuit_unitary
 from orderfinding.spectra import net_area, readout_lines, synthetic_molecule
@@ -33,7 +34,7 @@ def test_c1_exhaustive_distribution_sweep():
     worst = 0.0
     for pi in PERMS:
         for y in range(4):
-            sim = measurement.simulated_distribution(OracleSpec(pi, y))
+            sim = measurement.simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
             ref = measurement.analytic_distribution(order_of(pi, y))
             worst = max(worst, float(np.max(np.abs(sim.probs - ref.probs))))
     _report("criterion 1 (96-case sweep vs analytic, 1e-10)", worst <= 1e-10, f"worst error {worst:.3e}")
@@ -47,11 +48,11 @@ def test_c2_observable_anchor_values():
         "(0 1 2 3)": (1.0, 0.0, 0.0, 0.0, 0.0),
     }
     for text, expected in cases.items():
-        observed = measurement.simulated_observables(OracleSpec(parse_permutation(text), 0))
+        observed = measurement.simulated_observables(run_orderfinding(OracleSpec(parse_permutation(text), 0)))
         checks.append(max(abs(a - b) for a, b in zip(observed, expected)) <= 1e-9)
     o123 = measurement.observables_from_distribution(measurement.analytic_distribution(3))
     checks.append(max(abs(a - b) for a, b in zip(o123, (0.0, 0.25, 0.3125))) <= 1e-9)
-    sim3 = measurement.simulated_observables(OracleSpec(parse_permutation("(0 1 2)"), 0))[:3]
+    sim3 = measurement.simulated_observables(run_orderfinding(OracleSpec(parse_permutation("(0 1 2)"), 0)))[:3]
     checks.append(max(abs(a - b) for a, b in zip(sim3, (0.0, 0.25, 0.3125))) <= 1e-9)
     _report("criterion 2 (O_i anchors r=1,2,3,4)", all(checks), f"{sum(checks)}/{len(checks)} anchor sets")
 
@@ -162,18 +163,18 @@ def test_c8_spectral_signatures():
     checks.append(by_label["0000"].real > 0 and abs(by_label["0000"].imag) < 1e-9)
     checks.append(all(abs(a) < 1e-9 for lab, a in by_label.items() if lab != "0000"))
 
-    rho2 = measurement.final_density(OracleSpec(parse_permutation("(0 1)(2 3)"), 0))
+    rho2 = measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
     lines2 = readout_lines(rho2, 1, PARAMS)
     positive = {l.label for l in lines2 if l.amplitude.real > 1e-9}
     checks.append(positive == {"0000", "0001", "0100", "0101"})
     checks.append(all(abs(l.amplitude) < 1e-9 for l in lines2 if l.label not in positive))
 
-    rho4 = measurement.final_density(OracleSpec(parse_permutation("(0 1 2 3)"), 0))
+    rho4 = measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2 3)"), 0)))
     lines4 = readout_lines(rho4, 1, PARAMS)
     checks.append(all(l.amplitude.real >= -1e-9 for l in lines4))
     checks.append(net_area(lines4) > 0)
 
-    rho3 = measurement.final_density(OracleSpec(parse_permutation("(0 1 2)"), 0))
+    rho3 = measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2)"), 0)))
     checks.append(abs(net_area(readout_lines(rho3, 1, PARAMS))) < 1e-9)
 
     _report("criterion 8 (spectral signatures: pure/r=2/r=4/r=3)", all(checks),

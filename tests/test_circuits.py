@@ -74,7 +74,7 @@ def test_orderfinding_identity_instance_returns_to_ground():
 def test_orderfinding_order_two_supported_on_0_and_4():
     from orderfinding.measurement import simulated_distribution
 
-    dist = simulated_distribution(OracleSpec(parse_permutation("(0 1)(2 3)"), 0))
+    dist = simulated_distribution(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
     assert dist.probs[[0, 4]] == pytest.approx([0.5, 0.5], abs=1e-12)
     assert np.max(np.abs(dist.probs[[1, 2, 3, 5, 6, 7]])) < 1e-12
 
@@ -89,7 +89,7 @@ def test_orderfinding_distribution_matches_order_for_all_instances():
 
     for pi in PERMS:
         for y in range(4):
-            dist = simulated_distribution(OracleSpec(pi, y))
+            dist = simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
             expected = analytic_distribution(order_of(pi, y))
             assert np.max(np.abs(dist.probs - expected.probs)) < 1e-10
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from orderfinding import classical, exactlp
+from orderfinding import circuits, classical, cli, exactlp, measurement
 from orderfinding.cli import main
 
 
@@ -21,6 +21,26 @@ def test_run_identity_instance(tmp_path, capsys):
     observables = json.loads((out / "observables.json").read_text())
     assert observables["O"] == pytest.approx([1, 1, 1, 1, 1], abs=1e-9)
     assert "r=1" in capsys.readouterr().out
+
+
+def test_each_instance_is_simulated_once(tmp_path, monkeypatch):
+    # every module binding of run_orderfinding is counted, wherever a command reaches it from
+    specs = []
+    simulate = circuits.run_orderfinding
+
+    def counted(spec):
+        specs.append(spec)
+        return simulate(spec)
+
+    for module in (circuits, cli, measurement):
+        if hasattr(module, "run_orderfinding"):
+            monkeypatch.setattr(module, "run_orderfinding", counted)
+    assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    assert len(specs) == 96
+    assert len({(s.pi.images, s.y) for s in specs}) == 96
+    specs.clear()
+    assert main(["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path / "run")]) == 0
+    assert len(specs) == 1
 
 
 def test_run_order_two_distribution(tmp_path):

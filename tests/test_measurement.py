@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from orderfinding.circuits import run_orderfinding
 from orderfinding.measurement import (
     ORDERS,
     GuessStrategy,
@@ -15,12 +16,12 @@ from orderfinding.measurement import (
     infer_order,
     m_from_register_index,
     observables_from_distribution,
-    optimal_guess_strategy,
     simulated_distribution,
     simulated_observables,
     solve_guess_game,
 )
 from orderfinding.permutations import IDENTITY, OracleSpec, all_permutations, order_of, parse_permutation
+from orderfinding.simulator import DIM, QuantumState
 
 SQRT2 = math.sqrt(2.0)
 PERMS = all_permutations()
@@ -60,19 +61,19 @@ def test_supports_on_multiples_of_eight_over_r(r):
 
 
 def test_simulated_identity_is_delta_at_zero():
-    dist = simulated_distribution(OracleSpec(IDENTITY, 0))
+    dist = simulated_distribution(run_orderfinding(OracleSpec(IDENTITY, 0)))
     assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulated_matches_analytic_for_order_two():
-    dist = simulated_distribution(OracleSpec(parse_permutation("(0 1)(2 3)"), 0))
+    dist = simulated_distribution(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
     assert np.max(np.abs(dist.probs - analytic_distribution(2).probs)) < 1e-12
 
 
 def test_simulated_matches_analytic_exhaustively():
     for pi in PERMS:
         for y in range(4):
-            dist = simulated_distribution(OracleSpec(pi, y))
+            dist = simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
             r = order_of(pi, y)
             assert np.max(np.abs(dist.probs - analytic_distribution(r).probs)) < 1e-10
 
@@ -93,7 +94,7 @@ def test_full_observable_anchors_for_y_zero_instances():
         "(0 1 2 3)": (1, 0, 0, 0, 0),
     }
     for text, expected in cases.items():
-        observed = simulated_observables(OracleSpec(parse_permutation(text), 0))
+        observed = simulated_observables(run_orderfinding(OracleSpec(parse_permutation(text), 0)))
         assert observed == pytest.approx(expected, abs=1e-9)
 
 
@@ -104,7 +105,7 @@ def test_order_three_register_two_observables_range():
         for y in range(4):
             if order_of(pi, y) != 3:
                 continue
-            _, _, _, o4, o5 = simulated_observables(OracleSpec(pi, y))
+            _, _, _, o4, o5 = simulated_observables(run_orderfinding(OracleSpec(pi, y)))
             assert min(abs(o4 - a) for a in allowed) < 1e-9
             assert min(abs(o5 - a) for a in allowed) < 1e-9
 
@@ -116,8 +117,8 @@ def test_bit_mapping_consistency_between_distribution_and_spins():
     for pi in PERMS[::5]:
         for y in range(4):
             spec = OracleSpec(pi, y)
-            from_dist = observables_from_distribution(simulated_distribution(spec))
-            rho = final_density(spec)
+            from_dist = observables_from_distribution(simulated_distribution(run_orderfinding(spec)))
+            rho = final_density(run_orderfinding(spec))
             from_spins = tuple(expectation_Iz(rho, i) for i in (1, 2, 3))
             assert from_dist == pytest.approx(from_spins, abs=1e-10)
 
@@ -143,15 +144,15 @@ def test_guess_game_hardest_prior_is_pinned():
     assert solve_guess_game().prior == tuple(Fraction(k, 109) for k in (11, 22, 32, 44))
 
 
-def test_optimal_guess_strategy_tuple_api():
-    strategy, value = optimal_guess_strategy()
-    assert 0.545 <= value <= 0.560
-    assert strategy.g.shape == (8, 4)
+def test_solve_guess_game_strategy_and_value():
+    sol = solve_guess_game()
+    assert 0.545 <= sol.value <= 0.560
+    assert sol.strategy.g.shape == (8, 4)
 
 
 def test_identical_distributions_give_quarter():
     uniform = OutcomeDistribution(np.full(8, 1 / 8))
-    _, value = optimal_guess_strategy((uniform,) * 4)
+    value = solve_guess_game((uniform,) * 4).value
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -161,15 +162,15 @@ def test_disjoint_supports_give_certainty():
         p = np.zeros(8)
         p[2 * r] = p[2 * r + 1] = 0.5
         dists.append(OutcomeDistribution(p))
-    _, value = optimal_guess_strategy(tuple(dists))
+    value = solve_guess_game(tuple(dists)).value
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_value_invariant_under_order_relabeling():
     base = tuple(analytic_distribution(r) for r in ORDERS)
-    _, value = optimal_guess_strategy(base)
+    value = solve_guess_game(base).value
     for relabeling in ((3, 2, 1, 0), (1, 0, 3, 2), (2, 0, 3, 1)):
-        _, shuffled = optimal_guess_strategy(tuple(base[k] for k in relabeling))
+        shuffled = solve_guess_game(tuple(base[k] for k in relabeling)).value
         assert shuffled == pytest.approx(value, abs=1e-12)
 
 
@@ -183,7 +184,7 @@ def test_guess_success_per_r_examples():
 def test_infer_order_from_distributions():
     for pi in PERMS[::3]:
         for y in range(4):
-            dist = simulated_distribution(OracleSpec(pi, y))
+            dist = simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
             assert infer_order(dist) == order_of(pi, y)
 
 
@@ -198,6 +199,26 @@ def test_invalid_distribution_rejected():
 
 @given(st.integers(0, 23), st.integers(0, 3))
 def test_distribution_normalization_property(k, y):
-    dist = simulated_distribution(OracleSpec(PERMS[k], y))
+    dist = simulated_distribution(run_orderfinding(OracleSpec(PERMS[k], y)))
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert dist.probs.min() >= -1e-12
+
+
+def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:
+    out = np.array(valid, dtype=complex if np.iscomplexobj(valid) else float)
+    out.flat[3] = value
+    return out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [
+    lambda v: QuantumState(np.full(DIM, v)),
+    lambda v: QuantumState(_with_entry(np.eye(DIM, dtype=complex)[0], v)),
+    lambda v: OutcomeDistribution(np.full(8, v)),
+    lambda v: OutcomeDistribution(_with_entry(np.full(8, 1 / 8), v)),
+    lambda v: GuessStrategy(np.full((8, 4), v)),
+    lambda v: GuessStrategy(_with_entry(np.full((8, 4), 0.25), v)),
+], ids=["state", "state-entry", "distribution", "distribution-entry", "strategy", "strategy-entry"])
+def test_validated_types_reject_non_finite_entries(make, value):
+    with pytest.raises(ValueError):
+        make(value)

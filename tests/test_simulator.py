@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orderfinding.simulator import (
     DIM,
@@ -19,7 +19,6 @@ from orderfinding.simulator import (
     circuit_unitary,
     expectation_Iz,
     gate_unitary,
-    maximally_mixed,
     run_circuit,
 )
 
@@ -70,7 +69,7 @@ def test_expectation_iz_ground_and_mixed():
     rho = basis_state(0).density()
     for spin in range(1, 6):
         assert expectation_Iz(rho, spin) == pytest.approx(1.0, abs=1e-12)
-        assert expectation_Iz(maximally_mixed(), spin) == pytest.approx(0.0, abs=1e-12)
+        assert expectation_Iz(DensityOperator(np.eye(DIM, dtype=complex) / DIM), spin) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_iz_order_two_final_state():
@@ -229,6 +228,10 @@ def test_invalid_spin_indices_rejected():
         apply_gate(basis_state(0), ControlledNot(2, 2))
     with pytest.raises(ValueError):
         Circuit((Hadamard(0),))
+    # equal to Hadamard(1) as a value, so a memoized lowering must never see them
+    for spin in (1.0, True):
+        with pytest.raises(ValueError):
+            Circuit((Hadamard(spin),))
 
 
 def test_non_unitary_block_rejected():
@@ -251,3 +254,58 @@ def test_density_operator_validation():
     DensityOperator(np.eye(DIM, dtype=complex) / DIM, kind="normalized")
     with pytest.raises(ValueError):
         DensityOperator(np.eye(DIM, dtype=complex) / DIM, kind="deviation")
+
+
+# The unitarity and Hermiticity checks are written as one numpy predicate,
+# |a - b| <= atol + 1e-5 |b|; np.allclose stays here as the reference.  They
+# must agree on finite input, and reject every NaN or infinite entry (even
+# where np.allclose passes an inf that equals itself).
+NON_FINITE = [None, np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)]
+
+
+def _accepts(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+def _perturbed(base: np.ndarray, seed: int, log_eps: float, bad, offdiagonal_only: bool) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    e = gen.normal(size=base.shape) + 1j * gen.normal(size=base.shape)
+    if offdiagonal_only:
+        np.fill_diagonal(e, 0)  # keeps the trace, so only the Hermiticity check decides
+    m = base + 10.0**log_eps * e
+    if bad is not None:
+        m[divmod(int(gen.integers(m.size)), m.shape[1])] = bad
+    return m
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.floats(-13, -11), st.sampled_from(NON_FINITE))
+def test_unitarity_check_accepts_exactly_when_allclose_does(seed, log_eps, bad):
+    m = _perturbed(_random_unitary_4(seed), seed, log_eps, bad, offdiagonal_only=False)
+    expected = bool(np.isfinite(m).all()) and np.allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
+    assert _accepts(lambda: ControlledTargetUnitary(1, (4, 5), m)) == expected
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.floats(-10, -8), st.sampled_from(NON_FINITE),
+       st.sampled_from([0.0, 1e-5, 1.0 / DIM]), st.sampled_from(["normalized", "deviation"]))
+def test_hermiticity_check_accepts_exactly_when_allclose_does(seed, log_eps, bad, scale, kind):
+    gen = np.random.default_rng(seed + 1)
+    h = gen.normal(size=(DIM, DIM)) + 1j * gen.normal(size=(DIM, DIM))
+    h = scale * (h + h.conj().T)
+    np.fill_diagonal(h, gen.dirichlet(np.ones(DIM)) - (1.0 / DIM if kind == "deviation" else 0.0))
+    m = _perturbed(h, seed, log_eps, bad, offdiagonal_only=True)
+    expected = bool(np.isfinite(m).all()) and np.allclose(m, m.conj().T, atol=1e-9)
+    assert _accepts(lambda: DensityOperator(m, kind=kind)) == expected
+
+
+def test_hermiticity_check_rejects_infinities_that_allclose_passes():
+    m = np.zeros((DIM, DIM), dtype=complex)
+    m[0, 0], m[1, 1] = np.inf, -np.inf  # trace NaN
+    assert np.allclose(m, m.conj().T, atol=1e-9)
+    with pytest.raises(ValueError):
+        DensityOperator(m, kind="deviation")

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderfinding.circuits import run_orderfinding
 from orderfinding.measurement import final_density
 from orderfinding.permutations import OracleSpec, all_permutations, order_of, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum, zsum_to_matrix
-from orderfinding.simulator import DIM, DensityOperator, basis_state, bit_of, expectation_Iz, maximally_mixed
+from orderfinding.simulator import DIM, DensityOperator, basis_state, bit_of, expectation_Iz
 from orderfinding.spectra import (
     FrequencyGrid,
     MoleculeParams,
@@ -102,7 +103,7 @@ def test_equilibrium_sixteen_equal_lines():
 
 
 def test_maximally_mixed_all_lines_vanish():
-    lines = readout_lines(maximally_mixed(), 1, PARAMS)
+    lines = readout_lines(DensityOperator(np.eye(DIM, dtype=complex) / DIM), 1, PARAMS)
     assert all(l.amplitude == 0 for l in lines)
 
 
@@ -140,14 +141,14 @@ def test_readout_linearity(pair, spin):
 def test_net_area_proportional_to_observable_across_sweep():
     for pi in PERMS[::4]:
         for y in range(4):
-            rho = final_density(OracleSpec(pi, y))
+            rho = final_density(run_orderfinding(OracleSpec(pi, y)))
             for spin in range(1, 6):
                 area = net_area(readout_lines(rho, spin, PARAMS))
                 assert area == pytest.approx(expectation_Iz(rho, spin) / 2.0, abs=1e-10)
 
 
 def test_order_two_line_signature():
-    rho = final_density(OracleSpec(parse_permutation("(0 1)(2 3)"), 0))
+    rho = final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
     lines = readout_lines(rho, 1, PARAMS)
     positive = {l.label for l in lines if l.amplitude.real > 1e-9}
     assert positive == {"0000", "0001", "0100", "0101"}
@@ -157,7 +158,7 @@ def test_order_two_line_signature():
 
 
 def test_order_four_lines_all_nonnegative_with_positive_sum():
-    rho = final_density(OracleSpec(parse_permutation("(0 1 2 3)"), 0))
+    rho = final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2 3)"), 0)))
     lines = readout_lines(rho, 1, PARAMS)
     assert all(l.amplitude.real >= -1e-9 for l in lines)
     assert net_area(lines) > 0.1
@@ -165,7 +166,7 @@ def test_order_four_lines_all_nonnegative_with_positive_sum():
 
 def test_order_three_net_area_vanishes():
     for text, y in (("(0 1 2)", 0), ("(1 2 3)", 1), ("(0 2 3)", 2)):
-        rho = final_density(OracleSpec(parse_permutation(text), y))
+        rho = final_density(run_orderfinding(OracleSpec(parse_permutation(text), y)))
         assert abs(net_area(readout_lines(rho, 1, PARAMS))) < 1e-9
 
 
