@@ -8,9 +8,10 @@ only if every verification invoked by the subcommand passes.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .permutations import OracleSpec, all_permutations, format_cycles, order_of,
 from .simulator import circuit_unitary
 
 SWEEP_TOL = 1e-10
+_QUOTED = frozenset(',"\r\n')  # csv.writer would quote a cell holding one, or csv.reader split it
 
 
 @dataclass(frozen=True)
@@ -47,16 +49,45 @@ def _molecule(path: str | None) -> spectra.MoleculeParams:
     return spectra.load_molecule(path) if path else spectra.synthetic_molecule()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_cells(column: list) -> Iterable[str]:
+    """One column's cells: numbers as repr (the shortest round-trip form of a float), plain text as is."""
+    kinds = set(map(type, column))
+    if kinds <= {int, float}:
+        return map(repr, column)
+    if kinds != {str}:
+        raise TypeError(f"CSV column of {sorted(k.__name__ for k in kinds)}")
+    for cell in column:
+        if not _QUOTED.isdisjoint(cell):
+            raise ValueError(f"CSV cell {cell!r} would need quoting")
+    return column
+
+
+def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
+    """Write `header` and one line per row of equal-length `columns` (ints, floats or plain text).
+
+    No cell is quoted: a text cell that CSV would quote raises ValueError.
+    Lines are streamed, so no whole-file string is built.
+    """
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{path.name}: the columns do not match the header")
+    cells = [_csv_cells(c) for c in columns]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(_csv_cells(header)) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@functools.cache
+def _guess_game() -> measurement.GuessGameSolution:
+    """The guess game on the four analytic distributions, solved once per process.
+
+    It does not depend on the instance.  `measurement.solve_guess_game` is
+    looked up on each call, and a failed solve is not cached.
+    """
+    return measurement.solve_guess_game()
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -68,8 +99,7 @@ def cmd_run(config: RunConfig) -> int:
 
     state = circuits.run_orderfinding(spec)
     dist = measurement.simulated_distribution(state)
-    _write_csv(out / "distribution.csv", ["m", "probability"],
-               [[m, float(dist.probs[m])] for m in range(8)])
+    _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), dist.probs.tolist()])
 
     observables = measurement.simulated_observables(state)
     _write_json(out / "observables.json", {"O": list(observables)})
@@ -77,15 +107,15 @@ def cmd_run(config: RunConfig) -> int:
     rho = measurement.final_density(state)
     lines = spectra.readout_lines(rho, 1, params)
     _write_csv(out / "lines_spin1.csv", ["spin", "label", "frequency_hz", "amp_real", "amp_imag"],
-               [[l.spin, l.label, l.frequency_hz, l.amplitude.real, l.amplitude.imag] for l in lines])
+               [[l.spin for l in lines], [l.label for l in lines], [l.frequency_hz for l in lines],
+                [l.amplitude.real for l in lines], [l.amplitude.imag for l in lines]])
     spectrum = spectra.render_spectrum(lines, params, config.grid)
     _write_csv(out / "spectrum_spin1.csv", ["frequency_hz", "real", "imag"],
-               [[float(f), float(v.real), float(v.imag)]
-                for f, v in zip(spectrum.frequencies_hz, spectrum.trace)])
+               [spectrum.frequencies_hz.tolist(), spectrum.trace.real.tolist(), spectrum.trace.imag.tolist()])
 
     r_true = order_of(pi, config.y)
     r_inferred = measurement.infer_order(dist)
-    game = measurement.solve_guess_game()
+    game = _guess_game()
     _write_json(out / "report.json", {
         "perm": format_cycles(pi),
         "y": config.y,
@@ -113,9 +143,9 @@ def cmd_sweep(out: Path) -> int:
             err = float(np.abs(dist.probs - analytic[r]).max())
             worst = max(worst, err)
             observables = measurement.simulated_observables(state)
-            rows.append([format_cycles(pi), y, r, err] + [float(v) for v in observables])
+            rows.append((format_cycles(pi), y, r, err, *observables))
     _write_csv(out / "sweep.csv",
-               ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], rows)
+               ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], list(zip(*rows)))
     ok = worst <= SWEEP_TOL
     print(f"sweep: 96 cases, worst |simulated - analytic| = {worst:.3e} "
           f"({'PASS' if ok else 'FAIL'} at {SWEEP_TOL})")
@@ -148,10 +178,10 @@ def cmd_guess_table(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dists = tuple(measurement.analytic_distribution(r) for r in measurement.ORDERS)
     _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"],
-               [[m] + [float(d.probs[m]) for d in dists] for m in range(8)])
+               [list(range(8))] + [d.probs.tolist() for d in dists])
     sol = measurement.solve_guess_game(dists)
     _write_csv(out / "guess_strategy.csv", ["m", "g_r1", "g_r2", "g_r3", "g_r4"],
-               [[m] + [float(sol.strategy.g[m, k]) for k in range(4)] for m in range(8)])
+               [list(range(8))] + sol.strategy.g.T.tolist())
     _write_json(out / "guess_report.json", {
         "value": sol.value,
         "value_exact": repr(sol.exact_value),

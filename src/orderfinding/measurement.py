@@ -11,6 +11,7 @@ serves all three for an instance.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,16 +86,24 @@ def analytic_distribution(r: int) -> OutcomeDistribution:
     Computed by collapsing the second register and Fourier-transforming each
     residue coset of {0..7} mod r; the attached exact entries are the closed
     forms, which the test suite cross-checks against this sum and against
-    full circuit simulation.
+    full circuit simulation.  Each order's distribution is built once per
+    process and shared by every caller, so its `probs` is read-only.
     """
     if r not in ORDERS:
         raise ValueError(f"order {r} out of range 1..4")
+    return _analytic_distribution(r)
+
+
+@functools.cache
+def _analytic_distribution(r: int) -> OutcomeDistribution:
     probs = np.zeros(8)
     for a in range(r):
         xs = np.arange(a, 8, r)
         for m in range(8):
             probs[m] += abs(np.exp(2j * np.pi * m * xs / 8).sum()) ** 2
-    return OutcomeDistribution(probs / 64.0, exact=_exact_closed_form(r))
+    dist = OutcomeDistribution(probs / 64.0, exact=_exact_closed_form(r))
+    dist.probs.flags.writeable = False
+    return dist
 
 
 def m_from_register_index(b: int) -> int:

@@ -133,6 +133,8 @@ class ControlledTargetUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("embedded block must be 4x4")
+        if not np.isfinite(m).all():
+            raise ValueError("embedded block has a non-finite entry")
         if not _close(m.conj().T @ m, _EYE4, atol=1e-12):
             raise ValueError("embedded block is not unitary")
         object.__setattr__(self, "matrix", m)

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from orderfinding import circuits, classical, cli, exactlp, measurement
@@ -188,7 +190,106 @@ def test_certificate_failure_exits_1_with_one_error_line(tmp_path, capsys, monke
     def failing_solver(A, b, c):
         raise exactlp.CertificateError("column 7 has a positive reduced cost")
 
+    cli._guess_game.cache_clear()  # a fresh CLI process starts without a solved guess game
     monkeypatch.setattr(module, "simplex_maximize", failing_solver)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: column 7 has a positive reduced cost\n"
+
+
+def _reference_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def test_csv_writer_matches_the_csv_module(tmp_path):
+    header = ["perm", "label", "n", "x"]
+    columns = [
+        ["(0 1 2)(3)", "(0 1)(2 3)", "()", "(0 1 2 3)", "(1 3)", "(0 2 1 3)", "(0 3)", "(0 1 2)(3)"],
+        ["0000", "0101", "1111", "1000", "0011", "0110", "1001", "0001"],
+        [0, -1, 7, 2**70, 3, 4, 5, 6],
+        [-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1 / 3, -2.5e-310, 123456789.125],
+    ]
+    path = tmp_path / "edge.csv"
+    cli._write_csv(path, header, columns)
+    assert path.read_bytes().decode() == _reference_csv(header, zip(*columns))
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "a\rb", "a\nb"], ids=["comma", "quote", "cr", "lf"])
+def test_csv_writer_refuses_cells_that_would_need_quoting(tmp_path, cell):
+    # csv.writer quotes ",", '"' and "\n"; it leaves a bare "\r" alone, but csv.reader ends a line there
+    with pytest.raises(ValueError, match="quoting"):
+        cli._write_csv(tmp_path / "bad.csv", ["text", "n"], [["plain", cell], [1, 2]])
+    with pytest.raises(ValueError, match="quoting"):
+        cli._write_csv(tmp_path / "bad.csv", [cell, "n"], [["plain"], [1]])
+
+
+def test_csv_writer_rejects_ragged_columns_and_numpy_scalars(tmp_path):
+    with pytest.raises(ValueError, match="do not match"):
+        cli._write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError, match="do not match"):
+        cli._write_csv(tmp_path / "bad.csv", ["a"], [[1], [3]])
+    with pytest.raises(TypeError):  # repr would write "np.float64(0.5)"
+        cli._write_csv(tmp_path / "bad.csv", ["a"], [list(np.array([0.5]))])
+
+
+# Column kinds of every CSV the CLI writes: i int, f float, s text.
+CSV_SCHEMAS = {
+    "distribution.csv": "if",
+    "lines_spin1.csv": "isfff",
+    "spectrum_spin1.csv": "fff",
+    "sweep.csv": "siiffffff",
+    "distributions.csv": "iffff",
+    "guess_strategy.csv": "iffff",
+}
+_KINDS = {"i": int, "f": float, "s": str}
+
+
+def test_cli_csv_files_equal_their_csv_module_reserialization(tmp_path):
+    assert main(["run", "--perm", "(0 1 2 3)", "--y", "1", "--grid=-60,60,40001", "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    assert main(["guess-table", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(CSV_SCHEMAS)
+    for name, kinds in CSV_SCHEMAS.items():
+        text = (tmp_path / name).read_bytes().decode()
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        parsed = [[_KINDS[k](cell) for k, cell in zip(kinds, row, strict=True)] for row in rows]
+        assert text == _reference_csv(header, parsed), name
+
+
+@pytest.fixture
+def cold_guess_memo():
+    cli._guess_game.cache_clear()
+    yield
+    cli._guess_game.cache_clear()
+
+
+def test_guess_game_is_solved_once_per_process(tmp_path, monkeypatch, cold_guess_memo):
+    calls = []
+    solve = measurement.solve_guess_game
+
+    def counted():
+        calls.append(None)
+        return solve()
+
+    monkeypatch.setattr(measurement, "solve_guess_game", counted)
+    for out in ("a", "b"):
+        assert main(["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path / out)]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
+
+def test_failed_guess_game_solve_is_not_cached(tmp_path, capsys, monkeypatch, cold_guess_memo):
+    def failing():
+        raise exactlp.CertificateError("column 7 has a positive reduced cost")
+
+    argv = ["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path)]
+    with monkeypatch.context() as patch:
+        patch.setattr(measurement, "solve_guess_game", failing)
+        assert main(argv) == 1
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "error: column 7 has a positive reduced cost\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from orderfinding import measurement
 from orderfinding.circuits import run_orderfinding
 from orderfinding.measurement import (
     ORDERS,
@@ -47,6 +48,15 @@ def test_analytic_distribution_matches_closed_forms(r):
 def test_analytic_distribution_rejects_bad_order():
     with pytest.raises(ValueError):
         analytic_distribution(5)
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_analytic_distribution_is_built_once_and_read_only(r):
+    dist = analytic_distribution(r)
+    assert analytic_distribution(r) is dist
+    assert np.array_equal(dist.probs, measurement._analytic_distribution.__wrapped__(r).probs)
+    with pytest.raises(ValueError):
+        dist.probs[0] = 0.5
 
 
 @pytest.mark.parametrize("r", [1, 2, 4])

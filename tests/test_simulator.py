@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,16 @@ def test_invalid_spin_indices_rejected():
 def test_non_unitary_block_rejected():
     with pytest.raises(ValueError):
         ControlledTargetUnitary(1, (4, 5), np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_non_finite_block_rejected_before_the_unitarity_product(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite entry"):
+            ControlledTargetUnitary(1, (4, 5), m)
 
 
 def test_quantum_state_norm_validated():
