@@ -8,10 +8,12 @@ in 1..12 (pi^12 is the identity, so larger exponents add nothing), sees
 z = pi^x(0), and guesses r'; the adversary picks one of the 24 permutations.
 Everything a query can see is the trajectory pi^0(y), ..., pi^12(y), so one
 table of trajectories per start y builds the LP and evaluates strategies.
-The LP's exact solution is certified by exactlp, and "the value is exactly
-1/2" is a hard assertion, checked again in rational arithmetic on both
-sides: the witness strategy achieves 1/2 against every permutation, and the
-dual prior proves no strategy beats it.  A failed check raises
+exactlp solves the LP: a float simplex finds the basis, the float primal
+and dual solutions are rounded to fractions and checked exactly, and exact
+elimination runs only if a rounded solution fails its check.  "The value is
+exactly 1/2" is a hard assertion, checked again in rational arithmetic on
+both sides: the witness strategy achieves 1/2 against every permutation,
+and the dual prior proves no strategy beats it.  A failed check raises
 CertificateError.
 """
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+
+import numpy as np
 
 from .exactlp import CertificateError, simplex_maximize
 from .permutations import N_ELEMENTS, Permutation, all_permutations, compose, order_of, power
@@ -134,10 +138,10 @@ def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
     n_vars = slack0 + len(paths)
     zero, one = Fraction(0), Fraction(1)
 
-    A: list[list[Fraction]] = []
+    A: list[list] = []  # rows padded with int 0, which simplex_maximize skips cheaply
     b: list[Fraction] = []
     for pidx, path in enumerate(paths):
-        row = [zero] * n_vars
+        row = [0] * n_vars
         r = _order(path)
         for xi, x in enumerate(xs):
             row[wvar(xi, path[x], r - 1)] += one
@@ -147,13 +151,13 @@ def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
         b.append(zero)
     for xi in range(n_q):
         for z in range(4):
-            row = [zero] * n_vars
+            row = [0] * n_vars
             for rp in range(4):
                 row[wvar(xi, z, rp)] = one
             row[qvar(xi)] = -one
             A.append(row)
             b.append(zero)
-    row = [zero] * n_vars
+    row = [0] * n_vars
     for xi in range(n_q):
         row[qvar(xi)] = one
     A.append(row)
@@ -252,18 +256,12 @@ class TwoQueryReport:
 
 def _single_query_deterministic_perfect_count(y: int = 0) -> tuple[int, int]:
     """Enumerate all x in 1..12 and guess functions {0..3} -> {1..4}; count perfect ones."""
-    perms = all_permutations()
-    checked = 0
-    perfect = 0
-    observations = {x: [power(pi, x)(y) for pi in perms] for x in range(1, MAX_EXPONENT + 1)}
-    orders = [order_of(pi, y) for pi in perms]
-    for x in range(1, MAX_EXPONENT + 1):
-        for code in range(4**4):
-            guess = [(code >> (2 * z)) % 4 + 1 for z in range(4)]
-            checked += 1
-            if all(guess[observations[x][k]] == orders[k] for k in range(len(perms))):
-                perfect += 1
-    return checked, perfect
+    paths = _trajectories(y)
+    orders = np.array([_order(path) for path in paths])
+    guesses = (np.arange(4**4)[:, None] >> 2 * np.arange(4)) % 4 + 1  # guesses[code, z]: the guess on seeing z
+    perfect = sum(int((guesses[:, [path[x] for path in paths]] == orders).all(axis=1).sum())
+                  for x in range(1, MAX_EXPONENT + 1))
+    return len(guesses) * MAX_EXPONENT, perfect
 
 
 def two_query_certainty() -> TwoQueryReport:

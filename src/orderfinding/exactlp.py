@@ -7,15 +7,17 @@ field Q(sqrt(2)) for the order-3 outcome distribution, whose entries involve
 sqrt(2).
 
 `simplex_maximize` does not pivot in exact arithmetic.  A float64 two-phase
-simplex picks a basis.  One sparse exact solve in the data's own field then
-gives that basis's primal and dual solutions, and exact checks certify them:
-x >= 0, A x = b on every row, and no column with a positive reduced cost.
-A basis that fails a check raises CertificateError; nothing falls back to
-exact pivoting.  Infeasible and Unbounded come with an exactly checked
-Farkas vector or improving ray.  This follows Applegate, Cook, Dash &
-Espinoza, "Exact solutions to linear programming problems" (Oper. Res.
-Lett. 2007), and Dhiflaoui et al., "Certifying and repairing solutions to
-large LPs" (SODA 2003).
+simplex picks a basis.  `_exact_solve` gives that basis's primal and dual
+solutions: the float64 solution, rounded to fractions with denominators up
+to ROUND_DENOMINATOR, if it solves the system exactly, else exact
+Gauss-Jordan elimination.  Exact checks certify them: x >= 0, A x = b on
+every row, and no column with a positive reduced cost.  A basis that fails
+a check raises CertificateError; nothing falls back to exact pivoting.
+Infeasible and Unbounded come with an exactly checked Farkas vector or
+improving ray.  This follows Applegate, Cook, Dash & Espinoza, "Exact
+solutions to linear programming problems" (Oper. Res. Lett. 2007), and
+Dhiflaoui et al., "Certifying and repairing solutions to large LPs" (SODA
+2003).
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 TOL = 1e-9  # float search: values within TOL count as equal, so near-ties are exact ties
+ROUND_DENOMINATOR = 10**6  # float solutions round to fractions with denominators up to this
 
 
 class QSqrt2:
@@ -265,9 +268,42 @@ def _solve(M, r):
     return [r[p] for p in pivot_row]
 
 
+def _rounded_solution(M, r):
+    """The float64 solution of M z = r, each coordinate rounded to a nearby fraction; None if singular.
+
+    In Q(sqrt 2) an entry p + q sqrt(2) becomes the real block [[p, 2q], [q, p]]
+    acting on (rational part, sqrt(2) part), so k equations become 2k.
+    """
+    k = len(M)
+    q2 = bool(r) and isinstance(r[0], QSqrt2)
+    s = 2 if q2 else 1
+    F, g = np.zeros((s * k, s * k)), np.zeros(s * k)
+    for i, (row, ri) in enumerate(zip(M, r)):
+        g[i::k] = [float(ri.a), float(ri.b)] if q2 else float(ri)
+        for j, v in row.items():
+            if q2:
+                F[i, j] = F[k + i, k + j] = float(v.a)
+                F[i, k + j], F[k + i, j] = 2 * float(v.b), float(v.b)
+            else:
+                F[i, j] = float(v)
+    try:
+        z = [Fraction(v).limit_denominator(ROUND_DENOMINATOR) for v in np.linalg.solve(F, g).tolist()]
+    except (np.linalg.LinAlgError, ValueError, OverflowError):  # singular, or a NaN or infinite coordinate
+        return None
+    return [QSqrt2(z[j], z[k + j]) for j in range(k)] if q2 else z
+
+
 def _dot(pairs, vec, zero):
     """sum of value * vec[index] over (index, value) pairs, exactly."""
     return sum((v * vec[k] for k, v in pairs), zero)
+
+
+def _exact_solve(M, r):
+    """Solve M z = r exactly: the rounded float solution if it checks exactly, else `_solve`."""
+    z = _rounded_solution(M, r)
+    if z is not None and all(_dot(row.items(), z, 0) == ri for row, ri in zip(M, r)):
+        return z
+    return _solve(M, r)
 
 
 def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
@@ -277,9 +313,13 @@ def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
     QSqrt2 entry puts the whole LP in Q(sqrt(2)).  Returns
     (value, x, duals) in the data's exact field, with duals y the exact
     dual solution of the optimal basis: y.b = value and y.A >= c.  A float
-    two-phase simplex picks the basis; an exact solve and exact checks
-    certify it, or raise CertificateError.  Infeasible and Unbounded carry
-    their exact certificates.
+    two-phase simplex picks the basis.  x and y are its float solutions
+    rounded to fractions and kept only if they solve the basis system
+    exactly, with exact elimination as the fallback (`_exact_solve`).
+    Exact checks then certify them: x >= 0, A x = b on the rows dropped as
+    redundant, and no positive reduced cost outside the basis; a failure
+    raises CertificateError.  Infeasible and Unbounded carry their exact
+    certificates, found the same way.
     """
     m, n = len(A), len(c)
     rows, cols, b, c, zero = _exact_data(A, b, c)
@@ -300,7 +340,7 @@ def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
     if T[m, -1] > TOL:
         # y' solves B'^T y' = -1 on basic artificials, 0 elsewhere; y = flips * y'.
         M = [cols[j] if j < n else {j - n: one} for j in basis]
-        farkas = _solve(M, [zero if j < n else -flips[j - n] * one for j in basis])
+        farkas = _exact_solve(M, [zero if j < n else -flips[j - n] * one for j in basis])
         if all(_dot(col.items(), farkas, zero) >= 0 for col in cols) and _dot(enumerate(b), farkas, zero) < 0:
             raise Infeasible("LP is infeasible", farkas)
         raise CertificateError("phase 1 ended infeasible, but its Farkas vector fails the exact check")
@@ -329,30 +369,30 @@ def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
     at = {j: k for k, j in enumerate(basis)}
     B = [{at[j]: v for j, v in rows[i].items() if j in at} for i in live]
     x = [zero] * n
-    for j, v in zip(basis, _solve(B, [b[i] for i in live])):
+    for j, v in zip(basis, _exact_solve(B, [b[i] for i in live])):
         x[j] = v
     if any(x[j] < 0 for j in basis):
         raise CertificateError("the basic solution has a negative entry")
-    for i, row in enumerate(rows):
-        if _dot(row.items(), x, zero) != b[i]:
+    for i in sorted(redundant):  # B x = b on the live rows was checked in _exact_solve
+        if _dot(rows[i].items(), x, zero) != b[i]:
             raise CertificateError(f"the basic solution violates row {i}")
     if entering is not None:
         ray = [zero] * n
         ray[entering] = one
-        for j, v in zip(basis, _solve(B, [cols[entering].get(i, zero) for i in live])):
+        for j, v in zip(basis, _exact_solve(B, [cols[entering].get(i, zero) for i in live])):
             ray[j] = -v
         if all(v >= 0 for v in ray) and all(not _dot(row.items(), ray, zero) for row in rows) \
                 and _dot(enumerate(c), ray, zero) > 0:
             raise Unbounded("LP is unbounded", x, ray)
         raise CertificateError(f"column {entering} is no exact improving ray")
 
-    at = {i: k for k, i in enumerate(live)}
+    pos = {i: k for k, i in enumerate(live)}
     y = [zero] * m
-    Bt = [{at[i]: v for i, v in cols[j].items() if i in at} for j in basis]
-    for i, v in zip(live, _solve(Bt, [c[j] for j in basis])):
+    Bt = [{pos[i]: v for i, v in cols[j].items() if i in pos} for j in basis]
+    for i, v in zip(live, _exact_solve(Bt, [c[j] for j in basis])):
         y[i] = v
-    for j, col in enumerate(cols):
-        if c[j] - _dot(col.items(), y, zero) > 0:
+    for j, col in enumerate(cols):  # basic columns: B^T y = c_B was checked in _exact_solve
+        if j not in at and c[j] - _dot(col.items(), y, zero) > 0:
             raise CertificateError(f"column {j} has a positive reduced cost")
     value = _dot(((j, c[j]) for j in basis), x, zero)
     return value, x, y

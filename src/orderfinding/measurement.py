@@ -29,15 +29,16 @@ class InfeasibleInput(ValueError):
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities of m = 0..7; optionally with exact field entries attached."""
+    """Probabilities of m = 0..7, a read-only copy; optionally with exact field entries attached."""
 
     probs: np.ndarray
     exact: tuple | None = None
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float).reshape(8)
+        p = np.array(self.probs, dtype=float).reshape(8)
         if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-12):
             raise InfeasibleInput(f"not a probability vector: {p}")
+        p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         if self.exact is not None:
             if len(self.exact) != 8:
@@ -53,14 +54,15 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class GuessStrategy:
-    """g[m][k] = probability of guessing order ORDERS[k] on outcome m."""
+    """g[m][k] = probability of guessing order ORDERS[k] on outcome m; g is a read-only copy."""
 
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=float).reshape(8, 4)
+        g = np.array(self.g, dtype=float).reshape(8, 4)
         if not (g.min() >= -1e-12 and np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-12):
             raise InfeasibleInput("strategy rows must be probability vectors")
+        g.flags.writeable = False
         object.__setattr__(self, "g", g)
 
 
@@ -87,9 +89,9 @@ def analytic_distribution(r: int) -> OutcomeDistribution:
     residue coset of {0..7} mod r; the attached exact entries are the closed
     forms, which the test suite cross-checks against this sum and against
     full circuit simulation.  Each order's distribution is built once per
-    process and shared by every caller, so its `probs` is read-only.
+    process and shared by every caller.  `r` must be an int (not a bool) in 1..4.
     """
-    if r not in ORDERS:
+    if isinstance(r, bool) or not isinstance(r, int) or r not in ORDERS:
         raise ValueError(f"order {r} out of range 1..4")
     return _analytic_distribution(r)
 
@@ -101,9 +103,7 @@ def _analytic_distribution(r: int) -> OutcomeDistribution:
         xs = np.arange(a, 8, r)
         for m in range(8):
             probs[m] += abs(np.exp(2j * np.pi * m * xs / 8).sum()) ** 2
-    dist = OutcomeDistribution(probs / 64.0, exact=_exact_closed_form(r))
-    dist.probs.flags.writeable = False
-    return dist
+    return OutcomeDistribution(probs / 64.0, exact=_exact_closed_form(r))
 
 
 def m_from_register_index(b: int) -> int:

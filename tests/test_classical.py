@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from orderfinding import classical
 from orderfinding.classical import (
     MAX_EXPONENT,
     OneQueryStrategy,
@@ -66,6 +67,21 @@ def test_two_query_report(one_query_report):
     assert report.cases_checked == 96
     assert report.single_query_strategies_checked == 12 * 4**4
     assert report.single_query_perfect == 0
+
+
+def test_single_query_count_matches_enumeration_on_a_smaller_adversary(monkeypatch):
+    # Against only the identity and (0 1), any odd x tells the two apart, so
+    # perfect deterministic strategies exist; the vectorized count must find
+    # exactly those a direct enumeration with `power` finds.
+    perms = [PERMS[0], next(pi for pi in PERMS if pi.images == (1, 0, 2, 3))]
+    monkeypatch.setattr(classical, "_trajectories", lambda y: tuple(classical._trajectory(pi, y) for pi in perms))
+    expected = 0
+    for x in range(1, MAX_EXPONENT + 1):
+        for code in range(4**4):
+            guess = [(code >> (2 * z)) % 4 + 1 for z in range(4)]
+            expected += all(guess[power(pi, x)(0)] == order_of(pi, 0) for pi in perms)
+    assert expected == 6 * 4**2
+    assert classical._single_query_deterministic_perfect_count(0) == (12 * 4**4, expected)
 
 
 def test_queries_four_and_eight_cannot_give_certainty():

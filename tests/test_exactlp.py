@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderfinding import exactlp
+from orderfinding import classical, exactlp, measurement
 from orderfinding.exactlp import (
     CertificateError,
     Infeasible,
@@ -313,3 +313,114 @@ def test_wrong_float_basis_raises_certificate_error(monkeypatch, tol, c, match):
     monkeypatch.setattr(exactlp, "TOL", tol)
     with pytest.raises(CertificateError, match=match):
         simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], c)
+
+
+# The exact solve: a rounded float solution, kept only if it checks exactly,
+# with exact Gauss-Jordan elimination (`_solve`) as the fallback.
+
+def _forbid_elimination(monkeypatch):
+    def no_elimination(M, r):
+        raise AssertionError("exact elimination ran")
+    monkeypatch.setattr(exactlp, "_solve", no_elimination)
+
+
+def _count_elimination(monkeypatch):
+    calls = []
+    solve = exactlp._solve
+
+    def counted(M, r):
+        calls.append(len(M))
+        return solve(M, r)
+    monkeypatch.setattr(exactlp, "_solve", counted)
+    return calls
+
+
+def test_production_lps_take_the_rounded_path(monkeypatch):
+    _forbid_elimination(monkeypatch)
+    assert classical.one_query_value().value == Fraction(1, 2)
+    assert measurement.solve_guess_game().exact_value == Fraction(60, 109)
+
+
+def test_denominator_above_the_rounding_bound_falls_back_to_elimination(monkeypatch):
+    k = 10**7 + 19
+    assert k > exactlp.ROUND_DENOMINATOR
+    A, b, c = [[k, 1]], [1], [1, 0]
+    monkeypatch.setattr(exactlp, "_rounded_solution", lambda M, r: None)
+    eliminated = simplex_maximize(A, b, c)
+    monkeypatch.undo()
+    calls = _count_elimination(monkeypatch)
+    result = simplex_maximize(A, b, c)
+    assert calls == [1, 1]  # x and y both fell back
+    assert result == eliminated == (Fraction(1, k), [Fraction(1, k), 0], [Fraction(1, k)])
+
+
+@pytest.mark.parametrize("M, r, z", [
+    ([{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}], [Fraction(1), Fraction(2)],
+     [Fraction(1, 5), Fraction(3, 5)]),
+    ([{0: q(1, 1), 1: q(2)}, {1: q(0, 1)}], [q(3, 1), q(2)], [q(-5, 4), q(0, 1)]),
+], ids=["Q", "Q_sqrt2"])
+def test_perturbed_candidate_is_rejected(monkeypatch, M, r, z):
+    rounded = exactlp._rounded_solution
+    assert rounded(M, r) == z
+
+    def perturbed(M, r):
+        out = rounded(M, r)
+        out[0] += Fraction(1, 10**6)
+        return out
+    monkeypatch.setattr(exactlp, "_rounded_solution", perturbed)
+    calls = _count_elimination(monkeypatch)
+    assert exactlp._exact_solve(M, r) == z
+    assert calls == [len(M)]
+
+
+def test_perturbed_candidates_never_reach_the_lp_result(monkeypatch):
+    rounded = exactlp._rounded_solution
+
+    def perturbed(M, r):
+        out = rounded(M, r)
+        out[0] += Fraction(1, 10**6)
+        return out
+    monkeypatch.setattr(exactlp, "_rounded_solution", perturbed)
+    value, x, duals = simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], [1, 2, 0, 0])
+    assert (value, x, duals) == (7, [1, 3, 0, 0], [1, 1])
+
+
+def test_singular_system_raises_certificate_error():
+    with pytest.raises(CertificateError, match="singular"):
+        exactlp._exact_solve([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}],
+                             [Fraction(1), Fraction(2)])
+
+
+def _field(value, sqrt2):
+    return q(*value) if sqrt2 else Fraction(value[0])
+
+
+@pytest.mark.parametrize("sqrt2", [False, True], ids=["Q", "Q_sqrt2"])
+def test_farkas_vector_takes_the_rounded_path(monkeypatch, sqrt2):
+    # x0 + s x1 = 1 and x0 + s x1 = 2 contradict each other; s = 1 or sqrt(2)
+    s = _field((0, 1) if sqrt2 else (1,), sqrt2)
+    A = [[1, s, 1], [1, s, 1]]
+    b = [1, 2]
+    _forbid_elimination(monkeypatch)
+    with pytest.raises(Infeasible) as err:
+        simplex_maximize(A, b, [0, 0, 0])
+    y = err.value.farkas
+    assert all(type(v) is (QSqrt2 if sqrt2 else Fraction) for v in y)
+    assert all(sum((y[i] * A[i][j] for i in range(2)), 0) >= 0 for j in range(3))
+    assert sum((y[i] * b[i] for i in range(2)), 0) < 0
+
+
+@pytest.mark.parametrize("sqrt2", [False, True], ids=["Q", "Q_sqrt2"])
+def test_improving_ray_takes_the_rounded_path(monkeypatch, sqrt2):
+    # max x0 with x0 - s x1 + x2 = 1, x2 + x3 = 1: x0 grows without bound along (s, 1, 0, 0)
+    s = _field((0, 1) if sqrt2 else (1,), sqrt2)
+    A = [[1, -s, 1, 0], [0, 0, 1, 1]]
+    c = [1, 0, 0, 0]
+    _forbid_elimination(monkeypatch)
+    with pytest.raises(Unbounded) as err:
+        simplex_maximize(A, [1, 1], c)
+    d = err.value.ray
+    assert all(type(v) is (QSqrt2 if sqrt2 else Fraction) for v in d)
+    assert all(v >= 0 for v in d)
+    assert all(sum((a * v for a, v in zip(row, d)), 0) == 0 for row in A)
+    assert sum((a * v for a, v in zip(c, d)), 0) > 0

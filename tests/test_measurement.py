@@ -50,6 +50,27 @@ def test_analytic_distribution_rejects_bad_order():
         analytic_distribution(5)
 
 
+@pytest.mark.parametrize("r", [True, 2.0, 0, 5])
+def test_analytic_distribution_rejects_non_int_or_out_of_range_order(r):
+    with pytest.raises(ValueError, match="order"):
+        analytic_distribution(r)
+
+
+def test_distribution_and_strategy_keep_a_read_only_copy():
+    p = np.zeros(8)
+    p[0] = 1.0
+    dist = OutcomeDistribution(p)
+    g = np.full((8, 4), 0.25)
+    strategy = GuessStrategy(g)
+    p[0] = -7.0
+    g[0, 0] = 9.0
+    assert dist.probs[0] == 1.0 and strategy.g[0, 0] == 0.25
+    with pytest.raises(ValueError):
+        dist.probs[0] = 0.5
+    with pytest.raises(ValueError):
+        strategy.g[0, 0] = 0.5
+
+
 @pytest.mark.parametrize("r", ORDERS)
 def test_analytic_distribution_is_built_once_and_read_only(r):
     dist = analytic_distribution(r)
