@@ -422,7 +422,7 @@ def solve_maximin_assignment(payoffs: Sequence[Sequence]):
     A = []
     b = []
     for col in range(n_cols):
-        row = [zero] * n_vars
+        row = [0] * n_vars
         for r in range(n_rows):
             row[gvar(r, col)] = payoffs[r][col]
         row[v_var] = -one
@@ -430,7 +430,7 @@ def solve_maximin_assignment(payoffs: Sequence[Sequence]):
         A.append(row)
         b.append(zero)
     for r in range(n_rows):
-        row = [zero] * n_vars
+        row = [0] * n_vars
         for col in range(n_cols):
             row[gvar(r, col)] = one
         A.append(row)
