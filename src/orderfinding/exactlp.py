@@ -36,8 +36,8 @@ class QSqrt2:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)  # arithmetic results are Fractions already
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     @staticmethod
     def _coerce(value) -> "QSqrt2":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import Circuit, ControlledTargetUnitary, circuit_unitary
+from .simulator import Circuit, ControlledPermutation, circuit_unitary
 
 N_ELEMENTS = 4
 
@@ -82,31 +82,16 @@ def all_permutations() -> list[Permutation]:
     return [Permutation(images) for images in itertools.permutations(range(N_ELEMENTS))]
 
 
-def permutation_matrix(pi: Permutation) -> np.ndarray:
-    """4x4 matrix sending |y> to |pi(y)>."""
-    m = np.zeros((N_ELEMENTS, N_ELEMENTS), dtype=complex)
-    for y in range(N_ELEMENTS):
-        m[pi(y), y] = 1.0
-    return m
-
-
 def oracle_stages(pi: Permutation) -> Circuit:
     """The oracle |x>|y> -> |x>|pi^x(y)> as three controlled permutation stages.
 
     pi^x factors as pi^{x0} pi^{2 x1} pi^{4 x2}, so the stages are pi^1
     controlled by spin 3, pi^2 controlled by spin 2 and pi^4 controlled by
-    spin 1, each acting on spins 4 and 5.
+    spin 1, each a `ControlledPermutation` by the power's images on spins
+    4 and 5.
     """
-    ops = []
-    for control, exponent in ((3, 1), (2, 2), (1, 4)):
-        ops.append(
-            ControlledTargetUnitary(
-                control=control,
-                targets=(4, 5),
-                matrix=permutation_matrix(power(pi, exponent)),
-            )
-        )
-    return Circuit(tuple(ops))
+    return Circuit(tuple(ControlledPermutation(control, (4, 5), power(pi, exponent).images)
+                         for control, exponent in ((3, 1), (2, 2), (1, 4))))
 
 
 def oracle_unitary(pi: Permutation) -> np.ndarray:

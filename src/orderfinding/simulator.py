@@ -14,21 +14,21 @@ amplitude array; a controlled op goes through it as diag(I, m) on the
 controls followed by the targets.  `apply_gate` runs the kernel on one state
 and `gate_unitary` on the 32 rows of the identity.
 
-Each op value is lowered once: `_kernel_operands` memoizes (spins,
-diag(I, m)) by op value in an LRU memo of at most `_MEMO_SIZE` entries, and
-`Circuit` validates through the same memo, so a circuit that is built and
-then run lowers each op once.  `ControlledTargetUnitary` holds an array and
-compares by identity, so it stays out of the memo: `Circuit` only checks its
-spins, and each apply builds its diag(I, m) afresh.  The transpose
-orders of the kernel are memoized per spin tuple in a memo of the same
-size.  The memoized arrays are read-only.
+Every gate is a frozen, hashable value that checks itself exactly when
+built, so each op value is lowered once: `_memo_operands` memoizes (spins,
+diag(I, m)) by op value in an LRU memo of at most `_MEMO_SIZE` entries,
+and `Circuit` validates through the same memo, so a circuit that is built
+and then run lowers each op once.  The kernel is a gather, one matmul and a scatter: a
+flat index per (spins, rows), memoized in a memo of the same size, brings
+the listed spins' amplitudes to the rows of one contiguous matrix and puts
+the product back.  The memoized arrays are read-only.
 
 All operations are pure functions; values are never mutated after
 construction and are safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -39,7 +39,6 @@ DIM = 2**N_SPINS
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_EYE4 = np.eye(4)
 _MEMO_SIZE = 256
 
 
@@ -66,7 +65,7 @@ def _check_distinct(*qs: int) -> None:
         raise ValueError(f"spin indices must be distinct, got {qs}")
 
 
-# Each gate checks its spins when built: the lowering memo treats equal ops
+# Each gate checks its fields when built: the lowering memo treats equal ops
 # (e.g. Hadamard(1) and Hadamard(1.0)) as one, so equal ops must be equally valid.
 
 @dataclass(frozen=True)
@@ -116,28 +115,24 @@ class ControlledNot:
         _check_distinct(self.control, self.target)
 
 
-@dataclass(frozen=True, eq=False)
-class ControlledTargetUnitary:
-    """A 4x4 unitary on a pair of target spins, applied when `control` is |1>."""
+@dataclass(frozen=True)
+class ControlledPermutation:
+    """|y> -> |images[y]> on a pair of target spins, applied when `control` is |1>."""
 
     control: int
     targets: tuple[int, int]
-    matrix: np.ndarray = field(repr=False)
+    images: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
         targets = tuple(self.targets)
         if len(targets) != 2:
-            raise ValueError(f"embedded block needs two target spins, got {targets}")
+            raise ValueError(f"controlled permutation needs two target spins, got {targets}")
         _check_distinct(self.control, *targets)
         object.__setattr__(self, "targets", targets)
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("embedded block must be 4x4")
-        if not np.isfinite(m).all():
-            raise ValueError("embedded block has a non-finite entry")
-        if not _close(m.conj().T @ m, _EYE4, atol=1e-12):
-            raise ValueError("embedded block is not unitary")
-        object.__setattr__(self, "matrix", m)
+        images = self.images
+        if not (isinstance(images, tuple) and all(type(v) is int for v in images)
+                and sorted(images) == [0, 1, 2, 3]):
+            raise ValueError(f"images must be a tuple of ints forming a bijection of 0..3, got {images!r}")
 
 
 GateOp = Union[
@@ -146,10 +141,8 @@ GateOp = Union[
     ZRotation,
     ConditionalZRotation,
     ControlledNot,
-    ControlledTargetUnitary,
+    ControlledPermutation,
 ]
-# Gate types that hash and compare by value, so their lowering is memoized.
-_BY_VALUE = (Hadamard, NotGate, ZRotation, ConditionalZRotation, ControlledNot)
 
 
 @dataclass(frozen=True)
@@ -160,11 +153,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:  # validates each op's type; the ops checked their spins when built
-            if isinstance(op, _BY_VALUE):
-                _memo_operands(op)
-            else:
-                _lowered(op)
+        for op in self.ops:  # validates each op's type; the ops checked themselves when built
+            _memo_operands(op)
 
 
 def _phase(angle_deg: float, dagger: bool = False) -> complex:
@@ -184,8 +174,10 @@ def _lowered(op: GateOp) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
         controls, targets, m = (op.control,), (op.target,), np.diag([1.0, _phase(op.angle_deg, op.dagger)])
     elif isinstance(op, ControlledNot):
         controls, targets, m = (op.control,), (op.target,), _X
-    elif isinstance(op, ControlledTargetUnitary):
-        controls, targets, m = (op.control,), op.targets, op.matrix
+    elif isinstance(op, ControlledPermutation):
+        m = np.zeros((4, 4))
+        m[op.images, range(4)] = 1.0
+        controls, targets = (op.control,), op.targets
     else:
         raise TypeError(f"not a gate op: {op!r}")
     return controls, targets, m
@@ -243,29 +235,39 @@ class DensityOperator:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _axis_orders(spins: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axes that bring `spins` to the front of a (rows, 2, ..., 2) array, and the inverse order."""
+def _gather_index(spins: tuple[int, ...], rows: int) -> np.ndarray:
+    """Flat positions in a (rows, 32) array, one row per basis state of `spins` (first = most significant).
+
+    Row i lists the positions whose listed spins read i: the (rows, 2, ..., 2)
+    array with `spins` transposed to the front, then the row, then the other
+    spins in order.
+    """
     _check_distinct(*spins)
     order = (*spins, 0, *(q for q in range(1, N_SPINS + 1) if q not in spins))
-    return order, tuple(int(k) for k in np.argsort(order))
+    positions = np.arange(rows * DIM).reshape((rows,) + (2,) * N_SPINS)
+    index = positions.transpose(order).reshape(2 ** len(spins), -1)
+    index.setflags(write=False)
+    return index
 
 
 def apply_unitary(amps: np.ndarray, spins: tuple[int, ...], u: np.ndarray) -> np.ndarray:
     """Apply `u` to `spins` (first listed = most significant) of every length-32 row of `amps`.
 
     `amps` has shape (32,) or (k, 32); the result has the same shape.  The
-    listed spins are transposed to the front, `u` multiplies them, and the
-    inverse transpose restores the basis order.
+    listed spins' amplitudes are gathered into the rows of one matrix, `u`
+    multiplies it, and the product is scattered back to the same positions.
     """
-    order, inverse = _axis_orders(tuple(spins))
-    rows = np.asarray(amps, dtype=complex).reshape((-1,) + (2,) * N_SPINS)
-    t = rows.transpose(order)
-    out = (u @ t.reshape(2 ** len(spins), -1)).reshape(t.shape)
-    return out.transpose(inverse).reshape(np.shape(amps))
+    rows = np.asarray(amps, dtype=complex).reshape(-1, DIM)
+    index = _gather_index(tuple(spins), len(rows))
+    flat = rows.reshape(-1)
+    out = np.empty_like(flat)
+    out[index] = u @ flat[index]
+    return out.reshape(np.shape(amps))
 
 
-def _controlled_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
-    """(controls + targets, diag(I, m)): m acts only when every control is |1>."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
+    """(controls + targets, diag(I, m)) of `op`: m acts only when every control is |1>."""
     controls, targets, m = _lowered(op)
     u = np.eye(2 ** len(controls) * len(m), dtype=complex)
     u[-len(m):, -len(m):] = m
@@ -273,18 +275,8 @@ def _controlled_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
     return controls + targets, u
 
 
-_memo_operands = lru_cache(maxsize=_MEMO_SIZE)(_controlled_operands)
-
-
-def _kernel_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
-    """Kernel spins and matrix of `op`, memoized by op value except for ControlledTargetUnitary."""
-    if isinstance(op, _BY_VALUE):
-        return _memo_operands(op)
-    return _controlled_operands(op)  # raises TypeError for anything that is not a gate op
-
-
 def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
-    spins, u = _kernel_operands(op)
+    spins, u = _memo_operands(op)
     return apply_unitary(amps, spins, u)
 
 
@@ -324,7 +316,7 @@ def expectation_Iz(rho: DensityOperator, spin: int) -> float:
     the operator itself.
     """
     _check_spin(spin)
-    return float(np.real(np.sum(_IZ_SIGNS[spin - 1] * np.diag(rho.matrix))))
+    return float(np.real(np.sum(_IZ_SIGNS[spin - 1] * rho.matrix.diagonal())))
 
 
 def register_probabilities(state: QuantumState) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderfinding import classical, exactlp, measurement
+from orderfinding import classical, cli, exactlp, measurement
 from orderfinding.exactlp import (
     CertificateError,
     Infeasible,
@@ -54,6 +54,33 @@ def test_ordering_close_calls():
 def test_as_fraction():
     assert q(3, 0).as_fraction() == Fraction(3)
     assert q(3, 1).as_fraction() is None
+
+
+def test_fraction_parts_are_kept_and_other_parts_become_fractions():
+    a, b = Fraction(3, 7), Fraction(-5, 2)
+    x = QSqrt2(a, b)
+    assert x.a is a and x.b is b
+    for part in (2, 0.5, True):
+        y = QSqrt2(part, part)
+        assert type(y.a) is Fraction and type(y.b) is Fraction
+        assert y.a == Fraction(part) and y.b == Fraction(part)
+
+
+def _wrap_every_part(self, a=0, b=0):
+    self.a = Fraction(a)
+    self.b = Fraction(b)
+
+
+@pytest.mark.parametrize("command", ["guess-table", "classical"])
+def test_keeping_fraction_parts_leaves_the_outputs_byte_identical(command, tmp_path, monkeypatch, capsys):
+    def outputs(out):
+        assert cli.main([command, "--out", str(out)]) == 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return files, capsys.readouterr()
+
+    kept = outputs(tmp_path / "kept")
+    monkeypatch.setattr(QSqrt2, "__init__", _wrap_every_part)
+    assert outputs(tmp_path / "wrapped") == kept
 
 
 def test_simplex_small_known_lp():

@@ -3,6 +3,9 @@
 `__init__` is skipped, since its imports are the package's re-exports, and
 `from __future__` imports are exempt.  A private function counts as used
 only when a top-level statement other than its own definition names it.
+
+Public functions that no module calls are API kept for tests and callers
+outside the package; that set is pinned, so it may shrink but not grow.
 """
 import ast
 from pathlib import Path
@@ -36,3 +39,27 @@ def test_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_level_names_are_referenced(path):
     assert _unreferenced(path) == []
+
+
+# Public functions that no module of the package (outside `__init__`) names.
+UNCALLED_PUBLIC = {
+    "format_native_sequence",
+    "readout_sequence",
+    "observables_from_distribution",
+    "oracle_unitary",
+    "net_area",
+    "schedule_prep",
+}
+
+
+def _uncalled_public() -> set[str]:
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES]
+    public = {node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")}
+    named = {n.id if isinstance(n, ast.Name) else n.attr
+             for tree in trees for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    return public - named
+
+
+def test_public_functions_no_module_calls_do_not_grow():
+    assert _uncalled_public() <= UNCALLED_PUBLIC
