@@ -7,14 +7,13 @@ game is a finite zero-sum game: the guesser randomizes over the exponent x
 in 1..12 (pi^12 is the identity, so larger exponents add nothing), sees
 z = pi^x(0), and guesses r'; the adversary picks one of the 24 permutations.
 Everything a query can see is the trajectory pi^0(y), ..., pi^12(y), so one
-table of trajectories per start y builds the LP and evaluates strategies.
-exactlp solves the LP: a float simplex finds the basis, the float primal
-and dual solutions are rounded to fractions and checked exactly, and exact
-elimination runs only if a rounded solution fails its check.  "The value is
-exactly 1/2" is a hard assertion, checked again in rational arithmetic on
-both sides: the witness strategy achieves 1/2 against every permutation,
-and the dual prior proves no strategy beats it.  A failed check raises
-CertificateError.
+table of trajectories per start y evaluates strategies.  The game is an LP,
+but its optimal vertex at y = 0 is stored as exact literals
+(ONE_QUERY_WITNESS, HARDEST_PRIOR) and certified on every call instead of
+searched for: the witness is a strategy, the prior a distribution, and the
+witness's worst-case payoff equals the prior's best-response value, so by
+weak duality both equal the game value, exactly 1/2.  Relabeling carries
+the certificate to y = 1..3.  A failed check raises CertificateError.
 """
 from __future__ import annotations
 
@@ -24,10 +23,26 @@ from functools import cache
 
 import numpy as np
 
-from .exactlp import CertificateError, simplex_maximize
+from .exactlp import CertificateError
 from .permutations import N_ELEMENTS, Permutation, all_permutations, compose, order_of, power
 
 MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
+
+# The optimal vertex of the one-query LP at y = 0.  The witness maps each
+# exponent x it queries to its weight and the deterministic guess r' made on
+# seeing z = pi^x(0) for z = 0, 1, 2, 3; the adversary's hardest prior is
+# keyed by cycle notation.  one_query_value() checks both on every call.
+ONE_QUERY_WITNESS = {
+    1: (Fraction(1, 4), (1, 2, 3, 3)),
+    2: (Fraction(1, 4), (2, 4, 4, 4)),
+    3: (Fraction(1, 4), (3, 4, 4, 4)),
+    7: (Fraction(1, 4), (1, 3, 2, 2)),
+}
+HARDEST_PRIOR = {
+    "(1 3)": Fraction(1, 4),
+    **{text: Fraction(1, 12) for text in ("(0 1)", "(0 1 2)", "(0 1 3 2)", "(0 2 3)", "(0 2)(1 3)",
+                                          "(0 2 1 3)", "(0 3 2 1)", "(0 3 1)", "(0 3)(1 2)")},
+}
 
 
 def _trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
@@ -116,75 +131,6 @@ class OneQueryReport:
     values_per_y: tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def _one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
-    """Maximin LP over randomized single-query strategies, adversary = 24 permutations.
-
-    Variables: q[x] (probability of exponent x), w[x][z][r'] = q[x] * Pr[guess r'
-    after seeing z], the game value v, and one slack per permutation.
-    """
-    paths = _trajectories(y)
-    xs = list(range(1, MAX_EXPONENT + 1))
-    n_q = len(xs)
-    n_w = n_q * 4 * 4
-
-    def qvar(xi: int) -> int:
-        return xi
-
-    def wvar(xi: int, z: int, rp: int) -> int:
-        return n_q + (xi * 4 + z) * 4 + rp
-
-    v_var = n_q + n_w
-    slack0 = v_var + 1
-    n_vars = slack0 + len(paths)
-    zero, one = Fraction(0), Fraction(1)
-
-    A: list[list] = []  # rows padded with int 0, which simplex_maximize skips cheaply
-    b: list[Fraction] = []
-    for pidx, path in enumerate(paths):
-        row = [0] * n_vars
-        r = _order(path)
-        for xi, x in enumerate(xs):
-            row[wvar(xi, path[x], r - 1)] += one
-        row[v_var] = -one
-        row[slack0 + pidx] = -one
-        A.append(row)
-        b.append(zero)
-    for xi in range(n_q):
-        for z in range(4):
-            row = [0] * n_vars
-            for rp in range(4):
-                row[wvar(xi, z, rp)] = one
-            row[qvar(xi)] = -one
-            A.append(row)
-            b.append(zero)
-    row = [0] * n_vars
-    for xi in range(n_q):
-        row[qvar(xi)] = one
-    A.append(row)
-    b.append(one)
-
-    c = [zero] * n_vars
-    c[v_var] = one
-    value, x_sol, duals = simplex_maximize(A, b, c)
-
-    x_weights = {xs[xi]: x_sol[qvar(xi)] for xi in range(n_q)}
-    guesses = {}
-    for xi, x in enumerate(xs):
-        qx = x_weights[x]
-        for z in range(4):
-            if qx:
-                dist = tuple(x_sol[wvar(xi, z, rp)] / qx for rp in range(4))
-            else:
-                dist = (one, zero, zero, zero)
-            guesses[(x, z)] = dist
-    witness = OneQueryStrategy(x_weights, guesses)
-    prior = [-duals[pidx] for pidx in range(len(paths))]
-    total = sum(prior)
-    if total:
-        prior = [p / total for p in prior]
-    return value, witness, prior
-
-
 def prior_best_response_value(prior: list[Fraction], y: int = 0) -> Fraction:
     """Value of the best deterministic single-query reply to a prior over permutations."""
     paths = _trajectories(y)
@@ -227,22 +173,59 @@ def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fra
     return lower
 
 
+def _stored_witness() -> OneQueryStrategy:
+    """ONE_QUERY_WITNESS as a strategy, checked to be one; each guess becomes a one-hot row."""
+    weights = {x: w for x, (w, _) in ONE_QUERY_WITNESS.items()}
+    if (any(type(x) is not int or not 1 <= x <= MAX_EXPONENT or w < 0 for x, w in weights.items())
+            or sum(weights.values()) != 1):
+        raise CertificateError(f"witness weights are not a distribution over exponents 1..{MAX_EXPONENT}")
+    guesses = {}
+    for x, (_, row) in ONE_QUERY_WITNESS.items():
+        if len(row) != N_ELEMENTS or any(guess not in (1, 2, 3, 4) for guess in row):
+            raise CertificateError(f"witness guesses at x={x} are not one order in 1..4 per seen z")
+        for z, guess in enumerate(row):
+            guesses[(x, z)] = tuple(Fraction(int(guess == r)) for r in range(1, 5))
+    return OneQueryStrategy(weights, guesses)
+
+
+def _prior_vector(prior: dict[str, Fraction]) -> list[Fraction]:
+    """The prior as masses in all_permutations() order, checked to be a distribution."""
+    names = [str(pi) for pi in all_permutations()]
+    unknown = sorted(set(prior) - set(names))
+    if unknown:
+        raise CertificateError(f"hardest prior names {unknown[0]!r}, not a permutation of 0..3")
+    vector = [prior.get(name, Fraction(0)) for name in names]
+    if min(vector) < 0 or sum(vector) != 1:
+        raise CertificateError("hardest prior is not a distribution over the 24 permutations")
+    return vector
+
+
 def one_query_value() -> OneQueryReport:
-    """Exact value of the one-query game, with witness, dual prior and certificates."""
-    value, witness, prior = _one_query_lp(0)
+    """Exact value of the one-query game, certified from its stored optimal vertex.
+
+    The witness's worst-case payoff bounds the value from below and the
+    prior's best-response value bounds it from above; they must be equal.
+    The same pair, relabeled, pins the value at y = 1..3.  Every check runs
+    on every call, and a failed one raises CertificateError.
+    """
+    witness = _stored_witness()
+    prior = _prior_vector(HARDEST_PRIOR)
+    value = witness.min_payoff(0)
+    upper = prior_best_response_value(prior, 0)
+    if value != upper:
+        raise CertificateError(f"one-query certificate failed at y=0: witness {value} != prior {upper}")
     values = [value]
     for y in range(1, 4):
         values.append(_value_at_y(y, witness, prior))
     perms = all_permutations()
-    report = OneQueryReport(
+    return OneQueryReport(
         value=value,
         witness=witness,
         prior={str(pi): p for pi, p in zip(perms, prior) if p},
-        prior_best_response=prior_best_response_value(prior),
+        prior_best_response=upper,
         paper_witness_value=paper_one_query_witness().min_payoff(),
         values_per_y=tuple(values),
     )
-    return report
 
 
 @dataclass(frozen=True)

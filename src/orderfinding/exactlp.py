@@ -1,10 +1,11 @@
 """Exact linear programming over ordered fields: float search, exact certificate.
 
-The guessing-game and classical-bound analyses both reduce to small zero-sum
-games solved as linear programs, and their answers ("the value is exactly
-1/2") must be exact.  The data are Fractions, or elements of the quadratic
-field Q(sqrt(2)) for the order-3 outcome distribution, whose entries involve
-sqrt(2).
+The guessing game reduces to a small zero-sum game solved as a linear
+program, and its answer ("the value is exactly 60/109") must be exact.  The
+data are Fractions, or elements of the quadratic field Q(sqrt(2)) for the
+order-3 outcome distribution, whose entries involve sqrt(2).  (The
+classical one-query game is an LP too, but classical stores its optimal
+vertex and only checks it; the tests keep that LP as its reference.)
 
 `simplex_maximize` does not pivot in exact arithmetic.  A float64 two-phase
 simplex picks a basis.  `_exact_solve` gives that basis's primal and dual

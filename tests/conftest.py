@@ -15,7 +15,7 @@ def rng():
 
 @pytest.fixture(scope="session")
 def one_query_report():
-    # the LP and its certificates are shared by several tests; solve them once per session
+    # the certified report is shared by several tests; check it once per session
     from orderfinding.classical import one_query_value
 
     return one_query_value()

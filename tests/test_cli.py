@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,20 +182,24 @@ def test_run_bad_grid_exits_2_without_spectrum(tmp_path, capsys, grid):
     assert "--grid" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("module, argv", [
-    (classical, ["classical"]),
-    (exactlp, ["guess-table"]),
-    (exactlp, ["run", "--perm", "(0 1 2)", "--y", "0"]),
-], ids=["classical", "guess-table", "run"])
-def test_certificate_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, module, argv):
-    def failing_solver(A, b, c):
-        raise exactlp.CertificateError("column 7 has a positive reduced cost")
+def _failing_solver(A, b, c):
+    raise exactlp.CertificateError("column 7 has a positive reduced cost")
 
+
+@pytest.mark.parametrize("module, name, replacement, argv, message", [
+    (classical, "ONE_QUERY_WITNESS", {**classical.ONE_QUERY_WITNESS, 7: (Fraction(1, 4), (1, 3, 2, 3))},
+     ["classical"], "one-query certificate failed at y=0: witness 1/4 != prior 1/2"),
+    (exactlp, "simplex_maximize", _failing_solver, ["guess-table"], "column 7 has a positive reduced cost"),
+    (exactlp, "simplex_maximize", _failing_solver, ["run", "--perm", "(0 1 2)", "--y", "0"],
+     "column 7 has a positive reduced cost"),
+], ids=["classical", "guess-table", "run"])
+def test_certificate_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, module, name, replacement,
+                                                         argv, message):
     cli._guess_game.cache_clear()  # a fresh CLI process starts without a solved guess game
-    monkeypatch.setattr(module, "simplex_maximize", failing_solver)
+    monkeypatch.setattr(module, name, replacement)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: column 7 has a positive reduced cost\n"
+    assert err == f"error: {message}\n"
 
 
 def _reference_csv(header, rows) -> str:

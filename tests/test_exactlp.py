@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderfinding import classical, cli, exactlp, measurement
+from orderfinding import cli, exactlp, measurement
 from orderfinding.exactlp import (
     CertificateError,
     Infeasible,
@@ -14,6 +14,7 @@ from orderfinding.exactlp import (
     simplex_maximize,
     solve_maximin_assignment,
 )
+from test_classical import one_query_lp
 
 
 def q(a, b=0):
@@ -363,8 +364,10 @@ def _count_elimination(monkeypatch):
 
 
 def test_production_lps_take_the_rounded_path(monkeypatch):
+    # the one-query LP is the reference model classical stores its vertex from; it keeps a full-size
+    # Fraction LP (73 rows, 229 columns) on the rounded path
     _forbid_elimination(monkeypatch)
-    assert classical.one_query_value().value == Fraction(1, 2)
+    assert one_query_lp(0)[0] == Fraction(1, 2)
     assert measurement.solve_guess_game().exact_value == Fraction(60, 109)
 
 
