@@ -17,6 +17,10 @@ Two listing conventions are in use, resolved empirically during bring-up:
 
 Functions here take ops in time order (first op acts first);
 parse_readout_listing applies the operator-product reversal.
+
+Oracle checks are exact: each native op sends a basis state to one basis
+state times a power of i, so a listing is followed branch by branch as a
+basis index and a phase counted in quarter turns, with no float arithmetic.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ import numpy as np
 
 from .permutations import OracleSpec, Permutation, oracle_stages, power
 from .simulator import (
+    N_SPINS,
     Circuit,
     ConditionalZRotation,
     ControlledNot,
@@ -34,8 +39,8 @@ from .simulator import (
     NotGate,
     QuantumState,
     basis_state,
+    bit_of,
     run_circuit,
-    states_equal_up_to_phase,
 )
 
 NativeSequence = tuple[GateOp, ...]
@@ -64,22 +69,6 @@ def parse_native_sequence(text: str) -> NativeSequence:
                 raise ValueError(f"bad sequence token {token!r}")
             ops.append(ConditionalZRotation(control=i, target=int(j), angle_deg=90.0, dagger=bool(dagger)))
     return tuple(ops)
-
-
-def format_native_sequence(seq: NativeSequence) -> str:
-    tokens = []
-    for op in seq:
-        if isinstance(op, NotGate):
-            tokens.append(f"N{op.spin}")
-        elif isinstance(op, ControlledNot):
-            tokens.append(f"C{op.control}{op.target}")
-        elif isinstance(op, ConditionalZRotation):
-            if abs(op.angle_deg - 90.0) > 1e-12:
-                raise ValueError("native P ops are 90-degree rotations")
-            tokens.append(f"P{op.control}{op.target}" + ("'" if op.dagger else ""))
-        else:
-            raise ValueError(f"not a native op: {op!r}")
-    return " ".join(tokens)
 
 
 def build_qft3(include_final_swap: bool) -> Circuit:
@@ -131,27 +120,36 @@ def run_orderfinding(spec: OracleSpec) -> QuantumState:
     return run_circuit(build_orderfinding(spec), input_state(spec))
 
 
-def oracle_target_state(pi: Permutation, y: int) -> np.ndarray:
-    """(1/sqrt(8)) sum_x |x>|pi^x(y)>, the post-oracle state for uniform x."""
-    amps = np.zeros(32, dtype=complex)
-    for x in range(8):
-        amps[4 * x + power(pi, x)(y)] += 1 / np.sqrt(8.0)
-    return amps
+def _native_image(seq: NativeSequence, index: int) -> tuple[int, int]:
+    """(index', k): the native ops of `seq` send basis state `index` to i^k |index'>, k in 0..3."""
+    k = 0
+    for op in seq:
+        if isinstance(op, NotGate):
+            index ^= 1 << (N_SPINS - op.spin)
+        elif isinstance(op, ControlledNot):
+            index ^= bit_of(index, op.control) << (N_SPINS - op.target)
+        elif isinstance(op, ConditionalZRotation) and op.angle_deg == 90.0:
+            k += bit_of(index, op.control) * bit_of(index, op.target) * (-1 if op.dagger else 1)
+        else:
+            raise ValueError(f"not a native op: {op!r}")
+    return index, k % 4
 
 
-def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int, atol: float = 1e-9) -> bool:
+def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int) -> bool:
     """Check that a native sequence implements the oracle on the physical input.
 
-    The sequence is applied to (H H H |000>) (x) |y> and compared with
-    (1/sqrt(8)) sum_x |x>|pi^x(y)> up to one global phase, entry-wise within
-    atol.  Full-unitary equality is deliberately not required: the readout
+    The sequence must send (H H H |000>) (x) |y> = (1/sqrt(8)) sum_x |x>|y>
+    to (1/sqrt(8)) sum_x |x>|pi^x(y)> up to one global phase.  It sends
+    branch |x>|y> to i^k times one basis state, so that holds exactly when
+    the eight branches land on the eight target states and share one k.
+    Full-unitary equality is deliberately not required: the readout
     sequences only have to be correct on this subspace.
     """
     if not 0 <= y < 4:
         raise ValueError(f"start element {y} out of range 0..3")
-    state = run_circuit(_HADAMARD_FRONT, basis_state(y))
-    state = run_circuit(Circuit(tuple(seq)), state)
-    return states_equal_up_to_phase(state.amplitudes, oracle_target_state(pi, y), atol=atol)
+    images = [_native_image(seq, 4 * x + y) for x in range(8)]
+    return ({index for index, _ in images} == {4 * x + power(pi, x)(y) for x in range(8)}
+            and len({k for _, k in images}) == 1)
 
 
 def parse_readout_listing(text: str) -> NativeSequence:
@@ -170,8 +168,3 @@ READOUT_SEQUENCES = {
     3: "C32 C25 C32 C21 P14 C51 P14' C51 P54 C21 P15 C41 P15' C41 P45",
     4: "C24 P34 P54 C35 P54",
 }
-
-
-def readout_sequence(r: int) -> NativeSequence:
-    """Time-ordered ops of the readout oracle listing for order r."""
-    return parse_readout_listing(READOUT_SEQUENCES[r])

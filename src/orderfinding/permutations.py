@@ -10,9 +10,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .simulator import Circuit, ControlledPermutation, circuit_unitary
+from .simulator import Circuit, ControlledPermutation
 
 N_ELEMENTS = 4
 
@@ -92,11 +90,6 @@ def oracle_stages(pi: Permutation) -> Circuit:
     """
     return Circuit(tuple(ControlledPermutation(control, (4, 5), power(pi, exponent).images)
                          for control, exponent in ((3, 1), (2, 2), (1, 4))))
-
-
-def oracle_unitary(pi: Permutation) -> np.ndarray:
-    """32x32 unitary of the oracle, i.e. sum_x |x><x| (x) P_{pi^x}."""
-    return circuit_unitary(oracle_stages(pi))
 
 
 # Text format: cycle notation like "(0 1 2 3)", "(0 1)(2 3)", "()" for the

@@ -8,11 +8,13 @@ control/target pair, so it is symmetric in control and target.
 
 Every gate type is lowered by `_lowered` to (controls, targets, m): the
 small unitary m acts on the target spins when every control spin is |1>.
-That table is the only place gate types are told apart.  One kernel,
-`apply_unitary`, applies a small unitary to chosen spins of every row of an
-amplitude array; a controlled op goes through it as diag(I, m) on the
-controls followed by the targets.  `apply_gate` runs the kernel on one state
-and `gate_unitary` on the 32 rows of the identity.
+That table is the only place gate types are told apart for simulation;
+`circuits` reads the native ops (N, C and 90-degree P) exactly, as basis
+index maps with phases in quarter turns.  One kernel, `apply_unitary`,
+applies a small unitary to chosen spins of every row of an amplitude
+array; a controlled op goes through it as diag(I, m) on the controls
+followed by the targets.  `apply_gate` runs the kernel on one state and
+`gate_unitary` on the 32 rows of the identity.
 
 Every gate is a frozen, hashable value that checks itself exactly when
 built, so each op value is lowered once: `_memo_operands` memoizes (spins,
@@ -323,16 +325,3 @@ def register_probabilities(state: QuantumState) -> np.ndarray:
     """Marginal probabilities of the first register (spins 1-3), indexed by b1b2b3."""
     p = np.abs(state.amplitudes) ** 2
     return p.reshape(8, 4).sum(axis=1)
-
-
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
-    """True if complex vectors a, b agree up to one global phase, entry-wise within atol."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    k = int(np.argmax(np.abs(b)))
-    if abs(b[k]) < atol:
-        return bool(np.all(np.abs(a) <= atol))
-    phase = a[k] / b[k]
-    if abs(abs(phase) - 1.0) > atol:
-        return False
-    return bool(np.max(np.abs(a - phase * b)) <= atol)

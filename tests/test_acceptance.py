@@ -182,8 +182,9 @@ def test_c8_spectral_signatures():
 
 
 def test_c9_oracle_sequences_b_and_d():
-    b_ok = circuits.verify_oracle_sequence(circuits.readout_sequence(2), parse_permutation("(0 1)(2 3)"), 0)
-    d_seq = circuits.readout_sequence(4)
+    b_seq = circuits.parse_readout_listing(circuits.READOUT_SEQUENCES[2])
+    b_ok = circuits.verify_oracle_sequence(b_seq, parse_permutation("(0 1)(2 3)"), 0)
+    d_seq = circuits.parse_readout_listing(circuits.READOUT_SEQUENCES[4])
     d_hits = [
         (pi, y)
         for pi in PERMS
@@ -204,7 +205,7 @@ def test_c9_oracle_sequence_c_order_three():
     of the listing (exhaustive certificate in tests/test_circuits.py); this
     test records the originally stated target rather than weakening it.
     """
-    c_seq = circuits.readout_sequence(3)
+    c_seq = circuits.parse_readout_listing(circuits.READOUT_SEQUENCES[3])
     hits_y2 = [
         pi for pi in PERMS if order_of(pi, 2) == 3 and circuits.verify_oracle_sequence(c_seq, pi, 2)
     ]

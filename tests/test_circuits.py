@@ -1,27 +1,31 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+
+from hypothesis import example, given, settings, strategies as st
 
 from orderfinding.circuits import (
     READOUT_SEQUENCES,
     build_orderfinding,
     build_qft3,
     dft_matrix,
-    format_native_sequence,
     input_state,
-    oracle_target_state,
     parse_native_sequence,
     parse_readout_listing,
-    readout_sequence,
     run_orderfinding,
     verify_oracle_sequence,
 )
-from orderfinding.permutations import IDENTITY, OracleSpec, all_permutations, order_of, parse_permutation
+from orderfinding import cli
+from orderfinding.permutations import IDENTITY, OracleSpec, all_permutations, order_of, parse_permutation, power
 from orderfinding.simulator import (
     Circuit,
     ConditionalZRotation,
     ControlledNot,
     Hadamard,
+    NotGate,
+    ZRotation,
     basis_state,
     circuit_unitary,
     run_circuit,
@@ -94,10 +98,8 @@ def test_orderfinding_distribution_matches_order_for_all_instances():
             assert np.max(np.abs(dist.probs - expected.probs)) < 1e-10
 
 
-def test_native_sequence_parse_and_format_round_trip():
-    text = "C24 P34 P54' C35 N1"
-    seq = parse_native_sequence(text)
-    assert format_native_sequence(seq) == text
+def test_native_sequence_parse():
+    seq = parse_native_sequence("C24 P34 P54' C35 N1")
     assert seq[1] == ConditionalZRotation(3, 4, 90.0, dagger=False)
     assert seq[2] == ConditionalZRotation(5, 4, 90.0, dagger=True)
 
@@ -124,7 +126,7 @@ def test_p54_inverse_pair_is_identity():
 
 
 def test_readout_d_maps_basis_to_basis_up_to_phase_from_ground_register():
-    u = circuit_unitary(Circuit(readout_sequence(4)))
+    u = circuit_unitary(Circuit(parse_readout_listing(READOUT_SEQUENCES[4])))
     assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-12
     for x in range(8):
         col = u[:, 4 * x + 0]  # second register |00>
@@ -139,13 +141,12 @@ def test_verify_empty_sequence_identity():
 
 
 def test_verify_is_global_phase_invariant():
-    from orderfinding.simulator import NotGate, ZRotation
-
     seq = (ControlledNot(3, 5),)
     pi = parse_permutation("(0 1)(2 3)")
     assert verify_oracle_sequence(seq, pi, 0)
-    # X Rz(t) X Rz(t) = e^{it} I on one spin: an exact global phase
-    phase_block = (NotGate(4), ZRotation(4, 77.0), NotGate(4), ZRotation(4, 77.0))
+    # P45 N4 P45 N4 puts i^{b5} on every basis state; conjugated by N5 it puts i^{1 - b5}
+    phase_block = parse_native_sequence("P45 N4 P45 N4 N5 P45 N4 P45 N4 N5")
+    assert np.allclose(circuit_unitary(Circuit(phase_block)), 1j * np.eye(32), atol=1e-12)
     assert verify_oracle_sequence(seq + phase_block, pi, 0)
 
 
@@ -154,16 +155,16 @@ def test_verify_rejects_wrong_instance():
 
 
 def test_readout_b_verifies_for_order_two_instance():
-    seq = readout_sequence(2)
+    seq = parse_readout_listing(READOUT_SEQUENCES[2])
     assert verify_oracle_sequence(seq, parse_permutation("(0 1)(2 3)"), 0)
 
 
 def test_readout_b_fails_when_read_against_wrong_permutation():
-    assert not verify_oracle_sequence(readout_sequence(2), parse_permutation("(2 3)"), 0)
+    assert not verify_oracle_sequence(parse_readout_listing(READOUT_SEQUENCES[2]), parse_permutation("(2 3)"), 0)
 
 
 def test_readout_d_verifies_for_a_four_cycle_by_exhaustive_search():
-    seq = readout_sequence(4)
+    seq = parse_readout_listing(READOUT_SEQUENCES[4])
     hits = [(pi, y) for pi in PERMS for y in range(4) if verify_oracle_sequence(seq, pi, y)]
     assert hits, "no instance verified"
     assert any(order_of(pi, y) == 4 for pi, y in hits)
@@ -172,7 +173,7 @@ def test_readout_d_verifies_for_a_four_cycle_by_exhaustive_search():
 
 
 def test_readout_a_verifies_exactly_for_fixed_points_away_from_room_three():
-    seq = readout_sequence(1)
+    seq = parse_readout_listing(READOUT_SEQUENCES[1])
     hits = {(pi.images, y) for pi in PERMS for y in range(4) if verify_oracle_sequence(seq, pi, y)}
     expected = {(pi.images, y) for pi in PERMS for y in range(3) if pi(y) == y}
     assert hits == expected
@@ -194,13 +195,78 @@ def test_readout_c_listing_cannot_implement_any_order_three_instance():
         assert hits == []
 
 
-def test_oracle_target_state_normalization():
-    for pi in PERMS[:6]:
-        for y in range(4):
-            amps = oracle_target_state(pi, y)
-            assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
-
-
 def test_input_state_places_y_in_second_register():
     state = input_state(OracleSpec(IDENTITY, 3))
     assert state.amplitudes[3] == 1.0
+
+
+def _dense_verdict(seq, pi, y) -> bool:
+    """Float reference for verify_oracle_sequence: simulate the sequence on (H H H |000>) (x) |y>
+    and compare with (1/sqrt(8)) sum_x |x>|pi^x(y)> up to one global phase, entry-wise within 1e-9."""
+    state = run_circuit(Circuit((Hadamard(1), Hadamard(2), Hadamard(3)) + tuple(seq)), basis_state(y)).amplitudes
+    target = np.zeros(32, dtype=complex)
+    for x in range(8):
+        target[4 * x + power(pi, x)(y)] = 1 / np.sqrt(8.0)
+    phase = state[y] / target[y]  # target[y] is the x = 0 branch
+    return abs(abs(phase) - 1.0) <= 1e-9 and np.max(np.abs(state - phase * target)) <= 1e-9
+
+
+def test_exact_verdicts_match_the_dense_reference_for_every_listing_instance_and_order():
+    verdicts = 0
+    for text in READOUT_SEQUENCES.values():
+        for parse in (parse_native_sequence, parse_readout_listing):
+            seq = parse(text)
+            for pi in PERMS:
+                for y in range(4):
+                    exact = verify_oracle_sequence(seq, pi, y)
+                    assert exact == _dense_verdict(seq, pi, y), (text, parse.__name__, str(pi), y)
+                    verdicts += exact
+    assert verdicts == 55
+
+
+NATIVE_TOKENS = [f"N{i}" for i in range(1, 6)] + [
+    f"{kind}{i}{j}{dagger}" for kind, dagger in (("C", ""), ("P", ""), ("P", "'"))
+    for i in range(1, 6) for j in range(1, 6) if i != j]
+
+
+@given(st.lists(st.sampled_from(NATIVE_TOKENS), max_size=12), st.sampled_from(PERMS), st.integers(0, 3))
+# swapping spins 1 and 3 sends branch |x> to |reversed x> but leaves the uniform superposition
+# unchanged, so it passes: the decision compares the set of branch images, as the state does
+@example(["C13", "C31", "C13"], IDENTITY, 2)
+def test_exact_verdict_matches_the_dense_reference_on_random_sequences(tokens, pi, y):
+    seq = parse_native_sequence(" ".join(tokens))
+    assert verify_oracle_sequence(seq, pi, y) == _dense_verdict(seq, pi, y)
+
+
+@pytest.mark.parametrize("op", [Hadamard(1), ZRotation(4, 77.0), ConditionalZRotation(4, 5, 45.0)])
+def test_verify_rejects_ops_that_are_not_native(op):
+    with pytest.raises(ValueError, match="not a native op"):
+        verify_oracle_sequence((NotGate(1), op), IDENTITY, 0)
+
+
+SEQUENCE_TEXT = st.one_of(st.text(), st.text(alphabet="CPN0123456' \t-"))
+
+
+@settings(max_examples=200)
+@given(SEQUENCE_TEXT)
+def test_parsed_text_is_native_or_a_value_error(text):
+    for parse in (parse_native_sequence, parse_readout_listing):
+        try:
+            seq = parse(text)
+        except ValueError:
+            continue
+        assert verify_oracle_sequence(seq, IDENTITY, 0) in (True, False)
+
+
+@settings(max_examples=100)
+@given(SEQUENCE_TEXT, st.one_of(st.text(), st.sampled_from(["()", "(0 1)(2 3)", "1,0,3,2"])),
+       st.sampled_from(["0", "3", "4", "x"]), st.sampled_from(["listed", "reversed"]))
+def test_verify_sequence_exits_0_1_or_2_without_a_traceback(seq, perm, y, order):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["verify-sequence", "--seq", seq, "--perm", perm, "--y", y, "--time-order", order])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,13 +1,17 @@
 """Every module-level import and private function in the package is used in its own module.
 
-`__init__` is skipped, since its imports are the package's re-exports, and
-`from __future__` imports are exempt.  A private function counts as used
-only when a top-level statement other than its own definition names it.
+`__init__` is skipped: it holds only the docstring and `__version__`, so
+importing the package loads no submodule and no numpy.  `from __future__`
+imports are exempt.  A private function counts as used only when a
+top-level statement other than its own definition names it.
 
 Public functions that no module calls are API kept for tests and callers
 outside the package; that set is pinned, so it may shrink but not grow.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,10 +47,7 @@ def test_module_level_names_are_referenced(path):
 
 # Public functions that no module of the package (outside `__init__`) names.
 UNCALLED_PUBLIC = {
-    "format_native_sequence",
-    "readout_sequence",
     "observables_from_distribution",
-    "oracle_unitary",
     "net_area",
     "schedule_prep",
 }
@@ -63,3 +64,10 @@ def _uncalled_public() -> set[str]:
 
 def test_public_functions_no_module_calls_do_not_grow():
     assert _uncalled_public() <= UNCALLED_PUBLIC
+
+
+def test_importing_the_package_loads_no_numpy():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, orderfinding; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

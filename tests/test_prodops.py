@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderfinding.circuits import format_native_sequence, parse_native_sequence
+from orderfinding.circuits import parse_native_sequence
 from orderfinding.prodops import (
     PREP_SET_5SPIN,
     SearchExhausted,
