@@ -101,10 +101,10 @@ def cmd_run(config: RunConfig) -> int:
     dist = measurement.simulated_distribution(state)
     _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), dist.probs.tolist()])
 
-    observables = measurement.simulated_observables(state)
+    rho = measurement.final_density(state)
+    observables = measurement.simulated_observables(rho)
     _write_json(out / "observables.json", {"O": list(observables)})
 
-    rho = measurement.final_density(state)
     lines = spectra.readout_lines(rho, 1, params)
     _write_csv(out / "lines_spin1.csv", ["spin", "label", "frequency_hz", "amp_real", "amp_imag"],
                [[l.spin for l in lines], [l.label for l in lines], [l.frequency_hz for l in lines],
@@ -142,7 +142,7 @@ def cmd_sweep(out: Path) -> int:
             dist = measurement.simulated_distribution(state)
             err = float(np.abs(dist.probs - analytic[r]).max())
             worst = max(worst, err)
-            observables = measurement.simulated_observables(state)
+            observables = measurement.simulated_observables(measurement.final_density(state))
             rows.append((format_cycles(pi), y, r, err, *observables))
     _write_csv(out / "sweep.csv",
                ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], list(zip(*rows)))

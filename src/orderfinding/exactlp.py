@@ -163,7 +163,7 @@ class Unbounded(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """The basis the float search ended on fails an exact check."""
+    """A stored or computed certificate fails an exact check."""
 
 
 def _exact_data(A, b, c):

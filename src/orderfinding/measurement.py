@@ -5,9 +5,9 @@ m_i is the bit read from spin i: the QFT is run without its final swap, so
 spin 1 ends up holding the least significant bit of m.  The ensemble
 observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
 
-`simulated_distribution`, `simulated_observables` and `final_density` read
-the circuit's final `QuantumState`, so one `circuits.run_orderfinding(spec)`
-serves all three for an instance.
+`simulated_distribution` and `final_density` read the circuit's final state
+from one `circuits.run_orderfinding(spec)`, and `simulated_observables` reads
+the density that `final_density` builds once per instance.
 """
 from __future__ import annotations
 
@@ -121,9 +121,8 @@ def simulated_distribution(state: QuantumState) -> OutcomeDistribution:
     return OutcomeDistribution(probs)
 
 
-def simulated_observables(state: QuantumState) -> tuple[float, float, float, float, float]:
-    """O_1..O_5 of the circuit's final state, via 2 Tr(rho I_zi)."""
-    rho = state.density()
+def simulated_observables(rho: DensityOperator) -> tuple[float, float, float, float, float]:
+    """O_1..O_5 of the circuit's final density, e.g. `final_density(state)`, via 2 Tr(rho I_zi)."""
     return tuple(expectation_Iz(rho, i) for i in range(1, 6))
 
 

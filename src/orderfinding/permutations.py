@@ -17,13 +17,13 @@ N_ELEMENTS = 4
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on {0,1,2,3}; images[y] is the image of y."""
+    """A bijection on {0,1,2,3} as a tuple of ints (not bools); images[y] is the image of y."""
 
     images: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
-        if sorted(images) != list(range(N_ELEMENTS)):
+        images = tuple(self.images)
+        if not all(type(v) is int for v in images) or sorted(images) != list(range(N_ELEMENTS)):
             raise ValueError(f"not a bijection on 0..3: {images}")
         object.__setattr__(self, "images", images)
 
@@ -39,14 +39,14 @@ IDENTITY = Permutation((0, 1, 2, 3))
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """One problem instance: the permutation and the starting element y."""
+    """One problem instance: the permutation and the starting element y, an int (not a bool)."""
 
     pi: Permutation
     y: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.y < N_ELEMENTS:
-            raise ValueError(f"start element {self.y} out of range 0..3")
+        if type(self.y) is not int or not 0 <= self.y < N_ELEMENTS:
+            raise ValueError(f"start element {self.y!r} is not an int in 0..3")
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

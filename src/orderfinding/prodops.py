@@ -13,25 +13,26 @@ Equivalently, writing a string as the bit vector of its Z positions, C_ij
 adds bit j to bit i, and N_i reads bit i into the sign.  An experiment
 (one preparation sequence applied to thermal equilibrium) therefore yields
 the image of the n unit vectors under an invertible linear map over GF(2),
-with freely choosable signs; this is what the schedule search exploits.
+with freely choosable signs.  Each experiment thus contributes n signed
+terms, which bounds every schedule from below (see schedule_prep).
 
 Ops in a preparation sequence are applied in listed (time) order, the same
 convention as module circuits.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .circuits import NativeSequence, parse_native_sequence
+from .exactlp import CertificateError
 from .simulator import DIM, N_SPINS, Circuit, ControlledNot, NotGate, circuit_unitary
 
 
 class SearchExhausted(RuntimeError):
-    """No preparation schedule found within the requested limits."""
+    """No preparation schedule exists within the requested limits."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class ZTerm:
     """One signed tensor string over {I, Z}; pattern like "IZIZZ".
 
     Patterns are length 5 for the physical register; shorter ones appear in
-    schedule searches on fewer spins.
+    schedules on fewer spins.
     """
 
     pattern: str
@@ -220,188 +221,54 @@ def apply_prep_dense(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
     return matrix_to_zsum(u @ rho @ u.conj().T)
 
 
-# Schedule search.  An experiment is characterized by (basis of GF(2)^n,
-# signs): any invertible map is reachable with C ops (they generate GL(n,2))
-# and any sign pattern on a basis is reachable with a trailing N layer.
-
-def _span(vectors: Sequence[int]) -> set[int]:
-    span = {0}
-    for v in vectors:
-        span |= {s ^ v for s in span}
-    return span
-
-
-def _is_basis_set(vectors: Sequence[int]) -> bool:
-    return len(_span(vectors)) == 2 ** len(vectors)
-
-
-def _greedy_joint(pool: Sequence[int], k: int, contexts: Sequence[Sequence[int]]) -> list[int] | None:
-    """Pick k pool vectors that stay independent when added to every context set."""
-    chosen: list[int] = []
-    if k == 0:
-        return chosen
-    spans = [_span(ctx) for ctx in contexts]
-    for v in pool:
-        if v in chosen or any(v in sp for sp in spans):
-            continue
-        chosen.append(v)
-        spans = [sp | {s ^ v for s in sp} for sp in spans]
-        if len(chosen) == k:
-            return chosen
-    return None
-
-
-def synthesize_sequence(basis: Sequence[int], signs: Sequence[int], n: int = N_SPINS) -> PrepSequence:
-    """Build a C/N sequence whose experiment equals the given signed basis.
-
-    basis[k] is the desired image (as a Z-position mask, spin 1 = high bit)
-    of the equilibrium term on spin k+1; signs[k] its desired sign.
-    """
-    cols = list(basis)
-    if len(cols) != n:
-        raise ValueError("need one image per spin")
-    # Row-reduce the matrix with columns `cols` to the identity using only
-    # row additions (row i += row j corresponds to conjugation by C_ij).
-    m = [[(c >> (n - 1 - row)) & 1 for c in cols] for row in range(n)]
-    elementary: list[tuple[int, int]] = []  # (i, j) meaning row i += row j
-
-    def add_row(i: int, j: int) -> None:
-        for col in range(n):
-            m[i][col] ^= m[j][col]
-        elementary.append((i, j))
-
-    for col in range(n):
-        if m[col][col] == 0:
-            src = next(r for r in range(col + 1, n) if m[r][col])
-            add_row(col, src)
-        for row in range(n):
-            if row != col and m[row][col]:
-                add_row(row, col)
-    # E_s ... E_1 A = I, so A = E_1 ... E_s; time order is the reversed list.
-    ops: list = [ControlledNot(control=i + 1, target=j + 1) for i, j in reversed(elementary)]
-    # The N layer flips the sign of image k iff <t, basis[k]> = 1, so t solves
-    # A^T t = beta: t = E_1^T ... E_s^T beta, each E being its own inverse,
-    # and E^T for (i, j) adds entry i to entry j.
-    t = [0 if s == 1 else 1 for s in signs]
-    for i, j in reversed(elementary):
-        t[j] ^= t[i]
-    ops.extend(NotGate(row + 1) for row in range(n) if t[row])
-    return tuple(ops)
-
-
-def _endgame(remaining: list[int], covered: list[int], n: int) -> list[tuple[list[int], list[int]]] | None:
-    """Close out the last uncovered vectors with one, two or three experiments.
-
-    Fillers are already-covered vectors inserted in +/- pairs spanning two
-    experiments, so their net coefficient is unchanged.
-    """
-    r = len(remaining)
-    if r == 0:
-        return []
-    if r == n and _is_basis_set(remaining):
-        return [(list(remaining), [1] * n)]
-    if r % 2 == 0 and 0 < r <= 2 * n:
-        half = r // 2
-        r1, r2 = remaining[:half], remaining[half:]
-        if not (_is_basis_set(r1) and _is_basis_set(r2)):
-            return None
-        fillers = _greedy_joint(covered, n - half, contexts=[r1, r2])
-        if fillers is None:
-            return None
-        e1 = (r1 + fillers, [1] * half + [1] * (n - half))
-        e2 = (r2 + fillers, [1] * half + [-1] * (n - half))
-        return [e1, e2]
-    if r % 2 == 1 and r <= n and (n - r) % 2 == 0 and _is_basis_set(remaining):
-        # Three experiments; filler pair counts x (between 1,2), y (1,3),
-        # z (2,3) solve x+y = n-r, x+z = n, y+z = n.
-        x = (n - r) // 2
-        z = n - x
-        ab = _greedy_joint(covered, 2 * x, contexts=[remaining])
-        if ab is None:
-            return None
-        a_f, b_f = ab[:x], ab[x:]
-        rest = [v for v in covered if v not in ab]
-        c_f = _greedy_joint(rest, z, contexts=[a_f, b_f])
-        if c_f is None:
-            return None
-        e1 = (remaining + a_f + b_f, [1] * r + [1] * (2 * x))
-        e2 = (a_f + c_f, [-1] * x + [1] * z)
-        e3 = (b_f + c_f, [-1] * x + [-1] * z)
-        if all(_is_basis_set(e[0]) for e in (e1, e2, e3)):
-            return [e1, e2, e3]
-    return None
+# Minimal temporal-labeling plans (time order left to right), one per odd
+# spin count; each plan starts with the bare equilibrium experiment.
+OPTIMAL_SCHEDULES: dict[int, tuple[str, ...]] = {
+    1: ("",),
+    3: (
+        "",
+        "C13 C12 C31 C21 C12",
+        "C23 C13 C32 C12 C23 C21 N1 N2",
+    ),
+    5: (
+        "",
+        "C45 C35 C54 C34 C14 C45 C53 C23 C13 C35 C52 C32 C23 C51 C41 C14",
+        "C35 C25 C15 C24 C14 C53 C23 C35 C42 C41 C31 C13",
+        "C25 C54 C14 C43 C23 C34 C52 C12 C25 C31 C21 C12",
+        "C45 C35 C25 C54 C34 C53 C23 C35 C52 C42 C12 C24 C51 C31",
+        "C45 C25 C15 C54 C34 C24 C45 C53 C23 C35 C52 C42 C12 C24 C51 C21",
+        "C45 C25 C15 C54 C34 C24 C45 C53 C23 C35 C52 C42 C12 C24 C51 C31 C21 N2 N3",
+    ),
+}
 
 
 def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequence]:
-    """Search for a temporal-labeling schedule on an n-spin system.
+    """A minimal temporal-labeling schedule on an n-spin system.
 
-    One search serves every odd n: a greedy cover of the 2^n - 1 target
-    strings by independent sets plus a pairing endgame, with seeded restarts.
-    Returns preparation sequences whose summed experiments equal the n-spin
-    effective pure target, verified before returning.  Raises
-    SearchExhausted when no schedule is found within max_experiments, as
-    below the counting bound ceil((2^n - 1) / n), since every experiment
-    contributes n signed terms; for even n no schedule exists at all,
-    because those terms total an even number while the target's
-    coefficients sum to the odd number 2^n - 1.
-
-    Best effort: the experiment count is not claimed minimal, though the
-    search reaches the counting bound for n = 3 (3 experiments) and n = 5 (7).
+    Returns the stored plan for n, whose summed experiments equal the n-spin
+    effective pure target; verify_prep_set rechecks it exactly on every call,
+    and a failed check raises CertificateError.  Every experiment contributes
+    n signed terms and the target has 2^n - 1, so no plan has fewer than
+    ceil((2^n - 1) / n) experiments; the stored plans meet that bound (1, 3
+    and 7 for n = 1, 3, 5).  Raises SearchExhausted when max_experiments is
+    below the bound, and for every even n: there the terms total an even
+    number, but the target's coefficients sum to the odd 2^n - 1.
+    `n` must be an int (not a bool) in 1..5.
     """
-    if not 1 <= n <= N_SPINS:
-        raise ValueError(f"spin count {n} out of range 1..{N_SPINS}")
-    if max_experiments < 1:
-        raise SearchExhausted("max_experiments must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= N_SPINS:
+        raise ValueError(f"spin count {n!r} is not an int in 1..{N_SPINS}")
     if n % 2 == 0:
         raise SearchExhausted(
             f"no schedule exists for n={n}: experiments contribute n terms each, "
             f"so total coefficients are even, but the target sums to {2**n - 1}"
         )
-    plan = _schedule_greedy(n, max_experiments)
-    if plan is None or len(plan) > max_experiments:
-        raise SearchExhausted(f"no schedule found for n={n} within {max_experiments} experiments")
-
-    seqs = [synthesize_sequence(basis, signs, n) for basis, signs in plan]
-    report = verify_prep_set(seqs, n)
-    if not report.is_effective_pure:
-        raise SearchExhausted(f"schedule search produced an invalid plan for n={n}")
-    return seqs
-
-
-def _schedule_greedy(n: int, max_experiments: int, attempts: int = 64) -> list[tuple[list[int], list[int]]] | None:
-    """Greedy cover by independent sets plus a pairing endgame, with seeded restarts.
-
-    Each experiment covers at most n of the 2^n - 1 target terms, so a plan
-    of ceil((2^n - 1) / n) experiments cannot be beaten; the search returns
-    the first such plan, since later restarts could only tie it.
-    """
     bound = -(-(2**n - 1) // n)
-    rng = random.Random(20210405)
-    base_order = sorted(range(1, 2**n))
-    best: list[tuple[list[int], list[int]]] | None = None
-    for attempt in range(attempts):
-        order = list(base_order)
-        if attempt:
-            rng.shuffle(order)
-        units = [1 << k for k in range(n - 1, -1, -1)]
-        plan = [(units, [1] * n)]
-        covered = set(units)
-        while True:
-            uncovered = [v for v in order if v not in covered]
-            if len(uncovered) <= 2 * n:
-                break
-            pick = _greedy_joint(uncovered, n, contexts=[()])
-            if pick is None:
-                break
-            plan.append((pick, [1] * n))
-            covered.update(pick)
-        uncovered = [v for v in order if v not in covered]
-        tail = _endgame(uncovered, [v for v in order if v in covered], n)
-        if tail is None:
-            continue
-        plan = plan + tail
-        if len(plan) <= max_experiments and (best is None or len(plan) < len(best)):
-            best = plan
-            if len(plan) == bound:
-                break
-    return best
+    if max_experiments < bound:
+        raise SearchExhausted(
+            f"no schedule exists for n={n} within {max_experiments} experiments: "
+            f"each contributes {n} terms and the target has {2**n - 1}, so {bound} are needed"
+        )
+    seqs = [parse_native_sequence(text) for text in OPTIMAL_SCHEDULES[n]]
+    if not verify_prep_set(seqs, n).is_effective_pure:
+        raise CertificateError(f"stored {n}-spin schedule does not sum to the effective pure target")
+    return seqs

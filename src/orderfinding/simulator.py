@@ -87,15 +87,6 @@ class NotGate:
 
 
 @dataclass(frozen=True)
-class ZRotation:
-    spin: int
-    angle_deg: float
-
-    def __post_init__(self) -> None:
-        _check_distinct(self.spin)
-
-
-@dataclass(frozen=True)
 class ConditionalZRotation:
     """Phase diag(1, e^{i*angle}) on `target`, applied only when `control` is |1>."""
 
@@ -140,7 +131,6 @@ class ControlledPermutation:
 GateOp = Union[
     Hadamard,
     NotGate,
-    ZRotation,
     ConditionalZRotation,
     ControlledNot,
     ControlledPermutation,
@@ -159,7 +149,7 @@ class Circuit:
             _memo_operands(op)
 
 
-def _phase(angle_deg: float, dagger: bool = False) -> complex:
+def _phase(angle_deg: float, dagger: bool) -> complex:
     sign = -1.0 if dagger else 1.0
     return np.exp(1j * sign * np.deg2rad(angle_deg))
 
@@ -170,8 +160,6 @@ def _lowered(op: GateOp) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
         controls, targets, m = (), (op.spin,), _H
     elif isinstance(op, NotGate):
         controls, targets, m = (), (op.spin,), _X
-    elif isinstance(op, ZRotation):
-        controls, targets, m = (), (op.spin,), np.diag([1.0, _phase(op.angle_deg)])
     elif isinstance(op, ConditionalZRotation):
         controls, targets, m = (op.control,), (op.target,), np.diag([1.0, _phase(op.angle_deg, op.dagger)])
     elif isinstance(op, ControlledNot):

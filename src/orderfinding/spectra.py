@@ -130,6 +130,8 @@ class FrequencyGrid:
         # false for a NaN or infinite bound, an overflowing span, and f_min >= f_max
         if not 0 < self.f_max - self.f_min < math.inf:
             raise ValueError("need finite f_min < f_max with a finite span")
+        if type(self.points) is not int:
+            raise ValueError(f"grid points must be an int, got {self.points!r}")
         if not 2 <= self.points <= MAX_GRID_POINTS:
             raise ValueError(f"need 2 to {MAX_GRID_POINTS} grid points")
 

@@ -48,11 +48,13 @@ def test_c2_observable_anchor_values():
         "(0 1 2 3)": (1.0, 0.0, 0.0, 0.0, 0.0),
     }
     for text, expected in cases.items():
-        observed = measurement.simulated_observables(run_orderfinding(OracleSpec(parse_permutation(text), 0)))
+        observed = measurement.simulated_observables(
+            measurement.final_density(run_orderfinding(OracleSpec(parse_permutation(text), 0))))
         checks.append(max(abs(a - b) for a, b in zip(observed, expected)) <= 1e-9)
     o123 = measurement.observables_from_distribution(measurement.analytic_distribution(3))
     checks.append(max(abs(a - b) for a, b in zip(o123, (0.0, 0.25, 0.3125))) <= 1e-9)
-    sim3 = measurement.simulated_observables(run_orderfinding(OracleSpec(parse_permutation("(0 1 2)"), 0)))[:3]
+    sim3 = measurement.simulated_observables(
+        measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2)"), 0))))[:3]
     checks.append(max(abs(a - b) for a, b in zip(sim3, (0.0, 0.25, 0.3125))) <= 1e-9)
     _report("criterion 2 (O_i anchors r=1,2,3,4)", all(checks), f"{sum(checks)}/{len(checks)} anchor sets")
 

@@ -23,9 +23,9 @@ from orderfinding.simulator import (
     Circuit,
     ConditionalZRotation,
     ControlledNot,
+    ControlledPermutation,
     Hadamard,
     NotGate,
-    ZRotation,
     basis_state,
     circuit_unitary,
     run_circuit,
@@ -238,7 +238,8 @@ def test_exact_verdict_matches_the_dense_reference_on_random_sequences(tokens, p
     assert verify_oracle_sequence(seq, pi, y) == _dense_verdict(seq, pi, y)
 
 
-@pytest.mark.parametrize("op", [Hadamard(1), ZRotation(4, 77.0), ConditionalZRotation(4, 5, 45.0)])
+@pytest.mark.parametrize("op", [Hadamard(1), ConditionalZRotation(4, 5, 45.0),
+                                ControlledPermutation(1, (4, 5), (1, 0, 3, 2))])
 def test_verify_rejects_ops_that_are_not_native(op):
     with pytest.raises(ValueError, match="not a native op"):
         verify_oracle_sequence((NotGate(1), op), IDENTITY, 0)

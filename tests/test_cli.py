@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orderfinding import circuits, classical, cli, exactlp, measurement
 from orderfinding.cli import main
@@ -180,6 +183,27 @@ def test_run_bad_grid_exits_2_without_spectrum(tmp_path, capsys, grid):
     assert not (out / "spectrum_spin1.csv").exists()
     err = capsys.readouterr().err
     assert "--grid" in err and "Traceback" not in err
+
+
+_GRID_FIELD = st.sampled_from(["-60", "60", "0", "1e3", "nan", "-inf", "1e308", "x", "", " 7", "4001.5", "2", "-5",
+                                "1000001", "0x10"])
+
+
+@settings(max_examples=100)
+@given(st.one_of(st.text(), st.lists(_GRID_FIELD, min_size=1, max_size=4).map(",".join)))
+@example("-60,60,2")
+@example(" -1e3, 7 ,2")
+def test_run_grid_text_runs_or_exits_2_without_a_traceback(grid):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["run", "--perm", "()", "--y", "0", f"--grid={grid}", "--out", tmp])
+        except SystemExit as exc:  # argparse rejects the grid
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert "--grid" in err.getvalue()
 
 
 def _failing_solver(A, b, c):

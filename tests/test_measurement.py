@@ -13,6 +13,7 @@ from orderfinding.measurement import (
     InfeasibleInput,
     OutcomeDistribution,
     analytic_distribution,
+    final_density,
     guess_success_per_r,
     infer_order,
     m_from_register_index,
@@ -125,7 +126,7 @@ def test_full_observable_anchors_for_y_zero_instances():
         "(0 1 2 3)": (1, 0, 0, 0, 0),
     }
     for text, expected in cases.items():
-        observed = simulated_observables(run_orderfinding(OracleSpec(parse_permutation(text), 0)))
+        observed = simulated_observables(final_density(run_orderfinding(OracleSpec(parse_permutation(text), 0))))
         assert observed == pytest.approx(expected, abs=1e-9)
 
 
@@ -136,13 +137,12 @@ def test_order_three_register_two_observables_range():
         for y in range(4):
             if order_of(pi, y) != 3:
                 continue
-            _, _, _, o4, o5 = simulated_observables(run_orderfinding(OracleSpec(pi, y)))
+            _, _, _, o4, o5 = simulated_observables(final_density(run_orderfinding(OracleSpec(pi, y))))
             assert min(abs(o4 - a) for a in allowed) < 1e-9
             assert min(abs(o5 - a) for a in allowed) < 1e-9
 
 
 def test_bit_mapping_consistency_between_distribution_and_spins():
-    from orderfinding.measurement import final_density
     from orderfinding.simulator import expectation_Iz
 
     for pi in PERMS[::5]:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orderfinding.permutations import (
     IDENTITY,
@@ -15,6 +17,7 @@ from orderfinding.permutations import (
     power,
 )
 from orderfinding.simulator import circuit_unitary
+from orderfinding.spectra import FrequencyGrid
 
 PERMS = all_permutations()
 perm_strategy = st.sampled_from(PERMS)
@@ -25,6 +28,40 @@ def test_validation():
         Permutation((0, 0, 1, 2))
     with pytest.raises(ValueError):
         OracleSpec(IDENTITY, 4)
+
+
+@pytest.mark.parametrize(("cls", "args", "bad"), [
+    (Permutation, ((0, 1, 2, 3.7),), 3.7),
+    (Permutation, ((0, 1, 2, "3"),), "3"),
+    (Permutation, ((0, True, 2, 3),), True),
+    (OracleSpec, (IDENTITY, 1.5), 1.5),
+    (OracleSpec, (IDENTITY, True), True),
+    (FrequencyGrid, (-60.0, 60.0, 4001.5), 4001.5),
+    (FrequencyGrid, (-60.0, 60.0, True), True),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_validated_types_reject_non_integers_naming_the_value(cls, args, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        cls(*args)
+
+
+_ELEMENT_TEXT = st.sampled_from(["0", "1", "2", "3", "4", "9", "03", " 1", "x", ""])
+PERMUTATION_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="()0123456789, \t"),
+    st.lists(_ELEMENT_TEXT, min_size=1, max_size=5).map(",".join),
+    st.lists(st.lists(_ELEMENT_TEXT, max_size=4).map(" ".join).map("({})".format), min_size=1, max_size=3).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(PERMUTATION_TEXT)
+def test_permutation_text_parses_to_a_bijection_or_a_value_error(text):
+    try:
+        pi = parse_permutation(text)
+    except ValueError:
+        return
+    assert sorted(pi.images) == [0, 1, 2, 3]
+    assert parse_permutation(format_cycles(pi)) == pi
 
 
 def test_order_examples():

@@ -1,13 +1,14 @@
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderfinding.circuits import parse_native_sequence
+from orderfinding.exactlp import CertificateError
 from orderfinding.prodops import (
+    OPTIMAL_SCHEDULES,
     PREP_SET_5SPIN,
     SearchExhausted,
     ZTerm,
@@ -21,7 +22,6 @@ from orderfinding.prodops import (
     pattern_to_mask,
     schedule_prep,
     standard_prep_sequences,
-    synthesize_sequence,
     verify_prep_set,
     zsum_to_matrix,
 )
@@ -174,6 +174,26 @@ def test_schedule_prep_even_spin_counts_are_infeasible():
             schedule_prep(n, 50)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_perturbed_stored_schedule_raises_certificate_error(n, monkeypatch):
+    # every plan that drops one token, and one whose last token becomes N1
+    plan = OPTIMAL_SCHEDULES[n]
+    perturbed = [plan[:-1] + (plan[-1].rsplit(" ", 1)[0] + " N1",)]
+    for i, text in enumerate(plan):
+        tokens = text.split()
+        perturbed += [plan[:i] + (" ".join(tokens[:j] + tokens[j + 1:]),) + plan[i + 1:] for j in range(len(tokens))]
+    for bad in perturbed:
+        monkeypatch.setitem(OPTIMAL_SCHEDULES, n, bad)
+        with pytest.raises(CertificateError, match=f"stored {n}-spin schedule"):
+            schedule_prep(n, 9)
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0, "3", None, 0, 6])
+def test_schedule_prep_rejects_a_spin_count_that_is_not_an_int_in_range(n):
+    with pytest.raises(ValueError, match="spin count"):
+        schedule_prep(n, 9)
+
+
 def test_two_spin_schedules_are_impossible_for_any_experiment_count():
     """Exhaustive certificate on two spins.
 
@@ -196,24 +216,6 @@ def test_two_spin_schedules_are_impossible_for_any_experiment_count():
                 for v, s in exp:
                     total[v] = total.get(v, 0) + s
             assert {k: v for k, v in total.items() if v} != target
-
-
-def test_synthesize_sequence_round_trip():
-    """Seeded random signed bases: 100 for each of n = 3, 4 and 5."""
-    rng = random.Random(20210405)
-    for n in (3, 4, 5):
-        checked = 0
-        while checked < 100:
-            basis = [rng.randrange(1, 2**n) for _ in range(n)]
-            span = {0}
-            for v in basis:
-                span |= {s ^ v for s in span}
-            if len(span) < 2**n:
-                continue
-            signs = [rng.choice((1, -1)) for _ in range(n)]
-            out = apply_prep(synthesize_sequence(basis, signs, n), equilibrium_zsum(n))
-            assert out == ZTermSum((mask_to_pattern(v, n), s) for v, s in zip(basis, signs))
-            checked += 1
 
 
 def test_pattern_mask_round_trip():

@@ -13,7 +13,6 @@ from orderfinding.simulator import (
     Hadamard,
     NotGate,
     QuantumState,
-    ZRotation,
     apply_gate,
     apply_unitary,
     basis_state,
@@ -87,14 +86,13 @@ def test_expectation_iz_order_two_final_state():
 def gate_strategy(draw):
     kind = draw(st.sampled_from(["h", "x", "z", "cz", "cx", "cp"]))
     spins = list(range(1, 6))
-    if kind in ("h", "x", "z"):
+    if kind in ("h", "x"):
         q = draw(st.sampled_from(spins))
-        if kind == "h":
-            return Hadamard(q)
-        if kind == "x":
-            return NotGate(q)
-        return ZRotation(q, draw(st.floats(-360, 360, allow_nan=False)))
+        return Hadamard(q) if kind == "h" else NotGate(q)
     pair = draw(st.permutations(spins))
+    if kind == "z":
+        return ConditionalZRotation(pair[0], pair[1], draw(st.floats(-360, 360, allow_nan=False)),
+                                    draw(st.booleans()))
     if kind == "cz":
         return ConditionalZRotation(pair[0], pair[1], draw(st.sampled_from([45.0, 90.0, 180.0, 30.0])),
                                     draw(st.booleans()))
@@ -157,8 +155,6 @@ def reference_unitary(op) -> np.ndarray:
         return _kron_on({op.spin: _H2})
     if isinstance(op, NotGate):
         return _kron_on({op.spin: _X2})
-    if isinstance(op, ZRotation):
-        return _kron_on({op.spin: np.diag([1.0, np.exp(1j * np.deg2rad(op.angle_deg))])})
     if isinstance(op, ConditionalZRotation):
         phase = np.exp((-1j if op.dagger else 1j) * np.deg2rad(op.angle_deg))
         return np.eye(DIM) + (phase - 1.0) * _kron_on({op.control: _KET1, op.target: _KET1})
@@ -185,7 +181,7 @@ def test_gate_unitary_matches_apply_gate_on_basis_states():
     ops = [
         Hadamard(3),
         NotGate(5),
-        ZRotation(2, 33.0),
+        ConditionalZRotation(3, 2, 33.0),
         ConditionalZRotation(2, 4, 45.0),
         ConditionalZRotation(5, 1, 90.0, dagger=True),
         ControlledNot(4, 2),

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -299,3 +300,51 @@ def test_molecule_config_shipped_file_matches_synthetic_parameters():
     assert loaded.shifts == PARAMS.shifts
     assert np.array_equal(loaded.couplings, PARAMS.couplings)
     assert loaded.linewidth_hz == PARAMS.linewidth_hz
+
+
+_CORRUPT_VALUE = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "null", "true", '"1"', "[]", "{}", "[0, 1]",
+                     "-0.5", "1" + "0" * 400]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def molecule_text(draw):
+    """The shipped config with one value corrupted, maybe a duplicated key, in a drawn layout."""
+    shifts = [repr(v) for v in PARAMS.shifts]
+    j = [[repr(float(v)) for v in row] for row in PARAMS.couplings]
+    linewidth = [repr(PARAMS.linewidth_hz)]
+    ws = draw(st.sampled_from(["", " ", "\n", "\n  ", "\t", "\r\n    "]))
+
+    def array(items):
+        return "[" + ("," + ws).join(items) + "]"
+
+    def config_members():
+        return [("shifts", array(shifts)), ("J", array(map(array, j))), ("linewidth_hz", linewidth[0])]
+
+    valid = config_members()
+    entries, k = draw(st.sampled_from([(shifts, k) for k in range(5)] + [(row, k) for row in j for k in range(5)]
+                                      + [(linewidth, 0)]))
+    entries[k] = draw(_CORRUPT_VALUE)
+    members = config_members()
+    if draw(st.booleans()):
+        members.append(draw(st.sampled_from(valid)))  # json.loads keeps the last of duplicate keys
+    members = draw(st.permutations(members))
+    return "{" + ws + ("," + ws).join(f'"{key}":{ws}{value}' for key, value in members) + ws + "}"
+
+
+@settings(max_examples=200)
+@given(molecule_text())
+def test_corrupted_molecule_config_loads_or_gives_a_located_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mol.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            params = load_molecule(path)
+        except ValueError as err:
+            message = str(err)
+            assert message.startswith(f"{path}:") and "\n" not in message
+        else:
+            assert isinstance(params, MoleculeParams)
