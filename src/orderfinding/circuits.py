@@ -143,10 +143,10 @@ def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int) -> bool
     branch |x>|y> to i^k times one basis state, so that holds exactly when
     the eight branches land on the eight target states and share one k.
     Full-unitary equality is deliberately not required: the readout
-    sequences only have to be correct on this subspace.
+    sequences only have to be correct on this subspace.  y is an int in 0..3.
     """
-    if not 0 <= y < 4:
-        raise ValueError(f"start element {y} out of range 0..3")
+    if type(y) is not int or not 0 <= y < 4:
+        raise ValueError(f"start element {y!r} is not an int in 0..3")
     images = [_native_image(seq, 4 * x + y) for x in range(8)]
     return ({index for index, _ in images} == {4 * x + power(pi, x)(y) for x in range(8)}
             and len({k for _, k in images}) == 1)

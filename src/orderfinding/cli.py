@@ -179,7 +179,7 @@ def cmd_guess_table(out: Path) -> int:
     dists = tuple(measurement.analytic_distribution(r) for r in measurement.ORDERS)
     _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"],
                [list(range(8))] + [d.probs.tolist() for d in dists])
-    sol = measurement.solve_guess_game(dists)
+    sol = measurement.solve_guess_game()
     _write_csv(out / "guess_strategy.csv", ["m", "g_r1", "g_r2", "g_r3", "g_r4"],
                [list(range(8))] + sol.strategy.g.T.tolist())
     _write_json(out / "guess_report.json", {

@@ -7,18 +7,17 @@ order-3 outcome distribution, whose entries involve sqrt(2).  (The
 classical one-query game is an LP too, but classical stores its optimal
 vertex and only checks it; the tests keep that LP as its reference.)
 
-`simplex_maximize` does not pivot in exact arithmetic.  A float64 two-phase
-simplex picks a basis.  `_exact_solve` gives that basis's primal and dual
-solutions: the float64 solution, rounded to fractions with denominators up
-to ROUND_DENOMINATOR, if it solves the system exactly, else exact
-Gauss-Jordan elimination.  Exact checks certify them: x >= 0, A x = b on
-every row, and no column with a positive reduced cost.  A basis that fails
-a check raises CertificateError; nothing falls back to exact pivoting.
-Infeasible and Unbounded come with an exactly checked Farkas vector or
-improving ray.  This follows Applegate, Cook, Dash & Espinoza, "Exact
-solutions to linear programming problems" (Oper. Res. Lett. 2007), and
-Dhiflaoui et al., "Certifying and repairing solutions to large LPs" (SODA
-2003).
+`simplex_maximize` solves the LPs of one contract, which both of those meet:
+b >= 0, A of full row rank, feasible and bounded.  It does not pivot in
+exact arithmetic.  A float64 two-phase simplex picks a basis, and
+`_exact_solve` rounds its float64 primal and dual solutions to fractions
+with denominators up to ROUND_DENOMINATOR.  Exact checks certify them:
+A x = b on every row, x >= 0, and no column with a positive reduced cost.
+Input outside the contract, and any failed check, raises CertificateError
+naming the case; nothing falls back to exact elimination or pivoting.  This
+follows Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
+programming problems" (Oper. Res. Lett. 2007), and Dhiflaoui et al.,
+"Certifying and repairing solutions to large LPs" (SODA 2003).
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-TOL = 1e-9  # float search: values within TOL count as equal, so near-ties are exact ties
+TOL = 1e-9  # float search on rows scaled to largest |entry| 1: values within TOL count as equal
 ROUND_DENOMINATOR = 10**6  # float solutions round to fractions with denominators up to this
 
 
@@ -145,23 +144,6 @@ class QSqrt2:
         return f"{self.a} + {self.b}*sqrt(2)"
 
 
-class Infeasible(ValueError):
-    """A x = b, x >= 0 has no solution; `farkas` is an exact y with y.A >= 0 and y.b < 0."""
-
-    def __init__(self, message: str, farkas: list):
-        super().__init__(message)
-        self.farkas = farkas
-
-
-class Unbounded(ValueError):
-    """`x` is an exact feasible point and `ray` an exact d >= 0 with A d = 0 and c.d > 0."""
-
-    def __init__(self, message: str, x: list, ray: list):
-        super().__init__(message)
-        self.x = x
-        self.ray = ray
-
-
 class CertificateError(RuntimeError):
     """A stored or computed certificate fails an exact check."""
 
@@ -228,47 +210,6 @@ def _float_simplex(T, basis):
         pivots += 1
 
 
-def _solve(M, r):
-    """Solve M z = r exactly for a square M given as sparse rows {column: value}.
-
-    Gauss-Jordan elimination: each step updates only the pivot row's nonzero
-    columns of the rows that hold the pivot column.
-    """
-    M = [dict(row) for row in M]
-    r = list(r)
-    holders = [set() for _ in M]  # column -> rows with a nonzero there
-    for i, row in enumerate(M):
-        for j in row:
-            holders[j].add(i)
-    pivot_row = []
-    used = set()
-    for j in range(len(M)):
-        free = holders[j] - used
-        if not free:
-            raise CertificateError(f"the basis is singular at column {j}")
-        p = min(free, key=lambda i: (len(M[i]), i))
-        used.add(p)
-        prow = M[p]
-        inv = 1 / prow[j]
-        for k in prow:
-            prow[k] *= inv
-        r[p] *= inv
-        for i in holders[j] - {p}:
-            row = M[i]
-            f = row[j]
-            for k, v in prow.items():
-                new = row[k] - f * v if k in row else -f * v
-                if new:
-                    row[k] = new
-                    holders[k].add(i)
-                else:
-                    del row[k]
-                    holders[k].discard(i)
-            r[i] -= f * r[p]
-        pivot_row.append(p)
-    return [r[p] for p in pivot_row]
-
-
 def _rounded_solution(M, r):
     """The float64 solution of M z = r, each coordinate rounded to a nearby fraction; None if singular.
 
@@ -299,99 +240,76 @@ def _dot(pairs, vec, zero):
     return sum((v * vec[k] for k, v in pairs), zero)
 
 
-def _exact_solve(M, r):
-    """Solve M z = r exactly: the rounded float solution if it checks exactly, else `_solve`."""
+def _exact_solve(M, r, kind, labels):
+    """Solve M z = r exactly by the rounded float solution; CertificateError names equation i as `kind labels[i]`."""
     z = _rounded_solution(M, r)
-    if z is not None and all(_dot(row.items(), z, 0) == ri for row, ri in zip(M, r)):
-        return z
-    return _solve(M, r)
+    if z is None:
+        raise CertificateError("the basis system is singular, or overflows, in float64")
+    for row, ri, label in zip(M, r, labels):
+        if _dot(row.items(), z, 0) != ri:
+            raise CertificateError(f"the rounded basis solution misses {kind} {label} exactly")
+    return z
 
 
 def simplex_maximize(A: Sequence[Sequence], b: Sequence, c: Sequence):
-    """Maximize c.x subject to A x = b, x >= 0; exact result, certified.
+    """Maximize c.x subject to A x = b, x >= 0, for an LP that meets the contract; exact, certified.
 
+    The contract: b >= 0, A of full row rank, the LP feasible and bounded.
     Entries may be int, Fraction or QSqrt2: ints count as Fractions, and one
-    QSqrt2 entry puts the whole LP in Q(sqrt(2)).  Returns
-    (value, x, duals) in the data's exact field, with duals y the exact
-    dual solution of the optimal basis: y.b = value and y.A >= c.  A float
-    two-phase simplex picks the basis.  x and y are its float solutions
-    rounded to fractions and kept only if they solve the basis system
-    exactly, with exact elimination as the fallback (`_exact_solve`).
-    Exact checks then certify them: x >= 0, A x = b on the rows dropped as
-    redundant, and no positive reduced cost outside the basis; a failure
-    raises CertificateError.  Infeasible and Unbounded carry their exact
-    certificates, found the same way.
+    QSqrt2 entry puts the whole LP in Q(sqrt(2)).  Returns (value, x, duals)
+    in that field, duals y being the optimal basis's dual solution: y.b =
+    value and y.A >= c.  A float two-phase simplex, its tableau rows scaled
+    to largest |entry| 1, picks the basis; x and y are its float solutions
+    rounded to fractions and checked exactly (`_exact_solve`, then x >= 0 and
+    the reduced costs).  Input outside the contract and every failed check
+    raise CertificateError naming the case and its row or column.
     """
     m, n = len(A), len(c)
     rows, cols, b, c, zero = _exact_data(A, b, c)
-    one = zero + 1
-    flips = [-1 if v < 0 else 1 for v in b]
+    for i, v in enumerate(b):
+        if v < 0:
+            raise CertificateError(f"row {i} has a negative right-hand side")
 
-    # Phase 1: artificial basis, maximize -(sum of artificials).
+    # Phase 1: artificial basis, maximize -(sum of artificials); each row scaled to largest |entry| 1.
     T = np.zeros((m + 1, n + m + 1))
     for i, row in enumerate(rows):
+        scale = max((abs(float(v)) for v in row.values()), default=1.0)
         for j, v in row.items():
-            T[i, j] = flips[i] * float(v)
+            T[i, j] = float(v) / scale
         T[i, n + i] = 1.0
-        T[i, -1] = flips[i] * float(b[i])
+        T[i, -1] = float(b[i]) / scale
     T[m, :n] = T[:m, :n].sum(axis=0)
     T[m, -1] = T[:m, -1].sum()
     basis = list(range(n, n + m))
     _float_simplex(T, basis)
     if T[m, -1] > TOL:
-        # y' solves B'^T y' = -1 on basic artificials, 0 elsewhere; y = flips * y'.
-        M = [cols[j] if j < n else {j - n: one} for j in basis]
-        farkas = _exact_solve(M, [zero if j < n else -flips[j - n] * one for j in basis])
-        if all(_dot(col.items(), farkas, zero) >= 0 for col in cols) and _dot(enumerate(b), farkas, zero) < 0:
-            raise Infeasible("LP is infeasible", farkas)
-        raise CertificateError("phase 1 ended infeasible, but its Farkas vector fails the exact check")
-    # Drive degenerate artificials out; a row with no real column left is redundant.
-    dropped = []
+        raise CertificateError(f"the LP is infeasible: phase 1 ends with artificial sum {T[m, -1]:.3g}")
+    # Drive degenerate artificials out; one with no real column left marks a dependent row.
     for i in range(m):
         if basis[i] >= n:
             nonzero = np.flatnonzero(np.abs(T[i, :n]) > TOL)
-            if nonzero.size:
-                _pivot(T, basis, i, int(nonzero[0]))
-            else:
-                dropped.append(i)
-    kept = [i for i in range(m) if i not in dropped]
-    redundant = {basis[i] - n for i in dropped}
-    basis = [basis[i] for i in kept]
+            if not nonzero.size:
+                raise CertificateError(f"row {basis[i] - n} depends on the other rows: A lacks full row rank")
+            _pivot(T, basis, i, int(nonzero[0]))
 
-    # Phase 2 on the kept tableau rows, with reduced costs for the current basis.
-    T = np.vstack([T[kept][:, list(range(n)) + [-1]], np.zeros(n + 1)])
+    # Phase 2, with reduced costs for the current basis.
+    T = np.vstack([T[:m, list(range(n)) + [-1]], np.zeros(n + 1)])
     cf = np.array([float(v) for v in c])
     T[-1, :n] = cf - cf[basis] @ T[:-1, :n]
     T[-1, -1] = -cf[basis] @ T[:-1, -1]
     entering = _float_simplex(T, basis)
-
-    # Exact solve on the basis: rows of A outside `redundant`, columns `basis`.
-    live = [i for i in range(m) if i not in redundant]
-    at = {j: k for k, j in enumerate(basis)}
-    B = [{at[j]: v for j, v in rows[i].items() if j in at} for i in live]
-    x = [zero] * n
-    for j, v in zip(basis, _exact_solve(B, [b[i] for i in live])):
-        x[j] = v
-    if any(x[j] < 0 for j in basis):
-        raise CertificateError("the basic solution has a negative entry")
-    for i in sorted(redundant):  # B x = b on the live rows was checked in _exact_solve
-        if _dot(rows[i].items(), x, zero) != b[i]:
-            raise CertificateError(f"the basic solution violates row {i}")
     if entering is not None:
-        ray = [zero] * n
-        ray[entering] = one
-        for j, v in zip(basis, _exact_solve(B, [cols[entering].get(i, zero) for i in live])):
-            ray[j] = -v
-        if all(v >= 0 for v in ray) and all(not _dot(row.items(), ray, zero) for row in rows) \
-                and _dot(enumerate(c), ray, zero) > 0:
-            raise Unbounded("LP is unbounded", x, ray)
-        raise CertificateError(f"column {entering} is no exact improving ray")
+        raise CertificateError(f"the LP is unbounded: column {entering} improves without limit")
 
-    pos = {i: k for k, i in enumerate(live)}
-    y = [zero] * m
-    Bt = [{pos[i]: v for i, v in cols[j].items() if i in pos} for j in basis]
-    for i, v in zip(live, _exact_solve(Bt, [c[j] for j in basis])):
-        y[i] = v
+    # Exact solves on the basis B (the columns `basis` of A): B x_B = b and B^T y = c_B.
+    at = {j: k for k, j in enumerate(basis)}
+    B = [{at[j]: v for j, v in row.items() if j in at} for row in rows]
+    x = [zero] * n
+    for j, v in zip(basis, _exact_solve(B, b, "row", range(m))):
+        if v < 0:
+            raise CertificateError(f"the basic solution is negative in column {j}")
+        x[j] = v
+    y = _exact_solve([cols[j] for j in basis], [c[j] for j in basis], "column", basis)
     for j, col in enumerate(cols):  # basic columns: B^T y = c_B was checked in _exact_solve
         if j not in at and c[j] - _dot(col.items(), y, zero) > 0:
             raise CertificateError(f"column {j} has a positive reduced cost")
@@ -442,7 +360,6 @@ def solve_maximin_assignment(payoffs: Sequence[Sequence]):
     value, x, duals = simplex_maximize(A, b, c)
     g = [[x[gvar(r, col)] for col in range(n_cols)] for r in range(n_rows)]
     prior = [-duals[col] for col in range(n_cols)]
-    total = sum(prior, zero)
-    if total != 0:
-        prior = [p / total for p in prior]
+    total = sum(prior, zero)  # at least 1: y.A >= c on the v column
+    prior = [p / total for p in prior]
     return value, g, prior

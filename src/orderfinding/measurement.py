@@ -45,12 +45,6 @@ class OutcomeDistribution:
                 raise InfeasibleInput("exact entries must have length 8")
             object.__setattr__(self, "exact", tuple(self.exact))
 
-    def exact_entries(self) -> tuple:
-        """Exact entries; floats are promoted to the Fractions they denote."""
-        if self.exact is not None:
-            return self.exact
-        return tuple(Fraction(float(p)) for p in self.probs)
-
 
 @dataclass(frozen=True)
 class GuessStrategy:
@@ -157,35 +151,28 @@ class GuessGameSolution:
     per_order_success: tuple[float, float, float, float]
 
 
-def solve_guess_game(dists: tuple[OutcomeDistribution, ...] | None = None) -> GuessGameSolution:
+def solve_guess_game() -> GuessGameSolution:
     """Maximin guess strategy: maximize the worst-case (over r) success probability.
 
-    Solved as an LP with an exactly certified solution; for the four
-    order-finding distributions the data lie in Q(sqrt(2)) and the optimum
-    comes out rational.  The dual solution is the hardest prior over r and
-    certifies optimality.
+    Solved on the four analytic distributions as an LP with an exactly
+    certified solution; their exact entries lie in Q(sqrt(2)) and the
+    optimum comes out rational.  The dual solution is the hardest prior over
+    r and certifies optimality.
     """
-    if dists is None:
-        dists = tuple(analytic_distribution(r) for r in ORDERS)
-    if len(dists) != 4:
-        raise InfeasibleInput("need one distribution per order 1..4")
-    exact = [d.exact_entries() for d in dists]
+    exact = [analytic_distribution(r).exact for r in ORDERS]
     payoffs = [[exact[k][m] for k in range(4)] for m in range(8)]
     value, g, prior = solve_maximin_assignment(payoffs)
     strategy = GuessStrategy(np.array([[float(g[m][k]) for k in range(4)] for m in range(8)]))
-    per = guess_success_per_r(strategy, dists)
     return GuessGameSolution(
         strategy=strategy,
         value=float(value),
         exact_value=value,
         exact_strategy=tuple(tuple(row) for row in g),
         prior=tuple(prior),
-        per_order_success=per,
+        per_order_success=guess_success_per_r(strategy),
     )
 
 
-def guess_success_per_r(strategy: GuessStrategy, dists: tuple[OutcomeDistribution, ...] | None = None):
-    """Pr[r' = r | r] for each order r under the given strategy."""
-    if dists is None:
-        dists = tuple(analytic_distribution(r) for r in ORDERS)
-    return tuple(float(np.dot(dists[k].probs, strategy.g[:, k])) for k in range(4))
+def guess_success_per_r(strategy: GuessStrategy) -> tuple[float, float, float, float]:
+    """Pr[r' = r | r] for each order r under the given strategy, on the analytic distributions."""
+    return tuple(float(np.dot(analytic_distribution(r).probs, strategy.g[:, k])) for k, r in enumerate(ORDERS))

@@ -64,9 +64,9 @@ def power(pi: Permutation, k: int) -> Permutation:
 
 
 def order_of(pi: Permutation, y: int) -> int:
-    """Smallest r >= 1 with pi^r(y) = y (the cycle length of y)."""
-    if not 0 <= y < N_ELEMENTS:
-        raise ValueError(f"element {y} out of range 0..3")
+    """Smallest r >= 1 with pi^r(y) = y (the cycle length of y); y is an int in 0..3."""
+    if type(y) is not int or not 0 <= y < N_ELEMENTS:
+        raise ValueError(f"element {y!r} is not an int in 0..3")
     z = pi(y)
     r = 1
     while z != y:

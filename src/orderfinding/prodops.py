@@ -106,13 +106,16 @@ def _check_prep_op(op) -> None:
 
 
 def conjugate(term: ZTerm, op) -> ZTerm:
-    """Conjugate one signed Z-string by a C_ij or N_i gate."""
+    """Conjugate one signed Z-string by a C_ij or N_i gate whose spins lie within the string."""
     _check_prep_op(op)
-    if isinstance(op, NotGate):
-        flip = term.pattern[op.spin - 1] == "Z"
-        return ZTerm(term.pattern, -term.sign if flip else term.sign)
-    zi = term.pattern[op.control - 1] == "Z"
-    zj = term.pattern[op.target - 1] == "Z"
+    try:
+        if isinstance(op, NotGate):
+            flip = term.pattern[op.spin - 1] == "Z"
+            return ZTerm(term.pattern, -term.sign if flip else term.sign)
+        zi = term.pattern[op.control - 1] == "Z"
+        zj = term.pattern[op.target - 1] == "Z"
+    except IndexError:  # gate spins are >= 1, so only a spin above the string's length gets here
+        raise ValueError(f"{op!r} acts on a spin above n={len(term.pattern)}") from None
     if not zj:
         return term
     chars = list(term.pattern)
@@ -253,10 +256,12 @@ def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequen
     and 7 for n = 1, 3, 5).  Raises SearchExhausted when max_experiments is
     below the bound, and for every even n: there the terms total an even
     number, but the target's coefficients sum to the odd 2^n - 1.
-    `n` must be an int (not a bool) in 1..5.
+    `n` must be an int (not a bool) in 1..5, and `max_experiments` an int >= 1.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= N_SPINS:
         raise ValueError(f"spin count {n!r} is not an int in 1..{N_SPINS}")
+    if type(max_experiments) is not int or max_experiments < 1:
+        raise ValueError(f"experiment budget {max_experiments!r} is not an int >= 1")
     if n % 2 == 0:
         raise SearchExhausted(
             f"no schedule exists for n={n}: experiments contribute n terms each, "

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from orderfinding import cli, exactlp, measurement
 from orderfinding.exactlp import (
     CertificateError,
-    Infeasible,
     QSqrt2,
-    Unbounded,
     simplex_maximize,
     solve_maximin_assignment,
 )
@@ -98,17 +96,30 @@ def test_simplex_small_known_lp():
 
 
 def test_simplex_detects_infeasible():
-    # x1 = -1 with x1 >= 0
-    with pytest.raises(Infeasible):
-        simplex_maximize([[1]], [Fraction(-1)], [Fraction(0)])
+    # -x1 = 1 with x1 >= 0
+    with pytest.raises(CertificateError, match="the LP is infeasible"):
+        simplex_maximize([[-1]], [Fraction(1)], [Fraction(0)])
+
+
+def test_simplex_detects_unbounded():
+    # max x2 with x1 - x2 = 1: x2 grows along (1, 1)
+    with pytest.raises(CertificateError, match="the LP is unbounded: column 1"):
+        simplex_maximize([[1, -1]], [Fraction(1)], [Fraction(0), Fraction(1)])
 
 
 def test_simplex_handles_redundant_rows():
+    # row 1 is twice row 0: outside the full-row-rank contract, and named
     A = [[1, 1], [2, 2]]
     b = [Fraction(1), Fraction(2)]
     c = [Fraction(1), Fraction(0)]
-    value, x, _ = simplex_maximize(A, b, c)
-    assert value == Fraction(1)
+    with pytest.raises(CertificateError, match="row 1 depends on the other rows"):
+        simplex_maximize(A, b, c)
+
+
+def test_tiny_rows_are_scaled_for_the_float_search():
+    # unscaled, the entry 1e-12 falls below TOL and the float search takes the row for zero
+    tiny = Fraction(1, 10**12)
+    assert simplex_maximize([[tiny]], [tiny], [1]) == (1, [1], [10**12])
 
 
 def test_maximin_identical_columns():
@@ -147,8 +158,8 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _columns(A):
-    return [list(col) for col in zip(*A)]
+def _columns(A, n):
+    return [[row[j] for row in A] for j in range(n)]
 
 
 def _assert_optimal(A, b, c, value, x, duals):
@@ -157,18 +168,7 @@ def _assert_optimal(A, b, c, value, x, duals):
     assert [_dot(row, x) for row in A] == list(b)
     assert _dot(c, x) == value
     assert _dot(duals, b) == value
-    assert all(_dot(duals, col) >= cj for col, cj in zip(_columns(A), c))
-
-
-@pytest.mark.parametrize("A, b, c", [
-    ([[-1, -1]], [-1], [1, 0]),
-    ([[1, 1], [2, 2]], [1, 2], [1, 0]),
-    ([[1, 1], [-2, -2]], [1, -2], [0, 1]),
-], ids=["negative_rhs", "redundant_rows", "redundant_negative_row"])
-def test_simplex_duals_certify_the_value(A, b, c):
-    value, x, duals = simplex_maximize(A, b, c)
-    assert value == 1
-    _assert_optimal(A, b, c, value, x, duals)
+    assert all(_dot(duals, col) >= cj for col, cj in zip(_columns(A, len(c)), c))
 
 
 # Brute-force reference: every basic feasible solution, found by trying every
@@ -197,9 +197,8 @@ def _support_solution(cols, b):
     return [M[i][k] for i in range(k)]
 
 
-def _vertices(A, b):
-    n = len(A[0])
-    cols = _columns(A)
+def _vertices(A, b, n):
+    cols = _columns(A, n)
     out = []
     for size in range(min(len(A), n) + 1):
         for support in combinations(range(n), size):
@@ -214,32 +213,48 @@ def _vertices(A, b):
 
 def _brute_force(A, b, c):
     """'infeasible', 'unbounded', or the optimal value of max c.x, A x = b, x >= 0."""
-    vertices = _vertices(A, b)
+    vertices = _vertices(A, b, len(c))
     if not vertices:
         return "infeasible"
     # extreme rays of {d >= 0, A d = 0} are the vertices of its slice sum(d) = 1
-    rays = _vertices(A + [[1] * len(c)], [0] * len(A) + [1])
+    rays = _vertices(A + [[1] * len(c)], [0] * len(A) + [1], len(c))
     if any(_dot(c, d) > 0 for d in rays):
         return "unbounded"
     return max(_dot(c, x) for x in vertices)
 
 
-def _solve_or_verdict(A, b, c):
-    """Run the solver; check whichever certificate it returns or raises, exactly."""
-    try:
-        value, x, duals = simplex_maximize(A, b, c)
-    except Infeasible as err:
-        y = err.farkas
-        assert all(_dot(y, col) >= 0 for col in _columns(A)) and _dot(y, b) < 0
-        return "infeasible"
-    except Unbounded as err:
-        assert all(v >= 0 for v in err.x) and [_dot(row, err.x) for row in A] == list(b)
-        d = err.ray
-        assert all(v >= 0 for v in d) and all(_dot(row, d) == 0 for row in A) and _dot(c, d) > 0
-        return "unbounded"
+def _contract_form(A, b):
+    """The same feasible set with rows negated to b >= 0 and dependent rows dropped, when A x = b is consistent."""
+    rows, rhs = [], []
+    for row, bi in zip(A, b):
+        sign = -1 if bi < 0 else 1
+        if _support_solution(rows + [row], [0] * len(row)) is not None:  # row is independent of those kept
+            rows.append([sign * v for v in row])
+            rhs.append(sign * bi)
+    return rows, rhs
+
+
+def _certified_value(A, b, c):
+    """The solver's value, with its primal and dual solutions checked exactly."""
+    value, x, duals = simplex_maximize(A, b, c)
     assert type(value) is Fraction
     _assert_optimal(A, b, c, value, x, duals)
     return value
+
+
+@pytest.mark.parametrize("A, b, c, match", [
+    ([[-1, -1]], [-1], [1, 0], "row 0 has a negative right-hand side"),
+    ([[1, 1], [2, 2]], [1, 2], [1, 0], "row 1 depends on the other rows"),
+    ([[1, 1], [-2, -2]], [1, -2], [0, 1], "row 1 has a negative right-hand side"),
+], ids=["negative_rhs", "redundant_rows", "redundant_negative_row"])
+def test_simplex_duals_certify_the_value(A, b, c, match):
+    # outside the contract the error names the row; in contract form the duals certify the value
+    with pytest.raises(CertificateError, match=match):
+        simplex_maximize(A, b, c)
+    A, b = _contract_form(A, b)
+    value, x, duals = simplex_maximize(A, b, c)
+    assert value == 1
+    _assert_optimal(A, b, c, value, x, duals)
 
 
 small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -269,7 +284,7 @@ def bounded_lps(draw):
     y0 = _vector(draw, m)
     s = _vector(draw, n, nonneg)
     b = [_dot(row, x0) for row in A]
-    c = [_dot(y0, col) - sj for col, sj in zip(_columns(A), s)]
+    c = [_dot(y0, col) - sj for col, sj in zip(_columns(A, n), s)]
     return A, b, c
 
 
@@ -305,17 +320,10 @@ def unbounded_lps(draw):
 @settings(max_examples=100)
 @given(bounded_lps())
 def test_simplex_matches_brute_force_on_bounded_lps(lp):
+    # in contract form a feasible, bounded LP meets the whole contract, so the solver must return
     A, b, c = lp
-    assert _solve_or_verdict(A, b, c) == _brute_force(A, b, c)
-
-
-@settings(max_examples=100)
-@given(st.one_of(infeasible_lps(), unbounded_lps()))
-def test_simplex_verdicts_carry_exact_certificates(lp):
-    A, b, c = lp
-    verdict = _brute_force(A, b, c)
-    assert verdict in ("infeasible", "unbounded")
-    assert _solve_or_verdict(A, b, c) == verdict
+    A, b = _contract_form(A, b)
+    assert _certified_value(A, b, c) == _brute_force(A, b, c)
 
 
 @st.composite
@@ -324,64 +332,52 @@ def any_lps(draw):
     return _matrix(draw, m, n), _vector(draw, m), _vector(draw, n)
 
 
-@settings(max_examples=100)
-@given(any_lps())
+@settings(max_examples=200)
+@given(st.one_of(any_lps(), infeasible_lps(), unbounded_lps()))
 def test_simplex_matches_brute_force_on_any_small_lp(lp):
+    # either the exactly certified optimum or CertificateError; never a wrong value or another exception
     A, b, c = lp
-    assert _solve_or_verdict(A, b, c) == _brute_force(A, b, c)
+    try:
+        value = _certified_value(A, b, c)
+    except CertificateError:
+        return
+    assert value == _brute_force(A, b, c)
 
 
-@pytest.mark.parametrize("tol, c, match", [
-    # the search stops at once, on the all-artificial basis, so x = 0 misses A x = b
-    (1e3, [1, 2, 0, 0], "violates row"),
-    # phase 1 leaves column 3 nonbasic; phase 2 takes its reduced cost 1/4 for a tie with 0
-    (0.5, [0, 0, 0, Fraction(1, 4)], "positive reduced cost"),
+@pytest.mark.parametrize("chosen, match", [
+    # x2 = 4 from row 0 leaves s2 = 3 - 4 in row 1
+    ([1, 3], "the basic solution is negative in column 3"),
+    # the slack basis x = 0 is feasible but leaves column 0 improving
+    ([2, 3], "column 0 has a positive reduced cost"),
 ], ids=["infeasible_basis", "suboptimal_basis"])
-def test_wrong_float_basis_raises_certificate_error(monkeypatch, tol, c, match):
-    monkeypatch.setattr(exactlp, "TOL", tol)
+def test_wrong_float_basis_raises_certificate_error(monkeypatch, chosen, match):
+    float_simplex = exactlp._float_simplex
+
+    def stopped(T, basis):  # the float search ends phase 2 on the basis `chosen`
+        if T.shape[1] == 5:  # the phase-2 tableau of the 2 x 4 LP below: 4 columns and the rhs
+            basis[:] = chosen
+            return None
+        return float_simplex(T, basis)
+    monkeypatch.setattr(exactlp, "_float_simplex", stopped)
     with pytest.raises(CertificateError, match=match):
-        simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], c)
+        simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], [1, 2, 0, 0])
 
 
-# The exact solve: a rounded float solution, kept only if it checks exactly,
-# with exact Gauss-Jordan elimination (`_solve`) as the fallback.
+# The exact solve: a rounded float solution, kept only if it checks exactly;
+# there is no exact-elimination fallback.
 
-def _forbid_elimination(monkeypatch):
-    def no_elimination(M, r):
-        raise AssertionError("exact elimination ran")
-    monkeypatch.setattr(exactlp, "_solve", no_elimination)
-
-
-def _count_elimination(monkeypatch):
-    calls = []
-    solve = exactlp._solve
-
-    def counted(M, r):
-        calls.append(len(M))
-        return solve(M, r)
-    monkeypatch.setattr(exactlp, "_solve", counted)
-    return calls
-
-
-def test_production_lps_take_the_rounded_path(monkeypatch):
+def test_production_lps_take_the_rounded_path():
     # the one-query LP is the reference model classical stores its vertex from; it keeps a full-size
     # Fraction LP (73 rows, 229 columns) on the rounded path
-    _forbid_elimination(monkeypatch)
     assert one_query_lp(0)[0] == Fraction(1, 2)
     assert measurement.solve_guess_game().exact_value == Fraction(60, 109)
 
 
-def test_denominator_above_the_rounding_bound_falls_back_to_elimination(monkeypatch):
+def test_denominator_above_the_rounding_bound_raises_certificate_error():
     k = 10**7 + 19
     assert k > exactlp.ROUND_DENOMINATOR
-    A, b, c = [[k, 1]], [1], [1, 0]
-    monkeypatch.setattr(exactlp, "_rounded_solution", lambda M, r: None)
-    eliminated = simplex_maximize(A, b, c)
-    monkeypatch.undo()
-    calls = _count_elimination(monkeypatch)
-    result = simplex_maximize(A, b, c)
-    assert calls == [1, 1]  # x and y both fell back
-    assert result == eliminated == (Fraction(1, k), [Fraction(1, k), 0], [Fraction(1, k)])
+    with pytest.raises(CertificateError, match="misses row 0"):
+        simplex_maximize([[k, 1]], [1], [1, 0])
 
 
 @pytest.mark.parametrize("M, r, z", [
@@ -398,9 +394,8 @@ def test_perturbed_candidate_is_rejected(monkeypatch, M, r, z):
         out[0] += Fraction(1, 10**6)
         return out
     monkeypatch.setattr(exactlp, "_rounded_solution", perturbed)
-    calls = _count_elimination(monkeypatch)
-    assert exactlp._exact_solve(M, r) == z
-    assert calls == [len(M)]
+    with pytest.raises(CertificateError, match="misses row 0"):
+        exactlp._exact_solve(M, r, "row", range(len(M)))
 
 
 def test_perturbed_candidates_never_reach_the_lp_result(monkeypatch):
@@ -411,46 +406,11 @@ def test_perturbed_candidates_never_reach_the_lp_result(monkeypatch):
         out[0] += Fraction(1, 10**6)
         return out
     monkeypatch.setattr(exactlp, "_rounded_solution", perturbed)
-    value, x, duals = simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], [1, 2, 0, 0])
-    assert (value, x, duals) == (7, [1, 3, 0, 0], [1, 1])
+    with pytest.raises(CertificateError, match="misses row 0"):
+        simplex_maximize([[1, 1, 1, 0], [0, 1, 0, 1]], [4, 3], [1, 2, 0, 0])
 
 
 def test_singular_system_raises_certificate_error():
     with pytest.raises(CertificateError, match="singular"):
         exactlp._exact_solve([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}],
-                             [Fraction(1), Fraction(2)])
-
-
-def _field(value, sqrt2):
-    return q(*value) if sqrt2 else Fraction(value[0])
-
-
-@pytest.mark.parametrize("sqrt2", [False, True], ids=["Q", "Q_sqrt2"])
-def test_farkas_vector_takes_the_rounded_path(monkeypatch, sqrt2):
-    # x0 + s x1 = 1 and x0 + s x1 = 2 contradict each other; s = 1 or sqrt(2)
-    s = _field((0, 1) if sqrt2 else (1,), sqrt2)
-    A = [[1, s, 1], [1, s, 1]]
-    b = [1, 2]
-    _forbid_elimination(monkeypatch)
-    with pytest.raises(Infeasible) as err:
-        simplex_maximize(A, b, [0, 0, 0])
-    y = err.value.farkas
-    assert all(type(v) is (QSqrt2 if sqrt2 else Fraction) for v in y)
-    assert all(sum((y[i] * A[i][j] for i in range(2)), 0) >= 0 for j in range(3))
-    assert sum((y[i] * b[i] for i in range(2)), 0) < 0
-
-
-@pytest.mark.parametrize("sqrt2", [False, True], ids=["Q", "Q_sqrt2"])
-def test_improving_ray_takes_the_rounded_path(monkeypatch, sqrt2):
-    # max x0 with x0 - s x1 + x2 = 1, x2 + x3 = 1: x0 grows without bound along (s, 1, 0, 0)
-    s = _field((0, 1) if sqrt2 else (1,), sqrt2)
-    A = [[1, -s, 1, 0], [0, 0, 1, 1]]
-    c = [1, 0, 0, 0]
-    _forbid_elimination(monkeypatch)
-    with pytest.raises(Unbounded) as err:
-        simplex_maximize(A, [1, 1], c)
-    d = err.value.ray
-    assert all(type(v) is (QSqrt2 if sqrt2 else Fraction) for v in d)
-    assert all(v >= 0 for v in d)
-    assert all(sum((a * v for a, v in zip(row, d)), 0) == 0 for row in A)
-    assert sum((a * v for a, v in zip(c, d)), 0) > 0
+                             [Fraction(1), Fraction(2)], "row", range(2))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from orderfinding import measurement
 from orderfinding.circuits import run_orderfinding
+from orderfinding.exactlp import solve_maximin_assignment
 from orderfinding.measurement import (
     ORDERS,
     GuessStrategy,
@@ -165,7 +166,7 @@ def test_guess_game_value_is_60_over_109():
     assert all(s >= sol.value - 1e-9 for s in sol.per_order_success)
     # dual certificate: the hardest prior's best response equals the value
     dists = tuple(analytic_distribution(r) for r in ORDERS)
-    payoffs = [[dist.exact_entries()[m] for dist in dists] for m in range(8)]
+    payoffs = [[dist.exact[m] for dist in dists] for m in range(8)]
     best = sum(max(sol.prior[k] * payoffs[m][k] for k in range(4)) for m in range(8))
     assert best == sol.exact_value
 
@@ -181,28 +182,26 @@ def test_solve_guess_game_strategy_and_value():
     assert sol.strategy.g.shape == (8, 4)
 
 
+# The guess game on other distributions: the same maximin LP on their payoffs,
+# payoffs[m][k] = Pr[m | order ORDERS[k]].
+
 def test_identical_distributions_give_quarter():
-    uniform = OutcomeDistribution(np.full(8, 1 / 8))
-    value = solve_guess_game((uniform,) * 4).value
-    assert value == pytest.approx(0.25, abs=1e-12)
+    value, _, _ = solve_maximin_assignment([[Fraction(1, 8)] * 4 for _ in range(8)])
+    assert value == Fraction(1, 4)
 
 
 def test_disjoint_supports_give_certainty():
-    dists = []
-    for r in range(4):
-        p = np.zeros(8)
-        p[2 * r] = p[2 * r + 1] = 0.5
-        dists.append(OutcomeDistribution(p))
-    value = solve_guess_game(tuple(dists)).value
-    assert value == pytest.approx(1.0, abs=1e-12)
+    # order k puts 1/2 on m = 2k and m = 2k + 1
+    value, _, _ = solve_maximin_assignment([[Fraction(1, 2) if m // 2 == k else 0 for k in range(4)]
+                                            for m in range(8)])
+    assert value == 1
 
 
 def test_value_invariant_under_order_relabeling():
-    base = tuple(analytic_distribution(r) for r in ORDERS)
-    value = solve_guess_game(base).value
-    for relabeling in ((3, 2, 1, 0), (1, 0, 3, 2), (2, 0, 3, 1)):
-        shuffled = solve_guess_game(tuple(base[k] for k in relabeling)).value
-        assert shuffled == pytest.approx(value, abs=1e-12)
+    exact = [analytic_distribution(r).exact for r in ORDERS]
+    for relabeling in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2), (2, 0, 3, 1)):
+        value, _, _ = solve_maximin_assignment([[exact[k][m] for k in relabeling] for m in range(8)])
+        assert value == Fraction(60, 109)
 
 
 def test_guess_success_per_r_examples():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderfinding.circuits import parse_native_sequence, verify_oracle_sequence
 from orderfinding.permutations import (
     IDENTITY,
     OracleSpec,
@@ -42,6 +43,16 @@ def test_validation():
 def test_validated_types_reject_non_integers_naming_the_value(cls, args, bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         cls(*args)
+
+
+@pytest.mark.parametrize("y", [1.5, True, "1", None, -1, 4])
+@pytest.mark.parametrize("read_y", [
+    order_of,
+    lambda pi, y: verify_oracle_sequence(parse_native_sequence("C35"), pi, y),
+], ids=["order_of", "verify_oracle_sequence"])
+def test_start_element_is_an_int_in_range_where_it_is_read(read_y, y):
+    with pytest.raises(ValueError, match=re.escape(repr(y))):
+        read_y(IDENTITY, y)
 
 
 _ELEMENT_TEXT = st.sampled_from(["0", "1", "2", "3", "4", "9", "03", " 1", "x", ""])

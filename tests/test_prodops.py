@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,28 @@ def test_perturbed_stored_schedule_raises_certificate_error(n, monkeypatch):
 def test_schedule_prep_rejects_a_spin_count_that_is_not_an_int_in_range(n):
     with pytest.raises(ValueError, match="spin count"):
         schedule_prep(n, 9)
+
+
+def _verify_on_three_spins(text):
+    return verify_prep_set([parse_native_sequence(text)], 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _verify_on_three_spins("C45"), "ControlledNot(control=4, target=5) acts on a spin above n=3"),
+    (lambda: _verify_on_three_spins("N4"), "NotGate(spin=4) acts on a spin above n=3"),
+    (lambda: apply_prep((NotGate(3),), equilibrium_zsum(2)), "NotGate(spin=3) acts on a spin above n=2"),
+    (lambda: conjugate(ZTerm("ZZ"), ControlledNot(1, 3)),
+     "ControlledNot(control=1, target=3) acts on a spin above n=2"),
+    (lambda: schedule_prep(3, 3.5), "experiment budget 3.5 is not an int >= 1"),
+    (lambda: schedule_prep(3, True), "experiment budget True is not an int >= 1"),
+    (lambda: schedule_prep(3, "9"), "experiment budget '9' is not an int >= 1"),
+    (lambda: schedule_prep(3, None), "experiment budget None is not an int >= 1"),
+    (lambda: schedule_prep(3, 0), "experiment budget 0 is not an int >= 1"),
+], ids=["verify_C45", "verify_N4", "apply_prep", "conjugate",
+        "budget_3.5", "budget_True", "budget_str", "budget_None", "budget_0"])
+def test_prep_input_errors_name_the_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_two_spin_schedules_are_impossible_for_any_experiment_count():
