@@ -326,6 +326,21 @@ def test_simplex_matches_brute_force_on_bounded_lps(lp):
     assert _certified_value(A, b, c) == _brute_force(A, b, c)
 
 
+@settings(max_examples=100)
+@given(st.one_of(infeasible_lps(), unbounded_lps()))
+def test_simplex_verdicts_carry_exact_certificates(lp):
+    # no verdict is returned: the LP raises CertificateError, and in contract form the message names the verdict
+    A, b, c = lp
+    verdict = _brute_force(A, b, c)
+    assert verdict in ("infeasible", "unbounded")
+    with pytest.raises(CertificateError):
+        simplex_maximize(A, b, c)
+    A, b = _contract_form(A, b)
+    if _brute_force(A, b, c) == verdict:  # dropping an inconsistent row can change the verdict
+        with pytest.raises(CertificateError, match=f"the LP is {verdict}"):
+            simplex_maximize(A, b, c)
+
+
 @st.composite
 def any_lps(draw):
     m, n = draw(shapes())
