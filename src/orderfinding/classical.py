@@ -14,17 +14,19 @@ searched for: the witness is a strategy, the prior a distribution, and the
 witness's worst-case payoff equals the prior's best-response value, so by
 weak duality both equal the game value, exactly 1/2.  Relabeling carries
 the certificate to y = 1..3.  A failed check raises CertificateError.
+The checks sum integer numerators over one denominator (weight times guess
+probability, or prior mass), so each result is one Fraction(total, den).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-
-import numpy as np
+from functools import cache, cached_property
+from math import lcm, prod
+from types import MappingProxyType
 
 from .exactlp import CertificateError
-from .permutations import N_ELEMENTS, Permutation, all_permutations, compose, order_of, power
+from .permutations import N_ELEMENTS, Permutation, all_permutations, order_of, power
 
 MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
 
@@ -45,10 +47,15 @@ HARDEST_PRIOR = {
 }
 
 
+def _check_start(y: int) -> None:
+    """Reject a start element that is not an int (bools too) in 0..3."""
+    if type(y) is not int or not 0 <= y < N_ELEMENTS:
+        raise ValueError(f"start element {y!r} is not an int in 0..3")
+
+
 def _trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
     """(pi^0(y), pi^1(y), ..., pi^12(y)): every observation a query can make."""
-    if not 0 <= y < N_ELEMENTS:
-        raise ValueError(f"element {y} out of range 0..3")
+    _check_start(y)
     path = [y]
     for _ in range(MAX_EXPONENT):
         path.append(pi(path[-1]))
@@ -73,19 +80,31 @@ class OneQueryStrategy:
     x_weights: dict[int, Fraction]
     guesses: dict[tuple[int, int], tuple[Fraction, Fraction, Fraction, Fraction]]
 
+    def __post_init__(self) -> None:
+        # read-only copies, so the integer table cached from them cannot go stale
+        object.__setattr__(self, "x_weights", MappingProxyType(dict(self.x_weights)))
+        object.__setattr__(self, "guesses", MappingProxyType(dict(self.guesses)))
+
     def payoff(self, pi: Permutation, y: int = 0) -> Fraction:
-        return self._payoff(_trajectory(pi, y))
+        return Fraction(self._scaled_payoff(_trajectory(pi, y)), self._table[0])
 
     def min_payoff(self, y: int = 0) -> Fraction:
-        return min(self._payoff(path) for path in _trajectories(y))
+        return Fraction(min(self._scaled_payoff(path) for path in _trajectories(y)), self._table[0])
 
-    def _payoff(self, path: tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
-        r = _order(path)
-        for x, qx in self.x_weights.items():
-            if qx:
-                total += qx * self.guesses[(x, path[x])][r - 1]
-        return total
+    @cached_property
+    def _table(self) -> tuple[int, tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
+        """(den, live x, cells): cells[(x, z)][r - 1] is weight(x) * Pr[guess r | x, z] in units of 1/den."""
+        xs = tuple(x for x, qx in self.x_weights.items() if qx)
+        live = {(x, z): (self.x_weights[x], row) for (x, z), row in self.guesses.items() if x in xs}
+        den = lcm(*(qx.denominator * g.denominator for qx, row in live.values() for g in row))
+        cells = {key: tuple(qx.numerator * g.numerator * (den // (qx.denominator * g.denominator)) for g in row)
+                 for key, (qx, row) in live.items()}
+        return den, xs, cells
+
+    def _scaled_payoff(self, path: tuple[int, ...]) -> int:
+        _, xs, cells = self._table
+        r = _order(path) - 1
+        return sum(cells[(x, path[x])][r] for x in xs)
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,7 @@ class TwoQueryStrategy:
     table: dict[tuple[bool, bool], int]
 
     def guess(self, pi: Permutation, y: int) -> int:
+        _check_start(y)
         obs = tuple(power(pi, x)(y) == y for x in self.queries)
         return self.table[obs]
 
@@ -132,16 +152,19 @@ class OneQueryReport:
 
 
 def prior_best_response_value(prior: list[Fraction], y: int = 0) -> Fraction:
-    """Value of the best deterministic single-query reply to a prior over permutations."""
+    """Value of the best deterministic single-query reply to a prior, one mass per all_permutations() entry."""
     paths = _trajectories(y)
-    best = Fraction(0)
+    if len(prior) != len(paths):
+        raise ValueError(f"prior has {len(prior)} masses, expected {len(paths)} (one per permutation)")
+    den = lcm(*(p.denominator for p in prior))
+    live = [(p.numerator * (den // p.denominator), path, _order(path) - 1) for p, path in zip(prior, paths) if p]
+    best = 0
     for x in range(1, MAX_EXPONENT + 1):
-        mass = [[Fraction(0)] * 4 for _ in range(4)]  # mass[z][r - 1]
-        for p, path in zip(prior, paths):
-            if p:
-                mass[path[x]][_order(path) - 1] += p
-        best = max(best, sum((max(m) for m in mass), Fraction(0)))
-    return best
+        mass = [[0] * 4 for _ in range(4)]  # mass[z][r - 1], in units of 1/den
+        for p, path, r in live:
+            mass[path[x]][r] += p
+        best = max(best, sum(max(m) for m in mass))
+    return Fraction(best, den)
 
 
 def _transpose_relabel(y: int) -> Permutation:
@@ -160,12 +183,9 @@ def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fra
     tau = _transpose_relabel(y)
     guesses = {(x, z): witness.guesses[(x, tau(z))] for (x, z) in witness.guesses}
     witness_y = OneQueryStrategy(witness.x_weights, guesses)
-    perms = all_permutations()
-    prior_y = []
-    by_images = {pi.images: p for pi, p in zip(perms, prior)}
-    for pi in perms:
-        conj = compose(tau, compose(pi, tau))
-        prior_y.append(by_images[conj.images])
+    t = tau.images
+    by_images = {pi.images: p for pi, p in zip(all_permutations(), prior)}
+    prior_y = [by_images[tuple(t[img[t[v]]] for v in range(N_ELEMENTS))] for img in by_images]  # tau pi tau
     lower = witness_y.min_payoff(y)
     upper = prior_best_response_value(prior_y, y)
     if lower != upper:
@@ -238,13 +258,19 @@ class TwoQueryReport:
 
 
 def _single_query_deterministic_perfect_count(y: int = 0) -> tuple[int, int]:
-    """Enumerate all x in 1..12 and guess functions {0..3} -> {1..4}; count perfect ones."""
+    """Count the perfect pairs of x in 1..12 and guess function {0..3} -> {1..4}, out of all 12 * 4^4.
+
+    At a fixed x, each seen z multiplies the count of perfect guess tables by
+    4 if no trajectory shows z, by 1 if all that do share one order, else by 0.
+    """
     paths = _trajectories(y)
-    orders = np.array([_order(path) for path in paths])
-    guesses = (np.arange(4**4)[:, None] >> 2 * np.arange(4)) % 4 + 1  # guesses[code, z]: the guess on seeing z
-    perfect = sum(int((guesses[:, [path[x] for path in paths]] == orders).all(axis=1).sum())
-                  for x in range(1, MAX_EXPONENT + 1))
-    return len(guesses) * MAX_EXPONENT, perfect
+    perfect = 0
+    for x in range(1, MAX_EXPONENT + 1):
+        seen = [set() for _ in range(N_ELEMENTS)]  # seen[z]: the orders of the trajectories showing z
+        for path in paths:
+            seen[path[x]].add(_order(path))
+        perfect += prod(N_ELEMENTS if not orders else int(len(orders) == 1) for orders in seen)
+    return N_ELEMENTS**N_ELEMENTS * MAX_EXPONENT, perfect
 
 
 def two_query_certainty() -> TwoQueryReport:

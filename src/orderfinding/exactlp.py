@@ -51,7 +51,7 @@ class QSqrt2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QSqrt2(self.a + o.a, self.b + o.b)
+        return QSqrt2(self.a + o.a, self.b + o.b if o.b else self.b)
 
     __radd__ = __add__
 
@@ -62,7 +62,7 @@ class QSqrt2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b)
+        return QSqrt2(self.a - o.a, self.b - o.b if o.b else self.b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -74,6 +74,10 @@ class QSqrt2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not o.b:  # a rational factor: no sqrt(2) cross terms
+            return QSqrt2(self.a * o.a, self.b * o.a)
+        if not self.b:
+            return QSqrt2(self.a * o.a, self.a * o.b)
         return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__

@@ -49,11 +49,6 @@ class OracleSpec:
             raise ValueError(f"start element {self.y!r} is not an int in 0..3")
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: (p*q)(y) = p(q(y))."""
-    return Permutation(tuple(p(q(y)) for y in range(N_ELEMENTS)))
-
-
 def power(pi: Permutation, k: int) -> Permutation:
     if k < 0:
         raise ValueError("exponent must be nonnegative")

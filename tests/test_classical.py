@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderfinding import classical
 from orderfinding.classical import (
@@ -50,6 +52,17 @@ def test_always_guess_one_has_zero_worst_case():
     assert strategy.min_payoff() == 0
 
 
+def test_strategy_keeps_a_read_only_copy_of_its_input():
+    weights, guesses = {3: Fraction(1)}, dict(paper_one_query_witness().guesses)
+    strategy = OneQueryStrategy(weights, guesses)
+    assert strategy.min_payoff() == Fraction(1, 2)
+    weights[3] = Fraction(2)
+    guesses[(3, 0)] = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert strategy.min_payoff() == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        strategy.x_weights[3] = Fraction(0)
+
+
 def test_exponent_reduction_soundness():
     # pi^(x+12) = pi^x for every x in 1..12 and every permutation
     for pi in PERMS:
@@ -74,8 +87,8 @@ def test_two_query_report(one_query_report):
 
 def test_single_query_count_matches_enumeration_on_a_smaller_adversary(monkeypatch):
     # Against only the identity and (0 1), any odd x tells the two apart, so
-    # perfect deterministic strategies exist; the vectorized count must find
-    # exactly those a direct enumeration with `power` finds.
+    # perfect deterministic strategies exist; the per-z product count must
+    # find exactly those a direct enumeration with `power` finds.
     perms = [PERMS[0], next(pi for pi in PERMS if pi.images == (1, 0, 2, 3))]
     monkeypatch.setattr(classical, "_trajectories", lambda y: tuple(classical._trajectory(pi, y) for pi in perms))
     expected = 0
@@ -200,3 +213,67 @@ def test_perturbed_stored_vertex_raises_certificate_error(monkeypatch, name, sto
     monkeypatch.setattr(classical, name, stored)
     with pytest.raises(CertificateError, match=match):
         one_query_value()
+
+
+def reference_payoff(strategy: OneQueryStrategy, path: tuple[int, ...]) -> Fraction:
+    """The Fraction loop classical used before its integer table: the reference for payoff."""
+    total = Fraction(0)
+    r = classical._order(path)
+    for x, qx in strategy.x_weights.items():
+        if qx:
+            total += qx * strategy.guesses[(x, path[x])][r - 1]
+    return total
+
+
+def reference_best_response(prior: list[Fraction], y: int) -> Fraction:
+    """The Fraction loop classical used before scaling the prior to ints: the reference."""
+    paths = classical._trajectories(y)
+    best = Fraction(0)
+    for x in range(1, MAX_EXPONENT + 1):
+        mass = [[Fraction(0)] * 4 for _ in range(4)]  # mass[z][r - 1]
+        for p, path in zip(prior, paths):
+            if p:
+                mass[path[x]][classical._order(path) - 1] += p
+        best = max(best, sum((max(m) for m in mass), Fraction(0)))
+    return best
+
+
+masses = st.builds(Fraction, st.integers(0, 9), st.sampled_from([1, 2, 3, 5, 7, 12, 35]))
+
+
+def _distribution(draw, size: int) -> list[Fraction]:
+    """size masses of mixed denominators summing to 1; some are zero, and all are when none was drawn."""
+    raw = draw(st.lists(masses, min_size=size, max_size=size))
+    total = sum(raw)
+    return [p / total for p in raw] if total else [Fraction(1)] + [Fraction(0)] * (size - 1)
+
+
+@st.composite
+def one_query_strategies(draw) -> OneQueryStrategy:
+    xs = draw(st.lists(st.integers(1, MAX_EXPONENT), min_size=1, max_size=5, unique=True))
+    weights = dict(zip(xs, _distribution(draw, len(xs))))
+    guesses = {(x, z): tuple(_distribution(draw, 4)) for x in xs for z in range(4)}
+    return OneQueryStrategy(weights, guesses)
+
+
+@st.composite
+def priors(draw) -> list[Fraction]:
+    return _distribution(draw, len(PERMS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(one_query_strategies(), priors())
+def test_integer_checks_equal_the_fraction_reference(strategy, prior):
+    for y in range(4):
+        payoffs = [reference_payoff(strategy, path) for path in classical._trajectories(y)]
+        got = [strategy.payoff(pi, y) for pi in PERMS]
+        assert got == payoffs and all(type(p) is Fraction for p in got)
+        assert strategy.min_payoff(y) == min(payoffs)
+        best = prior_best_response_value(prior, y)
+        assert best == reference_best_response(prior, y) and type(best) is Fraction
+
+
+@pytest.mark.parametrize("size", [0, 1, 23, 25, 30])
+def test_prior_of_wrong_length_raises_value_error(size):
+    with pytest.raises(ValueError, match=f"prior has {size} masses, expected 24"):
+        prior_best_response_value([Fraction(1, 24)] * size, 0)

@@ -65,6 +65,26 @@ def test_fraction_parts_are_kept_and_other_parts_become_fractions():
         assert y.a == Fraction(part) and y.b == Fraction(part)
 
 
+rationals = st.fractions(max_denominator=60)
+sqrt2_parts = st.one_of(st.just(Fraction(0)), rationals)  # zero b parts often, to reach the rational fast path
+
+
+@settings(max_examples=100)
+@given(rationals, sqrt2_parts, rationals, sqrt2_parts)
+def test_rational_fast_path_matches_the_general_formula(a1, b1, a2, b2):
+    x, y = QSqrt2(a1, b1), QSqrt2(a2, b2)
+    expected = [
+        (x * y, (a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)),
+        (x + y, (a1 + a2, b1 + b2)),
+        (x - y, (a1 - a2, b1 - b2)),
+        (x * a2, (a1 * a2, b1 * a2)),
+        (a2 * x, (a1 * a2, b1 * a2)),
+    ]
+    for result, parts in expected:
+        assert (result.a, result.b) == parts
+        assert type(result.a) is Fraction and type(result.b) is Fraction
+
+
 def _wrap_every_part(self, a=0, b=0):
     self.a = Fraction(a)
     self.b = Fraction(b)

@@ -66,6 +66,15 @@ def test_public_functions_no_module_calls_do_not_grow():
     assert _uncalled_public() <= UNCALLED_PUBLIC
 
 
+def test_classical_imports_no_numpy():
+    # classical's certificates are exact integer and Fraction work; numpy still
+    # loads through `permutations`, which imports `simulator` for `oracle_stages`
+    tree = ast.parse((PACKAGE / "classical.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {name for name in modules if name.partition(".")[0] == "numpy"}
+
+
 def test_importing_the_package_loads_no_numpy():
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

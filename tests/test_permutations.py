@@ -1,16 +1,17 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderfinding import classical
 from orderfinding.circuits import parse_native_sequence, verify_oracle_sequence
 from orderfinding.permutations import (
     IDENTITY,
     OracleSpec,
     Permutation,
     all_permutations,
-    compose,
     format_cycles,
     oracle_stages,
     order_of,
@@ -22,6 +23,11 @@ from orderfinding.spectra import FrequencyGrid
 
 PERMS = all_permutations()
 perm_strategy = st.sampled_from(PERMS)
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: (p*q)(y) = p(q(y))."""
+    return Permutation(tuple(p(q(y)) for y in range(4)))
 
 
 def test_validation():
@@ -49,7 +55,13 @@ def test_validated_types_reject_non_integers_naming_the_value(cls, args, bad):
 @pytest.mark.parametrize("read_y", [
     order_of,
     lambda pi, y: verify_oracle_sequence(parse_native_sequence("C35"), pi, y),
-], ids=["order_of", "verify_oracle_sequence"])
+    classical._trajectory,
+    lambda pi, y: classical.paper_one_query_witness().payoff(pi, y),
+    lambda pi, y: classical.paper_one_query_witness().min_payoff(y),
+    lambda pi, y: classical.prior_best_response_value([Fraction(1, 24)] * 24, y),
+    lambda pi, y: classical.two_query_witness().guess(pi, y),
+], ids=["order_of", "verify_oracle_sequence", "trajectory", "payoff", "min_payoff", "prior_best_response_value",
+        "two_query_guess"])
 def test_start_element_is_an_int_in_range_where_it_is_read(read_y, y):
     with pytest.raises(ValueError, match=re.escape(repr(y))):
         read_y(IDENTITY, y)
