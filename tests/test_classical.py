@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from orderfinding import classical
@@ -261,7 +261,6 @@ def priors(draw) -> list[Fraction]:
     return _distribution(draw, len(PERMS))
 
 
-@settings(max_examples=30, deadline=None)
 @given(one_query_strategies(), priors())
 def test_integer_checks_equal_the_fraction_reference(strategy, prior):
     for y in range(4):

@@ -69,7 +69,6 @@ rationals = st.fractions(max_denominator=60)
 sqrt2_parts = st.one_of(st.just(Fraction(0)), rationals)  # zero b parts often, to reach the rational fast path
 
 
-@settings(max_examples=100)
 @given(rationals, sqrt2_parts, rationals, sqrt2_parts)
 def test_rational_fast_path_matches_the_general_formula(a1, b1, a2, b2):
     x, y = QSqrt2(a1, b1), QSqrt2(a2, b2)
