@@ -26,7 +26,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from .exactlp import CertificateError
-from .permutations import N_ELEMENTS, Permutation, all_permutations, order_of, power
+from .permutations import ALL_PERMUTATIONS, N_ELEMENTS, Permutation, order_of, power
 
 MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
 
@@ -64,8 +64,8 @@ def _trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
 
 @cache
 def _trajectories(y: int) -> tuple[tuple[int, ...], ...]:
-    """The trajectory of y under each permutation, in all_permutations() order."""
-    return tuple(_trajectory(pi, y) for pi in all_permutations())
+    """The trajectory of y under each permutation, in ALL_PERMUTATIONS order."""
+    return tuple(_trajectory(pi, y) for pi in ALL_PERMUTATIONS)
 
 
 def _order(path: tuple[int, ...]) -> int:
@@ -152,7 +152,7 @@ class OneQueryReport:
 
 
 def prior_best_response_value(prior: list[Fraction], y: int = 0) -> Fraction:
-    """Value of the best deterministic single-query reply to a prior, one mass per all_permutations() entry."""
+    """Value of the best deterministic single-query reply to a prior, one mass per ALL_PERMUTATIONS entry."""
     paths = _trajectories(y)
     if len(prior) != len(paths):
         raise ValueError(f"prior has {len(prior)} masses, expected {len(paths)} (one per permutation)")
@@ -184,7 +184,7 @@ def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fra
     guesses = {(x, z): witness.guesses[(x, tau(z))] for (x, z) in witness.guesses}
     witness_y = OneQueryStrategy(witness.x_weights, guesses)
     t = tau.images
-    by_images = {pi.images: p for pi, p in zip(all_permutations(), prior)}
+    by_images = {pi.images: p for pi, p in zip(ALL_PERMUTATIONS, prior)}
     prior_y = [by_images[tuple(t[img[t[v]]] for v in range(N_ELEMENTS))] for img in by_images]  # tau pi tau
     lower = witness_y.min_payoff(y)
     upper = prior_best_response_value(prior_y, y)
@@ -209,8 +209,8 @@ def _stored_witness() -> OneQueryStrategy:
 
 
 def _prior_vector(prior: dict[str, Fraction]) -> list[Fraction]:
-    """The prior as masses in all_permutations() order, checked to be a distribution."""
-    names = [str(pi) for pi in all_permutations()]
+    """The prior as masses in ALL_PERMUTATIONS order, checked to be a distribution."""
+    names = [str(pi) for pi in ALL_PERMUTATIONS]
     unknown = sorted(set(prior) - set(names))
     if unknown:
         raise CertificateError(f"hardest prior names {unknown[0]!r}, not a permutation of 0..3")
@@ -237,11 +237,10 @@ def one_query_value() -> OneQueryReport:
     values = [value]
     for y in range(1, 4):
         values.append(_value_at_y(y, witness, prior))
-    perms = all_permutations()
     return OneQueryReport(
         value=value,
         witness=witness,
-        prior={str(pi): p for pi, p in zip(perms, prior) if p},
+        prior={str(pi): p for pi, p in zip(ALL_PERMUTATIONS, prior) if p},
         prior_best_response=upper,
         paper_witness_value=paper_one_query_witness().min_payoff(),
         values_per_y=tuple(values),
@@ -277,7 +276,7 @@ def two_query_certainty() -> TwoQueryReport:
     """Certify that two queries determine the order on all 96 cases, one query cannot."""
     witness = two_query_witness()
     cases = 0
-    for pi in all_permutations():
+    for pi in ALL_PERMUTATIONS:
         for y in range(4):
             if witness.guess(pi, y) != order_of(pi, y):
                 raise CertificateError(f"two-query witness failed on {pi}, y={y}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import circuits, classical, measurement, prodops, spectra
 from .exactlp import CertificateError
-from .permutations import OracleSpec, all_permutations, format_cycles, order_of, parse_permutation
+from .permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
 from .simulator import circuit_unitary
 
 SWEEP_TOL = 1e-10
@@ -82,10 +82,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 @functools.cache
 def _guess_game() -> measurement.GuessGameSolution:
-    """The guess game on the four analytic distributions, solved once per process.
+    """The guess game's stored optimum, certified once per process.
 
     It does not depend on the instance.  `measurement.solve_guess_game` is
-    looked up on each call, and a failed solve is not cached.
+    looked up on each call, and a failed certificate is not cached.
     """
     return measurement.solve_guess_game()
 
@@ -135,7 +135,7 @@ def cmd_sweep(out: Path) -> int:
     analytic = {r: measurement.analytic_distribution(r).probs for r in measurement.ORDERS}
     rows = []
     worst = 0.0
-    for pi in all_permutations():
+    for pi in ALL_PERMUTATIONS:
         for y in range(4):
             state = circuits.run_orderfinding(OracleSpec(pi, y))
             r = order_of(pi, y)
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     prep = sub.add_parser("prep-verify", help="verify the nine-experiment preparation set")
     prep.add_argument("--out", type=Path, default=Path("out"))
 
-    guess = sub.add_parser("guess-table", help="solve the optimal guess strategy LP")
+    guess = sub.add_parser("guess-table", help="certify the stored optimal guess strategy and write its tables")
     guess.add_argument("--out", type=Path, default=Path("out"))
 
     cls = sub.add_parser("classical", help="exact classical one/two-query bounds")

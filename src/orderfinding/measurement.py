@@ -1,4 +1,4 @@
-"""Outcome distributions, ensemble observables, and the optimal guess strategy.
+"""Outcome distributions, ensemble observables, and the certified optimal guess strategy.
 
 The measured three-bit outcome is assembled as m = 4*m3 + 2*m2 + m1, where
 m_i is the bit read from spin i: the QFT is run without its final swap, so
@@ -8,6 +8,9 @@ observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
 `simulated_distribution` and `final_density` read the circuit's final state
 from one `circuits.run_orderfinding(spec)`, and `simulated_observables` reads
 the density that `final_density` builds once per instance.
+
+The guess game's optimal vertex is stored as literals and certified on every
+`solve_guess_game()` call; by weak duality its value is exactly 60/109.
 """
 from __future__ import annotations
 
@@ -17,10 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import QSqrt2, solve_maximin_assignment
+from .exactlp import CertificateError, QSqrt2
 from .simulator import DensityOperator, QuantumState, expectation_Iz, register_probabilities
 
 ORDERS = (1, 2, 3, 4)
+
+# The optimal vertex of the guess game, in units of 1/GUESS_DENOMINATOR: GUESS_STRATEGY[m][k]
+# is the probability of guessing ORDERS[k] on outcome m, GUESS_PRIOR[k] the hardest prior's mass
+# on ORDERS[k].  Row m = 0 mixes; rows m = 1..7 guess r = 3, 4, 3, 2, 3, 4, 3.
+GUESS_DENOMINATOR = 109
+GUESS_STRATEGY = ((60, 11, 16, 22), (0, 0, 109, 0), (0, 0, 0, 109), (0, 0, 109, 0),
+                  (0, 109, 0, 0), (0, 0, 109, 0), (0, 0, 0, 109), (0, 0, 109, 0))
+GUESS_PRIOR = (11, 22, 32, 44)
 
 
 class InfeasibleInput(ValueError):
@@ -145,30 +156,42 @@ def infer_order(dist: OutcomeDistribution) -> int:
 class GuessGameSolution:
     strategy: GuessStrategy
     value: float
-    exact_value: object
-    exact_strategy: tuple
-    prior: tuple
+    exact_value: QSqrt2
+    prior: tuple[QSqrt2, ...]
     per_order_success: tuple[float, float, float, float]
 
 
-def solve_guess_game() -> GuessGameSolution:
-    """Maximin guess strategy: maximize the worst-case (over r) success probability.
+def _certified_value(exact, strategy, prior) -> QSqrt2:
+    """The guess-game value pinned by a strategy and a prior, or CertificateError naming the failed check.
 
-    Solved on the four analytic distributions as an LP with an exactly
-    certified solution; their exact entries lie in Q(sqrt(2)) and the
-    optimum comes out rational.  The dual solution is the hardest prior over
-    r and certifies optimality.
+    exact[k][m] = Pr[m | order ORDERS[k]]; strategy and prior count units of 1/GUESS_DENOMINATOR.
+    The strategy's worst success bounds the value from below, the prior's best-response value
+    sum_m max_k prior[k] exact[k][m] from above.
     """
-    exact = [analytic_distribution(r).exact for r in ORDERS]
-    payoffs = [[exact[k][m] for k in range(4)] for m in range(8)]
-    value, g, prior = solve_maximin_assignment(payoffs)
-    strategy = GuessStrategy(np.array([[float(g[m][k]) for k in range(4)] for m in range(8)]))
+    if len(strategy) != 8:
+        raise CertificateError(f"guess strategy has {len(strategy)} rows, expected one per outcome m = 0..7")
+    for m, row in enumerate(strategy):
+        if len(row) != len(ORDERS) or min(row) < 0 or sum(row) != GUESS_DENOMINATOR:
+            raise CertificateError(f"guess strategy row m={m} is not a distribution over the orders")
+    if len(prior) != len(ORDERS) or min(prior) < 0 or sum(prior) != GUESS_DENOMINATOR:
+        raise CertificateError("hardest guess prior is not a distribution over the orders")
+    zero, unit = QSqrt2(), Fraction(1, GUESS_DENOMINATOR)
+    worst = min(sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS)))
+    best = sum((max(exact[k][m] * p for k, p in enumerate(prior)) for m in range(8)), zero)
+    if worst != best:
+        raise CertificateError(f"guess-game certificate failed: strategy {worst * unit!r} != prior {best * unit!r}")
+    return worst * unit
+
+
+def solve_guess_game() -> GuessGameSolution:
+    """The maximin guess strategy and the hardest prior over r: the stored vertex, certified on every call."""
+    value = _certified_value([analytic_distribution(r).exact for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
+    strategy = GuessStrategy(np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR)
     return GuessGameSolution(
         strategy=strategy,
         value=float(value),
         exact_value=value,
-        exact_strategy=tuple(tuple(row) for row in g),
-        prior=tuple(prior),
+        prior=tuple(QSqrt2(Fraction(p, GUESS_DENOMINATOR)) for p in GUESS_PRIOR),
         per_order_success=guess_success_per_r(strategy),
     )
 

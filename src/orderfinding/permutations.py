@@ -35,6 +35,8 @@ class Permutation:
 
 
 IDENTITY = Permutation((0, 1, 2, 3))
+# All 24 permutations of {0,1,2,3} in lexicographic image order, built once.
+ALL_PERMUTATIONS = tuple(Permutation(images) for images in itertools.permutations(range(N_ELEMENTS)))
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,9 @@ class OracleSpec:
 
 
 def power(pi: Permutation, k: int) -> Permutation:
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
+    """pi^k for an int (not a bool) k >= 0."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"exponent {k!r} is not a nonnegative int")
     images = IDENTITY.images
     for _ in range(k):
         images = tuple(pi.images[v] for v in images)  # pi after the power so far
@@ -68,11 +71,6 @@ def order_of(pi: Permutation, y: int) -> int:
         z = pi(z)
         r += 1
     return r
-
-
-def all_permutations() -> list[Permutation]:
-    """All 24 permutations of {0,1,2,3}, in lexicographic image order."""
-    return [Permutation(images) for images in itertools.permutations(range(N_ELEMENTS))]
 
 
 def oracle_stages(pi: Permutation) -> Circuit:

@@ -192,8 +192,9 @@ class QuantumState:
 
 
 def basis_state(index: int) -> QuantumState:
-    if not 0 <= index < DIM:
-        raise ValueError(f"basis index {index} out of range")
+    """|index> for an int (not a bool) index in 0..31."""
+    if type(index) is not int or not 0 <= index < DIM:
+        raise ValueError(f"basis index {index!r} is not an int in 0..{DIM - 1}")
     a = np.zeros(DIM, dtype=complex)
     a[index] = 1.0
     return QuantumState(a)

@@ -17,11 +17,11 @@ import pytest
 
 from orderfinding import circuits, classical, measurement, prodops
 from orderfinding.circuits import run_orderfinding
-from orderfinding.permutations import OracleSpec, all_permutations, order_of, parse_permutation
+from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
 from orderfinding.simulator import circuit_unitary
 from orderfinding.spectra import net_area, readout_lines, synthetic_molecule
 
-PERMS = all_permutations()
+PERMS = ALL_PERMUTATIONS
 PARAMS = synthetic_molecule()
 
 

@@ -18,7 +18,7 @@ from orderfinding.circuits import (
     verify_oracle_sequence,
 )
 from orderfinding import cli
-from orderfinding.permutations import IDENTITY, OracleSpec, all_permutations, order_of, parse_permutation, power
+from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation, power
 from orderfinding.simulator import (
     Circuit,
     ConditionalZRotation,
@@ -31,7 +31,7 @@ from orderfinding.simulator import (
     run_circuit,
 )
 
-PERMS = all_permutations()
+PERMS = ALL_PERMUTATIONS
 
 
 def _dft8() -> np.ndarray:

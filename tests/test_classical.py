@@ -16,10 +16,10 @@ from orderfinding.classical import (
     two_query_certainty,
     two_query_witness,
 )
-from orderfinding.exactlp import CertificateError, simplex_maximize
-from orderfinding.permutations import all_permutations, order_of, power
+from orderfinding.exactlp import CertificateError
+from orderfinding.permutations import ALL_PERMUTATIONS, order_of, power
 
-PERMS = all_permutations()
+PERMS = ALL_PERMUTATIONS
 
 
 def test_one_query_value_is_exactly_half(one_query_report):
@@ -128,72 +128,6 @@ def test_lp_vertex_is_pinned(one_query_report):
     assert one_query_report.prior == {**{p: Fraction(1, 12) for p in twelfth}, "(1 3)": Fraction(1, 4)}
     weights = {x: w for x, w in one_query_report.witness.x_weights.items() if w}
     assert weights == {1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4), 7: Fraction(1, 4)}
-
-
-def one_query_lp(y: int) -> tuple[Fraction, OneQueryStrategy, list[Fraction]]:
-    """Maximin LP over randomized single-query strategies, adversary = 24 permutations.
-
-    The reference for the vertex that classical stores.  Variables: q[x]
-    (probability of exponent x), w[x][z][r'] = q[x] * Pr[guess r' after
-    seeing z], the game value v, and one slack per permutation.
-    """
-    paths = classical._trajectories(y)
-    xs = list(range(1, MAX_EXPONENT + 1))
-    n_q = len(xs)
-
-    def wvar(xi: int, z: int, rp: int) -> int:
-        return n_q + (xi * 4 + z) * 4 + rp
-
-    v_var = n_q + n_q * 4 * 4
-    slack0 = v_var + 1
-    n_vars = slack0 + len(paths)
-    zero, one = Fraction(0), Fraction(1)
-
-    A: list[list] = []  # rows padded with int 0, which simplex_maximize skips cheaply
-    b: list[Fraction] = []
-    for pidx, path in enumerate(paths):
-        row = [0] * n_vars
-        r = classical._order(path)
-        for xi, x in enumerate(xs):
-            row[wvar(xi, path[x], r - 1)] += one
-        row[v_var] = -one
-        row[slack0 + pidx] = -one
-        A.append(row)
-        b.append(zero)
-    for xi in range(n_q):
-        for z in range(4):
-            row = [0] * n_vars
-            for rp in range(4):
-                row[wvar(xi, z, rp)] = one
-            row[xi] = -one
-            A.append(row)
-            b.append(zero)
-    A.append([one] * n_q + [0] * (n_vars - n_q))
-    b.append(one)
-
-    c = [zero] * n_vars
-    c[v_var] = one
-    value, x_sol, duals = simplex_maximize(A, b, c)
-
-    x_weights = {x: x_sol[xi] for xi, x in enumerate(xs)}
-    guesses = {}
-    for xi, x in enumerate(xs):
-        qx = x_weights[x]
-        for z in range(4):
-            guesses[(x, z)] = (tuple(x_sol[wvar(xi, z, rp)] / qx for rp in range(4)) if qx
-                               else (one, zero, zero, zero))
-    prior = [-duals[pidx] for pidx in range(len(paths))]
-    total = sum(prior)
-    return value, OneQueryStrategy(x_weights, guesses), [p / total for p in prior]
-
-
-def test_lp_reaches_the_stored_vertex():
-    value, witness, prior = one_query_lp(0)
-    assert value == Fraction(1, 2)
-    assert {x: w for x, w in witness.x_weights.items() if w} == {x: w for x, (w, _) in ONE_QUERY_WITNESS.items()}
-    for x, (_, row) in ONE_QUERY_WITNESS.items():
-        assert [witness.guesses[(x, z)].index(1) + 1 for z in range(4)] == list(row)
-    assert {str(pi): p for pi, p in zip(PERMS, prior) if p} == HARDEST_PRIOR
 
 
 @pytest.mark.parametrize("name, stored, match", [

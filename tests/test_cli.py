@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderfinding import circuits, classical, cli, exactlp, measurement
+from orderfinding import circuits, classical, cli, measurement
 from orderfinding.cli import main
 
 
@@ -206,16 +206,13 @@ def test_run_grid_text_runs_or_exits_2_without_a_traceback(grid):
         assert "--grid" in err.getvalue()
 
 
-def _failing_solver(A, b, c):
-    raise exactlp.CertificateError("column 7 has a positive reduced cost")
-
-
 @pytest.mark.parametrize("module, name, replacement, argv, message", [
     (classical, "ONE_QUERY_WITNESS", {**classical.ONE_QUERY_WITNESS, 7: (Fraction(1, 4), (1, 3, 2, 3))},
      ["classical"], "one-query certificate failed at y=0: witness 1/4 != prior 1/2"),
-    (exactlp, "simplex_maximize", _failing_solver, ["guess-table"], "column 7 has a positive reduced cost"),
-    (exactlp, "simplex_maximize", _failing_solver, ["run", "--perm", "(0 1 2)", "--y", "0"],
-     "column 7 has a positive reduced cost"),
+    (measurement, "GUESS_PRIOR", (12, 21, 32, 44), ["guess-table"],
+     "guess-game certificate failed: strategy 60/109 != prior 61/109"),
+    (measurement, "GUESS_STRATEGY", ((59, 12, 16, 22), *measurement.GUESS_STRATEGY[1:]),
+     ["run", "--perm", "(0 1 2)", "--y", "0"], "guess-game certificate failed: strategy 59/109 != prior 60/109"),
 ], ids=["classical", "guess-table", "run"])
 def test_certificate_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, module, name, replacement,
                                                          argv, message):
@@ -313,12 +310,9 @@ def test_guess_game_is_solved_once_per_process(tmp_path, monkeypatch, cold_guess
 
 
 def test_failed_guess_game_solve_is_not_cached(tmp_path, capsys, monkeypatch, cold_guess_memo):
-    def failing():
-        raise exactlp.CertificateError("column 7 has a positive reduced cost")
-
     argv = ["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path)]
     with monkeypatch.context() as patch:
-        patch.setattr(measurement, "solve_guess_game", failing)
+        patch.setattr(measurement, "GUESS_PRIOR", (12, 21, 32, 44))
         assert main(argv) == 1
     assert main(argv) == 0
-    assert capsys.readouterr().err == "error: column 7 has a positive reduced cost\n"
+    assert capsys.readouterr().err == "error: guess-game certificate failed: strategy 60/109 != prior 61/109\n"

@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from orderfinding import measurement
 from orderfinding.circuits import run_orderfinding
-from orderfinding.exactlp import solve_maximin_assignment
+from orderfinding.exactlp import CertificateError
 from orderfinding.measurement import (
+    GUESS_PRIOR,
+    GUESS_STRATEGY,
     ORDERS,
     GuessStrategy,
     InfeasibleInput,
@@ -23,11 +25,11 @@ from orderfinding.measurement import (
     simulated_observables,
     solve_guess_game,
 )
-from orderfinding.permutations import IDENTITY, OracleSpec, all_permutations, order_of, parse_permutation
+from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation
 from orderfinding.simulator import DIM, QuantumState
 
 SQRT2 = math.sqrt(2.0)
-PERMS = all_permutations()
+PERMS = ALL_PERMUTATIONS
 
 # frozen closed forms; the r=3 row was re-derived by Fourier-transforming the
 # cosets {0,3,6}, {1,4,7}, {2,5} by hand and is cross-checked against both
@@ -182,26 +184,68 @@ def test_solve_guess_game_strategy_and_value():
     assert sol.strategy.g.shape == (8, 4)
 
 
-# The guess game on other distributions: the same maximin LP on their payoffs,
-# payoffs[m][k] = Pr[m | order ORDERS[k]].
-
-def test_identical_distributions_give_quarter():
-    value, _, _ = solve_maximin_assignment([[Fraction(1, 8)] * 4 for _ in range(8)])
-    assert value == Fraction(1, 4)
-
-
-def test_disjoint_supports_give_certainty():
-    # order k puts 1/2 on m = 2k and m = 2k + 1
-    value, _, _ = solve_maximin_assignment([[Fraction(1, 2) if m // 2 == k else 0 for k in range(4)]
-                                            for m in range(8)])
-    assert value == 1
+def test_guess_game_vertex_is_pinned():
+    # guess_strategy.csv and guess_report.json print this vertex; another optimal vertex must fail here
+    assert GUESS_STRATEGY[0] == (60, 11, 16, 22)
+    assert [row.index(109) + 1 for row in GUESS_STRATEGY[1:]] == [3, 4, 3, 2, 3, 4, 3]
+    assert GUESS_PRIOR == (11, 22, 32, 44)
 
 
-def test_value_invariant_under_order_relabeling():
-    exact = [analytic_distribution(r).exact for r in ORDERS]
-    for relabeling in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2), (2, 0, 3, 1)):
-        value, _, _ = solve_maximin_assignment([[exact[k][m] for k in relabeling] for m in range(8)])
-        assert value == Fraction(60, 109)
+@pytest.mark.parametrize("relabeling", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2), (2, 0, 3, 1)])
+def test_certificate_transports_under_order_relabeling(relabeling):
+    # relabeling the orders consistently in the payoffs, the strategy and the prior keeps the value;
+    # relabeling the payoffs alone breaks the certificate
+    exact = [analytic_distribution(ORDERS[k]).exact for k in relabeling]
+    strategy = [[row[k] for k in relabeling] for row in GUESS_STRATEGY]
+    prior = [GUESS_PRIOR[k] for k in relabeling]
+    assert measurement._certified_value(exact, strategy, prior) == Fraction(60, 109)
+    if relabeling != (0, 1, 2, 3):
+        with pytest.raises(CertificateError, match="certificate failed"):
+            measurement._certified_value(exact, GUESS_STRATEGY, GUESS_PRIOR)
+
+
+def _moved(cells, source, target):
+    out = list(cells)
+    out[source] -= 1
+    out[target] += 1
+    return tuple(out)
+
+
+ONE_UNIT_MOVES = [
+    *(pytest.param("GUESS_STRATEGY", (*GUESS_STRATEGY[:m], _moved(row, i, j), *GUESS_STRATEGY[m + 1:]),
+                   id=f"strategy-m{m}-{i}to{j}")
+      for m, row in enumerate(GUESS_STRATEGY) for i in range(4) for j in range(4) if i != j and row[i]),
+    *(pytest.param("GUESS_PRIOR", _moved(GUESS_PRIOR, i, j), id=f"prior-{i}to{j}")
+      for i in range(4) for j in range(4) if i != j),
+]
+
+
+def test_one_unit_moves_are_all_listed():
+    assert len(ONE_UNIT_MOVES) == 45  # 12 in row m = 0, 3 in each of rows 1..7, 12 in the prior
+
+
+@pytest.mark.parametrize("name, stored", ONE_UNIT_MOVES)
+def test_one_unit_move_of_a_stored_literal_raises_certificate_error(monkeypatch, name, stored):
+    monkeypatch.setattr(measurement, name, stored)
+    with pytest.raises(CertificateError, match="guess-game certificate failed"):
+        solve_guess_game()
+
+
+@pytest.mark.parametrize("name, stored, match", [
+    ("GUESS_STRATEGY", (*GUESS_STRATEGY[:3], (0, 0, 108, 0), *GUESS_STRATEGY[4:]), "row m=3 is not a distribution"),
+    ("GUESS_STRATEGY", ((61, 11, 16, 22), *GUESS_STRATEGY[1:]), "row m=0 is not a distribution"),
+    ("GUESS_STRATEGY", (*GUESS_STRATEGY[:6], (0, 0, -1, 110), GUESS_STRATEGY[7]), "row m=6 is not a distribution"),
+    ("GUESS_STRATEGY", (*GUESS_STRATEGY[:5], (0, 0, 109), *GUESS_STRATEGY[6:]), "row m=5 is not a distribution"),
+    ("GUESS_STRATEGY", GUESS_STRATEGY[:7], "7 rows, expected one per outcome"),
+    ("GUESS_PRIOR", (11, 22, 32, 45), "prior is not a distribution"),
+    ("GUESS_PRIOR", (-1, 34, 32, 44), "prior is not a distribution"),
+    ("GUESS_PRIOR", (33, 32, 44), "prior is not a distribution"),
+], ids=["row_sum_m3", "row_sum_m0", "negative_cell_m6", "short_row_m5", "seven_rows", "prior_sum", "negative_prior",
+        "short_prior"])
+def test_broken_stored_literal_names_the_failed_check(monkeypatch, name, stored, match):
+    monkeypatch.setattr(measurement, name, stored)
+    with pytest.raises(CertificateError, match=match):
+        solve_guess_game()
 
 
 def test_guess_success_per_r_examples():

@@ -66,10 +66,11 @@ def test_public_functions_no_module_calls_do_not_grow():
     assert _uncalled_public() <= UNCALLED_PUBLIC
 
 
-def test_classical_imports_no_numpy():
-    # classical's certificates are exact integer and Fraction work; numpy still
+@pytest.mark.parametrize("module", ["classical", "exactlp"])
+def test_classical_imports_no_numpy(module):
+    # the certificates are exact integer, Fraction and Q(sqrt 2) work; numpy still
     # loads through `permutations`, which imports `simulator` for `oracle_stages`
-    tree = ast.parse((PACKAGE / "classical.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {name for name in modules if name.partition(".")[0] == "numpy"}

@@ -8,20 +8,20 @@ from hypothesis import given, settings, strategies as st
 from orderfinding import classical
 from orderfinding.circuits import parse_native_sequence, verify_oracle_sequence
 from orderfinding.permutations import (
+    ALL_PERMUTATIONS,
     IDENTITY,
     OracleSpec,
     Permutation,
-    all_permutations,
     format_cycles,
     oracle_stages,
     order_of,
     parse_permutation,
     power,
 )
-from orderfinding.simulator import circuit_unitary
+from orderfinding.simulator import basis_state, circuit_unitary
 from orderfinding.spectra import FrequencyGrid
 
-PERMS = all_permutations()
+PERMS = ALL_PERMUTATIONS
 perm_strategy = st.sampled_from(PERMS)
 
 
@@ -49,6 +49,15 @@ def test_validation():
 def test_validated_types_reject_non_integers_naming_the_value(cls, args, bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         cls(*args)
+
+
+@pytest.mark.parametrize(("read", "bad"), [
+    *(pytest.param(basis_state, bad, id=f"basis_state-{bad!r}") for bad in (True, False, 1.5, "1", None, -1, 32)),
+    *(pytest.param(lambda k: power(IDENTITY, k), bad, id=f"power-{bad!r}") for bad in (True, 1.5, "2", None, -1)),
+])
+def test_basis_index_and_exponent_are_ints_in_range(read, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        read(bad)
 
 
 @pytest.mark.parametrize("y", [1.5, True, "1", None, -1, 4])

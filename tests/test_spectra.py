@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orderfinding.circuits import run_orderfinding
 from orderfinding.measurement import final_density
-from orderfinding.permutations import OracleSpec, all_permutations, order_of, parse_permutation
+from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum, zsum_to_matrix
 from orderfinding.simulator import DIM, DensityOperator, basis_state, bit_of, expectation_Iz
 from orderfinding.spectra import (
@@ -25,7 +25,7 @@ from orderfinding.spectra import (
 )
 
 PARAMS = synthetic_molecule()
-PERMS = all_permutations()
+PERMS = ALL_PERMUTATIONS
 
 
 def test_line_frequency_no_couplings():
