@@ -18,6 +18,9 @@ Two listing conventions are in use, resolved empirically during bring-up:
 Functions here take ops in time order (first op acts first);
 parse_readout_listing applies the operator-product reversal.
 
+`run_instances` simulates order-finding instances as one row batch through
+`simulator.run_circuits`; `run_orderfinding(spec)` is its one-row call.
+
 Oracle checks are exact: each native op sends a basis state to one basis
 state times a power of i, so a listing is followed branch by branch as a
 basis index and a phase counted in quarter turns, with no float arithmetic.
@@ -25,10 +28,11 @@ basis index and a phase counted in quarter turns, with no float arithmetic.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 
 import numpy as np
 
-from .permutations import OracleSpec, Permutation, oracle_stages, power
+from .permutations import N_ELEMENTS, OracleSpec, Permutation, oracle_stages, power
 from .simulator import (
     N_SPINS,
     Circuit,
@@ -40,7 +44,7 @@ from .simulator import (
     QuantumState,
     basis_state,
     bit_of,
-    run_circuit,
+    run_circuits,
 )
 
 NativeSequence = tuple[GateOp, ...]
@@ -111,13 +115,25 @@ def build_orderfinding(spec: OracleSpec) -> Circuit:
     return Circuit(_HADAMARD_FRONT.ops + oracle_stages(spec.pi).ops + _QFT_NO_SWAP.ops)
 
 
-def input_state(spec: OracleSpec) -> QuantumState:
-    """|000>|y1 y0> for the given instance."""
-    return basis_state(spec.y)
+# The circuit's inputs |000>|y1 y0>, row y for y = 0..3.
+_INPUTS = np.array([basis_state(y).amplitudes for y in range(N_ELEMENTS)])
+
+
+def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
+    """Final amplitudes of the order-finding circuit, one (32,) row per instance, as one batch.
+
+    The circuit depends only on the permutation, so it is built once per distinct pi.
+    """
+    circuit_of = {}
+    for spec in specs:
+        if spec.pi not in circuit_of:
+            circuit_of[spec.pi] = build_orderfinding(spec)
+    return run_circuits([circuit_of[spec.pi] for spec in specs], _INPUTS[[spec.y for spec in specs]])
 
 
 def run_orderfinding(spec: OracleSpec) -> QuantumState:
-    return run_circuit(build_orderfinding(spec), input_state(spec))
+    """Final state of one instance: `run_instances` on a one-row batch."""
+    return QuantumState(run_instances([spec])[0])
 
 
 def _native_image(seq: NativeSequence, index: int) -> tuple[int, int]:

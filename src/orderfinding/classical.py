@@ -93,12 +93,19 @@ class OneQueryStrategy:
 
     @cached_property
     def _table(self) -> tuple[int, tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
-        """(den, live x, cells): cells[(x, z)][r - 1] is weight(x) * Pr[guess r | x, z] in units of 1/den."""
+        """(den, live x, cells): cells[(x, z)][r - 1] is weight(x) * Pr[guess r | x, z] in units of 1/den.
+
+        A guess row at a live x that is not a distribution over the orders 1..4 raises CertificateError.
+        """
         xs = tuple(x for x, qx in self.x_weights.items() if qx)
         live = {(x, z): (self.x_weights[x], row) for (x, z), row in self.guesses.items() if x in xs}
         den = lcm(*(qx.denominator * g.denominator for qx, row in live.values() for g in row))
         cells = {key: tuple(qx.numerator * g.numerator * (den // (qx.denominator * g.denominator)) for g in row)
                  for key, (qx, row) in live.items()}
+        for (x, z), (qx, _) in live.items():
+            cell = cells[(x, z)]  # weight(x) * row in units of 1/den: the row sums to 1 iff cell sums to weight(x) * den
+            if len(cell) != N_ELEMENTS or min(cell) < 0 or sum(cell) * qx.denominator != qx.numerator * den:
+                raise CertificateError(f"guess row at x={x}, z={z} is not a distribution over the orders 1..4")
         return den, xs, cells
 
     def _scaled_payoff(self, path: tuple[int, ...]) -> int:

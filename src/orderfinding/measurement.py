@@ -5,9 +5,13 @@ m_i is the bit read from spin i: the QFT is run without its final swap, so
 spin 1 ends up holding the least significant bit of m.  The ensemble
 observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
 
-`simulated_distribution` and `final_density` read the circuit's final state
-from one `circuits.run_orderfinding(spec)`, and `simulated_observables` reads
-the density that `final_density` builds once per instance.
+The reductions work on row batches: `outcome_probabilities` turns (k, 32)
+final amplitudes, e.g. `circuits.run_instances(specs)`, into k checked
+outcome distributions, and `simulator.expectation_Iz` turns density
+diagonals into O_1..O_5.  `simulated_distribution` and `final_density` read
+the state of `circuits.run_orderfinding(spec)`, a one-row batch, and
+`simulated_observables` reads the density that `final_density` builds; the
+two `simulated_*` functions are the batched reductions applied to one row.
 
 The guess game's optimal vertex is stored as literals and certified on every
 `solve_guess_game()` call; by weak duality its value is exactly 60/109.
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import CertificateError, QSqrt2
-from .simulator import DensityOperator, QuantumState, expectation_Iz, register_probabilities
+from .simulator import DensityOperator, QuantumState, expectation_Iz
 
 ORDERS = (1, 2, 3, 4)
 
@@ -38,6 +42,14 @@ class InfeasibleInput(ValueError):
     """A supplied distribution is not a probability vector."""
 
 
+def _check_probability_rows(p: np.ndarray) -> None:
+    """InfeasibleInput naming the first row of `p` (k, n) that is not a probability vector."""
+    ok = (p.min(axis=1) >= -1e-12) & (np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise InfeasibleInput(f"row {row} is not a probability vector: {p[row]}")
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities of m = 0..7, a read-only copy; optionally with exact field entries attached."""
@@ -47,8 +59,7 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         p = np.array(self.probs, dtype=float).reshape(8)
-        if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-12):
-            raise InfeasibleInput(f"not a probability vector: {p}")
+        _check_probability_rows(p[None])
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         if self.exact is not None:
@@ -65,8 +76,7 @@ class GuessStrategy:
 
     def __post_init__(self) -> None:
         g = np.array(self.g, dtype=float).reshape(8, 4)
-        if not (g.min() >= -1e-12 and np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-12):
-            raise InfeasibleInput("strategy rows must be probability vectors")
+        _check_probability_rows(g)
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
 
@@ -117,18 +127,23 @@ def m_from_register_index(b: int) -> int:
     return 4 * b3 + 2 * b2 + b1
 
 
+def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Pr[m] for m = 0..7 from each row of final amplitudes (k, 32), each row checked: shape (k, 8)."""
+    register = (np.abs(amps) ** 2).reshape(-1, 8, 4).sum(axis=2)  # spins 1-3, indexed b1b2b3
+    probs = np.empty_like(register)
+    probs[:, [m_from_register_index(b) for b in range(8)]] = register
+    _check_probability_rows(probs)
+    return probs
+
+
 def simulated_distribution(state: QuantumState) -> OutcomeDistribution:
     """Outcome distribution of the circuit's final state, e.g. `run_orderfinding(spec)`."""
-    reg = register_probabilities(state)
-    probs = np.zeros(8)
-    for b in range(8):
-        probs[m_from_register_index(b)] = reg[b]
-    return OutcomeDistribution(probs)
+    return OutcomeDistribution(outcome_probabilities(state.amplitudes)[0])
 
 
 def simulated_observables(rho: DensityOperator) -> tuple[float, float, float, float, float]:
     """O_1..O_5 of the circuit's final density, e.g. `final_density(state)`, via 2 Tr(rho I_zi)."""
-    return tuple(expectation_Iz(rho, i) for i in range(1, 6))
+    return tuple(expectation_Iz(rho.matrix.diagonal()).tolist())
 
 
 def final_density(state: QuantumState) -> DensityOperator:

@@ -13,8 +13,10 @@ That table is the only place gate types are told apart for simulation;
 index maps with phases in quarter turns.  One kernel, `apply_unitary`,
 applies a small unitary to chosen spins of every row of an amplitude
 array; a controlled op goes through it as diag(I, m) on the controls
-followed by the targets.  `apply_gate` runs the kernel on one state and
-`gate_unitary` on the 32 rows of the identity.
+followed by the targets.  States are simulated as row batches: the one
+runner, `run_circuits`, runs circuit i on row i of a (k, 32) array, one
+kernel call per distinct op at each step, and checks each row's norm once,
+at the end.  `gate_unitary` runs the kernel on the 32 rows of the identity.
 
 Every gate is a frozen, hashable value that checks itself exactly when
 built, so each op value is lowered once: `_memo_operands` memoizes (spins,
@@ -30,6 +32,7 @@ construction and are safe to share across threads.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -271,15 +274,31 @@ def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
     return apply_unitary(amps, spins, u)
 
 
-def apply_gate(state: QuantumState, op: GateOp) -> QuantumState:
-    """Apply one gate to a pure state."""
-    return QuantumState(_apply_op(state.amplitudes, op))
+def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
+    """Run `circuits[i]` on row i of `amps` (k, 32); return the final (k, 32) amplitudes.
 
-
-def run_circuit(circuit: Circuit, state: QuantumState) -> QuantumState:
-    for op in circuit.ops:
-        state = apply_gate(state, op)
-    return state
+    The circuits must have equal lengths.  At each step the rows are grouped
+    by op value, and each distinct op is one kernel call on its rows.  Each
+    row's norm is checked once, at the end: a row that is not a unit vector
+    raises ValueError naming it.
+    """
+    rows = np.array(amps, dtype=complex)
+    if rows.shape != (len(circuits), DIM):
+        raise ValueError(f"{len(circuits)} circuits need amplitudes of shape ({len(circuits)}, {DIM}), got {rows.shape}")
+    lengths = sorted({len(c.ops) for c in circuits})
+    if len(lengths) > 1:
+        raise ValueError(f"circuits of unequal lengths {lengths}")
+    for step in zip(*(c.ops for c in circuits)):
+        groups: dict[GateOp, list[int]] = {}
+        for i, op in enumerate(step):
+            groups.setdefault(op, []).append(i)
+        for op, members in groups.items():
+            rows[members] = _apply_op(rows[members], op)
+    norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: state norm {norms[bad[0]]} is not 1")
+    return rows
 
 
 def gate_unitary(op: GateOp) -> np.ndarray:
@@ -300,17 +319,12 @@ _IZ_SIGNS = np.array([[1.0 if bit_of(b, spin) == 0 else -1.0 for b in range(DIM)
                       for spin in range(1, N_SPINS + 1)])
 
 
-def expectation_Iz(rho: DensityOperator, spin: int) -> float:
-    """O_i = 2 Tr(rho I_zi), with I_z eigenvalue +1/2 on |0>.
+def expectation_Iz(diagonals: np.ndarray) -> np.ndarray:
+    """O_1..O_5, O_i = 2 Tr(rho I_zi) with I_z eigenvalue +1/2 on |0>, for each density diagonal.
 
+    `diagonals` holds the complex diagonal of rho, shape (32,) or (k, 32),
+    e.g. a * conj(a) for a pure state a; the result has shape (5,) or (k, 5).
     For a deviation operator the result is in the same arbitrary units as
     the operator itself.
     """
-    _check_spin(spin)
-    return float(np.real(np.sum(_IZ_SIGNS[spin - 1] * rho.matrix.diagonal())))
-
-
-def register_probabilities(state: QuantumState) -> np.ndarray:
-    """Marginal probabilities of the first register (spins 1-3), indexed by b1b2b3."""
-    p = np.abs(state.amplitudes) ** 2
-    return p.reshape(8, 4).sum(axis=1)
+    return np.real(np.sum(_IZ_SIGNS * np.asarray(diagonals)[..., None, :], axis=-1))

@@ -11,7 +11,6 @@ from orderfinding.circuits import (
     build_orderfinding,
     build_qft3,
     dft_matrix,
-    input_state,
     parse_native_sequence,
     parse_readout_listing,
     run_orderfinding,
@@ -28,7 +27,7 @@ from orderfinding.simulator import (
     NotGate,
     basis_state,
     circuit_unitary,
-    run_circuit,
+    run_circuits,
 )
 
 PERMS = ALL_PERMUTATIONS
@@ -55,8 +54,8 @@ def test_qft_without_swap_is_bit_reversed_dft():
 
 @pytest.mark.parametrize("swap", [True, False])
 def test_qft_of_zero_is_uniform(swap):
-    state = run_circuit(build_qft3(swap), basis_state(0))
-    reg = state.amplitudes.reshape(8, 4)
+    (amps,) = run_circuits([build_qft3(swap)], basis_state(0).amplitudes[None])
+    reg = amps.reshape(8, 4)
     assert np.allclose(reg[:, 0], np.full(8, 1 / np.sqrt(8)), atol=1e-12)
     assert np.allclose(reg[:, 1:], 0, atol=1e-12)
 
@@ -196,19 +195,34 @@ def test_readout_c_listing_cannot_implement_any_order_three_instance():
 
 
 def test_input_state_places_y_in_second_register():
-    state = input_state(OracleSpec(IDENTITY, 3))
-    assert state.amplitudes[3] == 1.0
+    # the identity instance returns spins 1-3 to |000>, so the final state is the input |000>|y>
+    state = run_orderfinding(OracleSpec(IDENTITY, 3))
+    assert np.max(np.abs(state.amplitudes - basis_state(3).amplitudes)) < 1e-12
 
 
 def _dense_verdict(seq, pi, y) -> bool:
     """Float reference for verify_oracle_sequence: simulate the sequence on (H H H |000>) (x) |y>
     and compare with (1/sqrt(8)) sum_x |x>|pi^x(y)> up to one global phase, entry-wise within 1e-9."""
-    state = run_circuit(Circuit((Hadamard(1), Hadamard(2), Hadamard(3)) + tuple(seq)), basis_state(y)).amplitudes
+    (state,) = run_circuits([Circuit((Hadamard(1), Hadamard(2), Hadamard(3)) + tuple(seq))],
+                            basis_state(y).amplitudes[None])
     target = np.zeros(32, dtype=complex)
     for x in range(8):
         target[4 * x + power(pi, x)(y)] = 1 / np.sqrt(8.0)
     phase = state[y] / target[y]  # target[y] is the x = 0 branch
     return abs(abs(phase) - 1.0) <= 1e-9 and np.max(np.abs(state - phase * target)) <= 1e-9
+
+
+@pytest.mark.parametrize("listing, verified", [
+    # y = 3 sets spins 4 and 5, so P45 turns every branch by +1; the four P14' turn the x2 = 1 branches
+    # back by 4, to -3: the branches agree mod 4 (one global phase) but not mod 5
+    ("P45 P14' P14' P14' P14'", True),
+    # five P14 turn only the x2 = 1 branches, by 5: the branches agree mod 5 but not mod 4
+    ("P14 P14 P14 P14 P14", False),
+])
+def test_quarter_turns_are_counted_mod_four(listing, verified):
+    seq = parse_native_sequence(listing)
+    assert verify_oracle_sequence(seq, IDENTITY, 3) is verified
+    assert _dense_verdict(seq, IDENTITY, 3) == verified
 
 
 def test_exact_verdicts_match_the_dense_reference_for_every_listing_instance_and_order():

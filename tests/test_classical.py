@@ -149,6 +149,40 @@ def test_perturbed_stored_vertex_raises_certificate_error(monkeypatch, name, sto
         one_query_value()
 
 
+def _witness_with_rows(make_row) -> OneQueryStrategy:
+    """ONE_QUERY_WITNESS with each deterministic guess turned into the row make_row(guess)."""
+    weights = {x: w for x, (w, _) in ONE_QUERY_WITNESS.items()}
+    guesses = {(x, z): make_row(guess) for x, (_, row) in ONE_QUERY_WITNESS.items() for z, guess in enumerate(row)}
+    return OneQueryStrategy(weights, guesses)
+
+
+def test_complement_guess_rows_are_rejected():
+    # int(guess != r) in place of int(guess == r): every row holds three ones, and the witness
+    # would still pay exactly 1/2 on every permutation, so only the row check can tell
+    complement = _witness_with_rows(lambda guess: tuple(Fraction(int(guess != r)) for r in range(1, 5)))
+    with pytest.raises(CertificateError, match="guess row at x=1, z=0 is not a distribution"):
+        complement.min_payoff()
+
+
+@pytest.mark.parametrize("row, where", [
+    ((Fraction(3, 2), Fraction(-1, 2), Fraction(0), Fraction(0)), "x=1, z=0"),
+    ((Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(0)), "x=1, z=0"),
+    ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), "x=1, z=0"),
+], ids=["negative_mass", "sum_3_4", "three_orders"])
+def test_guess_row_that_is_not_a_distribution_names_x_and_z(row, where):
+    strategy = _witness_with_rows(lambda guess: tuple(Fraction(int(guess == r)) for r in range(1, 5)))
+    guesses = {**strategy.guesses, (1, 0): row}
+    with pytest.raises(CertificateError, match=f"guess row at {where} is not a distribution"):
+        OneQueryStrategy(strategy.x_weights, guesses).min_payoff()
+
+
+def test_guess_rows_at_unqueried_exponents_are_not_read():
+    strategy = _witness_with_rows(lambda guess: tuple(Fraction(int(guess == r)) for r in range(1, 5)))
+    weights = {**strategy.x_weights, 5: Fraction(0)}
+    guesses = {**strategy.guesses, **{(5, z): (Fraction(2), Fraction(0), Fraction(0), Fraction(0)) for z in range(4)}}
+    assert OneQueryStrategy(weights, guesses).min_payoff() == Fraction(1, 2)
+
+
 def reference_payoff(strategy: OneQueryStrategy, path: tuple[int, ...]) -> Fraction:
     """The Fraction loop classical used before its integer table: the reference for payoff."""
     total = Fraction(0)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orderfinding import circuits, classical, cli, measurement
 from orderfinding.cli import main
+from orderfinding.permutations import OracleSpec, parse_permutation
 
 
 def _read_csv(path):
@@ -30,23 +31,39 @@ def test_run_identity_instance(tmp_path, capsys):
 
 
 def test_each_instance_is_simulated_once(tmp_path, monkeypatch):
-    # every module binding of run_orderfinding is counted, wherever a command reaches it from
-    specs = []
-    simulate = circuits.run_orderfinding
+    # every module binding of the batch entry run_instances is counted, wherever a command reaches it from
+    batches = []
+    simulate = circuits.run_instances
 
-    def counted(spec):
-        specs.append(spec)
-        return simulate(spec)
+    def counted(specs):
+        batches.append(list(specs))
+        return simulate(specs)
 
     for module in (circuits, cli, measurement):
-        if hasattr(module, "run_orderfinding"):
-            monkeypatch.setattr(module, "run_orderfinding", counted)
+        if hasattr(module, "run_instances"):
+            monkeypatch.setattr(module, "run_instances", counted)
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
-    assert len(specs) == 96
-    assert len({(s.pi.images, s.y) for s in specs}) == 96
-    specs.clear()
+    assert len(batches) == 1 and len(batches[0]) == 96
+    assert len({(s.pi.images, s.y) for s in batches[0]}) == 96
+    batches.clear()
     assert main(["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path / "run")]) == 0
-    assert len(specs) == 1
+    assert len(batches) == 1 and len(batches[0]) == 1
+
+
+def test_sweep_rows_equal_the_one_row_path_exactly(tmp_path):
+    # the batch and the one-row call must agree to the last bit, not within a tolerance
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "sweep.csv")
+    assert rows[0] == ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"]
+    assert len(rows) == 1 + 96
+    for perm, y, r, dist_error, *observables in rows[1:]:
+        spec = OracleSpec(parse_permutation(perm), int(y))
+        state = circuits.run_orderfinding(spec)
+        dist = measurement.simulated_distribution(state)
+        expected = float(np.abs(dist.probs - measurement.analytic_distribution(int(r)).probs).max())
+        assert float(dist_error) == expected, (perm, y)
+        assert [float(o) for o in observables] == list(
+            measurement.simulated_observables(measurement.final_density(state))), (perm, y)
 
 
 def test_run_order_two_distribution(tmp_path):

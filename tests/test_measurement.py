@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orderfinding import measurement
-from orderfinding.circuits import run_orderfinding
-from orderfinding.exactlp import CertificateError
+from orderfinding.circuits import run_instances, run_orderfinding
+from orderfinding.exactlp import CertificateError, QSqrt2
 from orderfinding.measurement import (
+    GUESS_DENOMINATOR,
     GUESS_PRIOR,
     GUESS_STRATEGY,
     ORDERS,
@@ -21,6 +22,7 @@ from orderfinding.measurement import (
     infer_order,
     m_from_register_index,
     observables_from_distribution,
+    outcome_probabilities,
     simulated_distribution,
     simulated_observables,
     solve_guess_game,
@@ -153,7 +155,7 @@ def test_bit_mapping_consistency_between_distribution_and_spins():
             spec = OracleSpec(pi, y)
             from_dist = observables_from_distribution(simulated_distribution(run_orderfinding(spec)))
             rho = final_density(run_orderfinding(spec))
-            from_spins = tuple(expectation_Iz(rho, i) for i in (1, 2, 3))
+            from_spins = tuple(expectation_Iz(rho.matrix.diagonal())[:3])
             assert from_dist == pytest.approx(from_spins, abs=1e-10)
 
 
@@ -202,6 +204,17 @@ def test_certificate_transports_under_order_relabeling(relabeling):
     if relabeling != (0, 1, 2, 3):
         with pytest.raises(CertificateError, match="certificate failed"):
             measurement._certified_value(exact, GUESS_STRATEGY, GUESS_PRIOR)
+
+
+def test_certified_value_accepts_a_prior_with_zero_masses():
+    # four orders told apart by outcomes m = 0..3: guessing r = m + 1 always wins, so the value is 1,
+    # and a prior on any one order alone, zero on the other three, pins it from above
+    one, zero = QSqrt2(Fraction(1)), QSqrt2()
+    exact = [[one if m == k else zero for m in range(8)] for k in range(len(ORDERS))]
+    strategy = [tuple(GUESS_DENOMINATOR * (k == (m if m < 4 else 0)) for k in range(4)) for m in range(8)]
+    for k in range(4):
+        prior = tuple(GUESS_DENOMINATOR * (j == k) for j in range(4))
+        assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(1))
 
 
 def _moved(cells, source, target):
@@ -276,6 +289,21 @@ def test_distribution_normalization_property(k, y):
     dist = simulated_distribution(run_orderfinding(OracleSpec(PERMS[k], y)))
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert dist.probs.min() >= -1e-12
+
+
+def test_outcome_probabilities_rows_equal_the_one_row_distributions():
+    specs = [OracleSpec(pi, y) for pi in PERMS[::3] for y in range(4)]
+    probs = outcome_probabilities(run_instances(specs))
+    assert probs.shape == (len(specs), 8)
+    for spec, row in zip(specs, probs):
+        assert row.tobytes() == simulated_distribution(run_orderfinding(spec)).probs.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.zeros(DIM), np.full(DIM, np.nan), np.full(DIM, 1.0)], ids=["zero", "nan", "heavy"])
+def test_outcome_probabilities_name_the_row_that_is_not_a_probability_vector(bad):
+    amps = np.array([np.eye(DIM)[0], np.eye(DIM)[7], bad])
+    with pytest.raises(InfeasibleInput, match=r"^row 2 is not a probability vector"):
+        outcome_probabilities(amps)
 
 
 def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:

@@ -137,6 +137,15 @@ def test_empty_and_single_sequence_sets_are_not_pure():
     assert not single.is_effective_pure
 
 
+def test_impure_sets_report_no_canceled_pairs():
+    # canceled_pairs counts the terms that cancel in a pure sum; an impure set reports none
+    standard = standard_prep_sequences()
+    for seqs in ([], [parse_native_sequence("C51 C45 C24 N3")], standard[:-1], standard + standard[:1]):
+        report = verify_prep_set(seqs)
+        assert not report.is_effective_pure
+        assert report.canceled_pairs == 0
+
+
 def test_schedule_prep_single_spin():
     seqs = schedule_prep(1, 1)
     assert seqs == [()]

@@ -13,13 +13,12 @@ from orderfinding.simulator import (
     Hadamard,
     NotGate,
     QuantumState,
-    apply_gate,
     apply_unitary,
     basis_state,
     circuit_unitary,
     expectation_Iz,
     gate_unitary,
-    run_circuit,
+    run_circuits,
 )
 
 
@@ -27,22 +26,27 @@ def idx(bits: str) -> int:
     return int(bits, 2)
 
 
+def run_gate(state: QuantumState, op) -> QuantumState:
+    """One gate on one state: the runner on a one-row batch of a one-op circuit."""
+    return QuantumState(run_circuits([Circuit((op,))], state.amplitudes[None])[0])
+
+
 def test_hadamard_on_ground_state():
-    out = apply_gate(basis_state(0), Hadamard(1))
+    out = run_gate(basis_state(0), Hadamard(1))
     expected = np.zeros(DIM, dtype=complex)
     expected[idx("00000")] = expected[idx("10000")] = 1 / np.sqrt(2)
     assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
 
 def test_cnot_flips_target_when_control_set():
-    out = apply_gate(basis_state(idx("11000")), ControlledNot(1, 2))
+    out = run_gate(basis_state(idx("11000")), ControlledNot(1, 2))
     assert np.allclose(out.amplitudes, basis_state(idx("10000")).amplitudes, atol=1e-12)
 
 
 def test_conditional_z_phase_convention():
-    out = apply_gate(basis_state(idx("00011")), ConditionalZRotation(4, 5, 90.0))
+    out = run_gate(basis_state(idx("00011")), ConditionalZRotation(4, 5, 90.0))
     assert np.allclose(out.amplitudes, 1j * basis_state(idx("00011")).amplitudes, atol=1e-12)
-    out = apply_gate(basis_state(idx("00011")), ConditionalZRotation(4, 5, 90.0, dagger=True))
+    out = run_gate(basis_state(idx("00011")), ConditionalZRotation(4, 5, 90.0, dagger=True))
     assert np.allclose(out.amplitudes, -1j * basis_state(idx("00011")).amplitudes, atol=1e-12)
 
 
@@ -67,9 +71,13 @@ def test_qft3_circuit_matches_dft_tensor_identity():
 
 def test_expectation_iz_ground_and_mixed():
     rho = basis_state(0).density()
-    for spin in range(1, 6):
-        assert expectation_Iz(rho, spin) == pytest.approx(1.0, abs=1e-12)
-        assert expectation_Iz(DensityOperator(np.eye(DIM, dtype=complex) / DIM), spin) == pytest.approx(0.0, abs=1e-12)
+    mixed = DensityOperator(np.eye(DIM, dtype=complex) / DIM)
+    assert expectation_Iz(rho.matrix.diagonal()).tolist() == pytest.approx([1.0] * 5, abs=1e-12)
+    assert expectation_Iz(mixed.matrix.diagonal()).tolist() == pytest.approx([0.0] * 5, abs=1e-12)
+    batch = expectation_Iz(np.array([rho.matrix.diagonal(), mixed.matrix.diagonal()]))
+    assert batch.shape == (2, 5)
+    assert batch.tolist() == [expectation_Iz(rho.matrix.diagonal()).tolist(),
+                              expectation_Iz(mixed.matrix.diagonal()).tolist()]
 
 
 def test_expectation_iz_order_two_final_state():
@@ -78,7 +86,7 @@ def test_expectation_iz_order_two_final_state():
     from orderfinding.permutations import OracleSpec, parse_permutation
 
     rho = run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)).density()
-    observed = [expectation_Iz(rho, i) for i in range(1, 6)]
+    observed = expectation_Iz(rho.matrix.diagonal()).tolist()
     assert observed == pytest.approx([1.0, 1.0, 0.0, 1.0, 0.0], abs=1e-9)
 
 
@@ -111,7 +119,7 @@ def state_strategy(draw):
 
 @given(state_strategy(), gate_strategy())
 def test_norm_preserved_by_every_gate(state, op):
-    out = apply_gate(state, op)
+    out = run_gate(state, op)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
@@ -124,8 +132,8 @@ def test_circuit_unitary_is_unitary(ops):
 @given(state_strategy(), st.lists(gate_strategy(), max_size=12))
 def test_gate_sequencing_matches_unitary_product(state, ops):
     c = Circuit(tuple(ops))
-    stepped = run_circuit(c, state)
-    assert np.max(np.abs(stepped.amplitudes - circuit_unitary(c) @ state.amplitudes)) < 1e-10
+    (stepped,) = run_circuits([c], state.amplitudes[None])
+    assert np.max(np.abs(stepped - circuit_unitary(c) @ state.amplitudes)) < 1e-10
 
 
 @given(state_strategy(), st.lists(gate_strategy(), max_size=8))
@@ -172,7 +180,7 @@ def _assert_matches_reference(op) -> None:
     expected = reference_unitary(op)
     assert np.max(np.abs(gate_unitary(op) - expected)) < 1e-12, op
     for b in range(DIM):
-        col = apply_gate(basis_state(b), op).amplitudes
+        col = run_gate(basis_state(b), op).amplitudes
         assert np.max(np.abs(col - expected[:, b])) < 1e-12, op
 
 
@@ -208,6 +216,44 @@ def test_apply_unitary_batch_equals_row_by_row(seed, k, n_spins):
     out = apply_unitary(batch, spins, u)
     assert out.shape == (k, DIM)
     assert np.max(np.abs(out - rows)) < 1e-12
+
+
+@given(st.lists(st.tuples(state_strategy(), st.lists(gate_strategy(), min_size=4, max_size=4)),
+                min_size=1, max_size=5))
+def test_run_circuits_batch_is_byte_equal_to_one_row_runs(cases):
+    # rows that share an op value share one kernel call; that must not change a row's bytes
+    shared = cases[0][1][2]  # the third op of every even row
+    circuits = [Circuit((*ops[:2], shared if i % 2 == 0 else ops[2], ops[3])) for i, (_, ops) in enumerate(cases)]
+    amps = np.array([state.amplitudes for state, _ in cases])
+    batch = run_circuits(circuits, amps)
+    assert batch.shape == amps.shape
+    for c, row, out in zip(circuits, amps, batch):
+        assert out.tobytes() == run_circuits([c], row[None]).tobytes()
+    assert np.array_equal(amps, [state.amplitudes for state, _ in cases])  # the input is not modified
+
+
+def test_run_circuits_rejects_circuits_of_unequal_length():
+    amps = np.array([basis_state(0).amplitudes, basis_state(1).amplitudes])
+    with pytest.raises(ValueError, match="unequal lengths"):
+        run_circuits([Circuit((Hadamard(1),)), Circuit((Hadamard(1), Hadamard(2)))], amps)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        run_circuits([Circuit((Hadamard(1),)), Circuit()], amps)
+
+
+def test_run_circuits_rejects_a_row_count_or_width_that_does_not_match():
+    with pytest.raises(ValueError, match="shape"):
+        run_circuits([Circuit(), Circuit()], basis_state(0).amplitudes[None])
+    with pytest.raises(ValueError, match="shape"):
+        run_circuits([Circuit()], np.ones((1, 16)) / 4.0)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(DIM), 2 * basis_state(5).amplitudes, np.full(DIM, np.nan)],
+                         ids=["zero", "norm-two", "nan"])
+def test_run_circuits_names_the_row_that_is_not_a_unit_vector(bad):
+    amps = np.array([basis_state(0).amplitudes, basis_state(1).amplitudes, bad, basis_state(2).amplitudes])
+    circuits = [Circuit((Hadamard(1), ControlledNot(1, 4)))] * len(amps)
+    with pytest.raises(ValueError, match=r"^row 2: state norm"):
+        run_circuits(circuits, amps)
 
 
 def _transposed_apply_unitary(amps: np.ndarray, spins: tuple[int, ...], u: np.ndarray) -> np.ndarray:
@@ -262,9 +308,9 @@ def test_equal_controlled_permutations_compare_and_hash_equal():
 
 def test_invalid_spin_indices_rejected():
     with pytest.raises(ValueError):
-        apply_gate(basis_state(0), Hadamard(6))
+        run_gate(basis_state(0), Hadamard(6))
     with pytest.raises(ValueError):
-        apply_gate(basis_state(0), ControlledNot(2, 2))
+        run_gate(basis_state(0), ControlledNot(2, 2))
     with pytest.raises(ValueError):
         Circuit((Hadamard(0),))
     # equal to Hadamard(1) as a value, so a memoized lowering must never see them

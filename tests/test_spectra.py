@@ -143,9 +143,10 @@ def test_net_area_proportional_to_observable_across_sweep():
     for pi in PERMS[::4]:
         for y in range(4):
             rho = final_density(run_orderfinding(OracleSpec(pi, y)))
+            observables = expectation_Iz(rho.matrix.diagonal())
             for spin in range(1, 6):
                 area = net_area(readout_lines(rho, spin, PARAMS))
-                assert area == pytest.approx(expectation_Iz(rho, spin) / 2.0, abs=1e-10)
+                assert area == pytest.approx(observables[spin - 1] / 2.0, abs=1e-10)
 
 
 def test_order_two_line_signature():
