@@ -115,10 +115,6 @@ def build_orderfinding(spec: OracleSpec) -> Circuit:
     return Circuit(_HADAMARD_FRONT.ops + oracle_stages(spec.pi).ops + _QFT_NO_SWAP.ops)
 
 
-# The circuit's inputs |000>|y1 y0>, row y for y = 0..3.
-_INPUTS = np.array([basis_state(y).amplitudes for y in range(N_ELEMENTS)])
-
-
 def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     """Final amplitudes of the order-finding circuit, one (32,) row per instance, as one batch.
 
@@ -128,7 +124,8 @@ def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     for spec in specs:
         if spec.pi not in circuit_of:
             circuit_of[spec.pi] = build_orderfinding(spec)
-    return run_circuits([circuit_of[spec.pi] for spec in specs], _INPUTS[[spec.y for spec in specs]])
+    inputs = np.array([basis_state(y).amplitudes for y in range(N_ELEMENTS)])  # row y is |000>|y1 y0>
+    return run_circuits([circuit_of[spec.pi] for spec in specs], inputs[[spec.y for spec in specs]])
 
 
 def run_orderfinding(spec: OracleSpec) -> QuantumState:

@@ -44,10 +44,9 @@ class InfeasibleInput(ValueError):
 
 def _check_probability_rows(p: np.ndarray) -> None:
     """InfeasibleInput naming the first row of `p` (k, n) that is not a probability vector."""
-    ok = (p.min(axis=1) >= -1e-12) & (np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        raise InfeasibleInput(f"row {row} is not a probability vector: {p[row]}")
+    for row, (low, total) in enumerate(zip(p.min(axis=1).tolist(), p.sum(axis=1).tolist())):
+        if not (low >= -1e-12 and abs(total - 1.0) <= 1e-12):
+            raise InfeasibleInput(f"row {row} is not a probability vector: {p[row]}")
 
 
 @dataclass(frozen=True)
