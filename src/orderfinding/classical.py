@@ -13,9 +13,12 @@ but its optimal vertex at y = 0 is stored as exact literals
 searched for: the witness is a strategy, the prior a distribution, and the
 witness's worst-case payoff equals the prior's best-response value, so by
 weak duality both equal the game value, exactly 1/2.  Relabeling carries
-the certificate to y = 1..3.  A failed check raises CertificateError.
-The checks sum integer numerators over one denominator (weight times guess
-probability, or prior mass), so each result is one Fraction(total, den).
+the certificate to y = 1..3: the witness's integer table by relabeling the
+seen z, the prior by conjugating each permutation.  A failed check raises
+CertificateError.  The checks sum integer numerators over one denominator
+(weight times guess probability, or prior mass), so each result is one
+Fraction(total, den).  The two-query witness is checked on the same cached
+trajectories, and no certificate builds a Permutation or calls `power`.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from .exactlp import CertificateError
-from .permutations import ALL_PERMUTATIONS, N_ELEMENTS, Permutation, order_of, power
+from .permutations import ALL_PERMUTATIONS, N_ELEMENTS, Permutation
 
 MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
 
@@ -73,6 +76,17 @@ def _order(path: tuple[int, ...]) -> int:
     return path.index(path[0], 1)
 
 
+@cache
+def _permutation_names() -> tuple[str, ...]:
+    """The cycle notation of each permutation, in ALL_PERMUTATIONS order."""
+    return tuple(str(pi) for pi in ALL_PERMUTATIONS)
+
+
+def _worst_scaled_payoff(xs: tuple[int, ...], cells: dict[tuple[int, int], tuple[int, ...]], paths) -> int:
+    """The least integer payoff of a strategy table (live x, cells) over the given trajectories."""
+    return min(sum(cells[(x, path[x])][_order(path) - 1] for x in xs) for path in paths)
+
+
 @dataclass(frozen=True)
 class OneQueryStrategy:
     """Randomized single-query strategy: weights over x, then a guess per (x, z)."""
@@ -86,17 +100,23 @@ class OneQueryStrategy:
         object.__setattr__(self, "guesses", MappingProxyType(dict(self.guesses)))
 
     def payoff(self, pi: Permutation, y: int = 0) -> Fraction:
-        return Fraction(self._scaled_payoff(_trajectory(pi, y)), self._table[0])
+        den, xs, cells = self._table
+        return Fraction(_worst_scaled_payoff(xs, cells, [_trajectory(pi, y)]), den)
 
     def min_payoff(self, y: int = 0) -> Fraction:
-        return Fraction(min(self._scaled_payoff(path) for path in _trajectories(y)), self._table[0])
+        den, xs, cells = self._table
+        return Fraction(_worst_scaled_payoff(xs, cells, _trajectories(y)), den)
 
     @cached_property
     def _table(self) -> tuple[int, tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
         """(den, live x, cells): cells[(x, z)][r - 1] is weight(x) * Pr[guess r | x, z] in units of 1/den.
 
-        A guess row at a live x that is not a distribution over the orders 1..4 raises CertificateError.
+        Weights that are not a distribution over the exponents 1..12, or a guess row at a live x
+        that is not one over the orders 1..4, raise CertificateError.
         """
+        if (any(type(x) is not int or not 1 <= x <= MAX_EXPONENT or w < 0 for x, w in self.x_weights.items())
+                or sum(self.x_weights.values()) != 1):
+            raise CertificateError(f"witness weights are not a distribution over exponents 1..{MAX_EXPONENT}")
         xs = tuple(x for x, qx in self.x_weights.items() if qx)
         live = {(x, z): (self.x_weights[x], row) for (x, z), row in self.guesses.items() if x in xs}
         den = lcm(*(qx.denominator * g.denominator for qx, row in live.values() for g in row))
@@ -108,23 +128,25 @@ class OneQueryStrategy:
                 raise CertificateError(f"guess row at x={x}, z={z} is not a distribution over the orders 1..4")
         return den, xs, cells
 
-    def _scaled_payoff(self, path: tuple[int, ...]) -> int:
-        _, xs, cells = self._table
-        r = _order(path) - 1
-        return sum(cells[(x, path[x])][r] for x in xs)
-
 
 @dataclass(frozen=True)
 class TwoQueryStrategy:
-    """Non-adaptive pair of queries with a deterministic decision table."""
+    """Non-adaptive pair of queries x >= 0, ints (not bools), with a deterministic decision table."""
 
     queries: tuple[int, int]
     table: dict[tuple[bool, bool], int]
 
+    def __post_init__(self) -> None:
+        for x in self.queries:
+            if type(x) is not int or x < 0:
+                raise ValueError(f"query exponent {x!r} is not a nonnegative int")
+
     def guess(self, pi: Permutation, y: int) -> int:
-        _check_start(y)
-        obs = tuple(power(pi, x)(y) == y for x in self.queries)
-        return self.table[obs]
+        return self.decide(_trajectory(pi, y))
+
+    def decide(self, path: tuple[int, ...]) -> int:
+        """The guess on a trajectory: query x sees whether pi^x(y) = y, and pi^12 is the identity."""
+        return self.table[tuple(path[x % MAX_EXPONENT] == path[0] for x in self.queries)]
 
 
 def paper_one_query_witness() -> OneQueryStrategy:
@@ -174,26 +196,21 @@ def prior_best_response_value(prior: list[Fraction], y: int = 0) -> Fraction:
     return Fraction(best, den)
 
 
-def _transpose_relabel(y: int) -> Permutation:
-    images = list(range(4))
-    images[0], images[y] = y, 0
-    return Permutation(tuple(images))
-
-
 def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fraction:
     """Exact game value at start y, via certificates transported from y = 0.
 
     Relabeling rooms by the transposition (0 y) carries the y = 0 game onto
     the y game: the transported witness bounds the value from below and the
     transported prior from above; the bounds coincide, pinning the value.
+    The witness is transported as its integer table, whose rows are checked already.
     """
-    tau = _transpose_relabel(y)
-    guesses = {(x, z): witness.guesses[(x, tau(z))] for (x, z) in witness.guesses}
-    witness_y = OneQueryStrategy(witness.x_weights, guesses)
-    t = tau.images
+    t = list(range(N_ELEMENTS))
+    t[0], t[y] = y, 0  # tau = (0 y), its own inverse
+    den, xs, cells = witness._table
+    cells_y = {(x, z): cells[(x, t[z])] for (x, z) in cells}
     by_images = {pi.images: p for pi, p in zip(ALL_PERMUTATIONS, prior)}
     prior_y = [by_images[tuple(t[img[t[v]]] for v in range(N_ELEMENTS))] for img in by_images]  # tau pi tau
-    lower = witness_y.min_payoff(y)
+    lower = Fraction(_worst_scaled_payoff(xs, cells_y, _trajectories(y)), den)
     upper = prior_best_response_value(prior_y, y)
     if lower != upper:
         raise CertificateError(f"certificate transport failed at y={y}: {lower} != {upper}")
@@ -201,11 +218,8 @@ def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fra
 
 
 def _stored_witness() -> OneQueryStrategy:
-    """ONE_QUERY_WITNESS as a strategy, checked to be one; each guess becomes a one-hot row."""
+    """ONE_QUERY_WITNESS as a strategy; each guess becomes a one-hot row, and the strategy checks its weights."""
     weights = {x: w for x, (w, _) in ONE_QUERY_WITNESS.items()}
-    if (any(type(x) is not int or not 1 <= x <= MAX_EXPONENT or w < 0 for x, w in weights.items())
-            or sum(weights.values()) != 1):
-        raise CertificateError(f"witness weights are not a distribution over exponents 1..{MAX_EXPONENT}")
     guesses = {}
     for x, (_, row) in ONE_QUERY_WITNESS.items():
         if len(row) != N_ELEMENTS or any(guess not in (1, 2, 3, 4) for guess in row):
@@ -217,7 +231,7 @@ def _stored_witness() -> OneQueryStrategy:
 
 def _prior_vector(prior: dict[str, Fraction]) -> list[Fraction]:
     """The prior as masses in ALL_PERMUTATIONS order, checked to be a distribution."""
-    names = [str(pi) for pi in ALL_PERMUTATIONS]
+    names = _permutation_names()
     unknown = sorted(set(prior) - set(names))
     if unknown:
         raise CertificateError(f"hardest prior names {unknown[0]!r}, not a permutation of 0..3")
@@ -247,7 +261,7 @@ def one_query_value() -> OneQueryReport:
     return OneQueryReport(
         value=value,
         witness=witness,
-        prior={str(pi): p for pi, p in zip(ALL_PERMUTATIONS, prior) if p},
+        prior={name: p for name, p in zip(_permutation_names(), prior) if p},
         prior_best_response=upper,
         paper_witness_value=paper_one_query_witness().min_payoff(),
         values_per_y=tuple(values),
@@ -270,11 +284,12 @@ def _single_query_deterministic_perfect_count(y: int = 0) -> tuple[int, int]:
     4 if no trajectory shows z, by 1 if all that do share one order, else by 0.
     """
     paths = _trajectories(y)
+    orders = [_order(path) for path in paths]
     perfect = 0
     for x in range(1, MAX_EXPONENT + 1):
         seen = [set() for _ in range(N_ELEMENTS)]  # seen[z]: the orders of the trajectories showing z
-        for path in paths:
-            seen[path[x]].add(_order(path))
+        for path, r in zip(paths, orders):
+            seen[path[x]].add(r)
         perfect += prod(N_ELEMENTS if not orders else int(len(orders) == 1) for orders in seen)
     return N_ELEMENTS**N_ELEMENTS * MAX_EXPONENT, perfect
 
@@ -283,10 +298,10 @@ def two_query_certainty() -> TwoQueryReport:
     """Certify that two queries determine the order on all 96 cases, one query cannot."""
     witness = two_query_witness()
     cases = 0
-    for pi in ALL_PERMUTATIONS:
-        for y in range(4):
-            if witness.guess(pi, y) != order_of(pi, y):
-                raise CertificateError(f"two-query witness failed on {pi}, y={y}")
+    for y in range(N_ELEMENTS):
+        for name, path in zip(_permutation_names(), _trajectories(y)):
+            if witness.decide(path) != _order(path):
+                raise CertificateError(f"two-query witness failed on {name}, y={y}")
             cases += 1
     checked, perfect = _single_query_deterministic_perfect_count()
     return TwoQueryReport(

@@ -13,18 +13,23 @@ the state of `circuits.run_orderfinding(spec)`, a one-row batch, and
 `simulated_observables` reads the density that `final_density` builds; the
 two `simulated_*` functions are the batched reductions applied to one row.
 
+The exact distributions are derived in Z[zeta_8], zeta = exp(2 pi i / 8): each
+coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2.
 The guess game's optimal vertex is stored as literals and certified on every
-`solve_guess_game()` call; by weak duality its value is exactly 60/109.
+`solve_guess_game()` call, in integers: every exact entry is scaled to a pair
+(a, b) meaning (a + b sqrt 2) / den, and the sums are ordered by the sign of
+a + b sqrt 2.  By weak duality the value is exactly 60/109.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .exactlp import CertificateError, QSqrt2
+from .exactlp import CertificateError, QSqrt2, sqrt2_sign
 from .simulator import DensityOperator, QuantumState, expectation_Iz
 
 ORDERS = (1, 2, 3, 4)
@@ -81,18 +86,22 @@ class GuessStrategy:
 
 
 def _exact_closed_form(r: int) -> tuple[QSqrt2, ...]:
-    f = Fraction
-    if r == 1:
-        probs = [QSqrt2(f(1) if m == 0 else f(0)) for m in range(8)]
-    elif r == 2:
-        probs = [QSqrt2(f(1, 2) if m in (0, 4) else f(0)) for m in range(8)]
-    elif r == 3:
-        num = {0: (22, 0), 1: (8, -5), 2: (4, 0), 3: (8, 5), 4: (2, 0), 5: (8, 5), 6: (4, 0), 7: (8, -5)}
-        probs = [QSqrt2(f(num[m][0], 64), f(num[m][1], 64)) for m in range(8)]
-    elif r == 4:
-        probs = [QSqrt2(f(1, 4) if m % 2 == 0 else f(0)) for m in range(8)]
-    else:
-        raise ValueError(f"order {r} out of range 1..4")
+    """Pr[m] = sum over the cosets a of |S_a(m)|^2 / 64, with S_a(m) = sum over x = a mod r of zeta^(m x).
+
+    S = c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 as ints, since zeta^4 = -1; then
+    |S|^2 = sum c_j^2 + (c0 c1 + c1 c2 + c2 c3 - c0 c3) sqrt 2.
+    """
+    probs = []
+    for m in range(8):
+        p = q = 0
+        for a in range(r):
+            c = [0] * 4
+            for x in range(a, 8, r):
+                k = m * x % 8
+                c[k % 4] += 1 if k < 4 else -1
+            p += sum(v * v for v in c)
+            q += c[0] * c[1] + c[1] * c[2] + c[2] * c[3] - c[0] * c[3]
+        probs.append(QSqrt2(Fraction(p, 64), Fraction(q, 64)))
     return tuple(probs)
 
 
@@ -100,9 +109,9 @@ def analytic_distribution(r: int) -> OutcomeDistribution:
     """Exact outcome distribution for an 8-point function of period r.
 
     Computed by collapsing the second register and Fourier-transforming each
-    residue coset of {0..7} mod r; the attached exact entries are the closed
-    forms, which the test suite cross-checks against this sum and against
-    full circuit simulation.  Each order's distribution is built once per
+    residue coset of {0..7} mod r; the attached exact entries are the same
+    coset sums taken in Z[zeta_8], which the test suite cross-checks against
+    the float sum, the closed forms once typed here, and full circuit simulation.  Each order's distribution is built once per
     process and shared by every caller.  `r` must be an int (not a bool) in 1..4.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r not in ORDERS:
@@ -180,7 +189,8 @@ def _certified_value(exact, strategy, prior) -> QSqrt2:
 
     exact[k][m] = Pr[m | order ORDERS[k]]; strategy and prior count units of 1/GUESS_DENOMINATOR.
     The strategy's worst success bounds the value from below, the prior's best-response value
-    sum_m max_k prior[k] exact[k][m] from above.
+    sum_m max_k prior[k] exact[k][m] from above.  Both are integer pairs (a, b) meaning
+    (a + b sqrt 2) / (den * GUESS_DENOMINATOR), den the lcm of the entries' denominators.
     """
     if len(strategy) != 8:
         raise CertificateError(f"guess strategy has {len(strategy)} rows, expected one per outcome m = 0..7")
@@ -189,12 +199,24 @@ def _certified_value(exact, strategy, prior) -> QSqrt2:
             raise CertificateError(f"guess strategy row m={m} is not a distribution over the orders")
     if len(prior) != len(ORDERS) or min(prior) < 0 or sum(prior) != GUESS_DENOMINATOR:
         raise CertificateError("hardest guess prior is not a distribution over the orders")
-    zero, unit = QSqrt2(), Fraction(1, GUESS_DENOMINATOR)
-    worst = min(sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS)))
-    best = sum((max(exact[k][m] * p for k, p in enumerate(prior)) for m in range(8)), zero)
+    den = lcm(*(part.denominator for entries in exact for e in entries for part in (e.a, e.b)))
+    pairs = [[(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator)) for e in entries]
+             for entries in exact]
+    by_value = functools.cmp_to_key(lambda u, v: sqrt2_sign(u[0] - v[0], u[1] - v[1]))
+    worst = min(((sum(pairs[k][m][0] * row[k] for m, row in enumerate(strategy)),
+                  sum(pairs[k][m][1] * row[k] for m, row in enumerate(strategy))) for k in range(len(ORDERS))),
+                key=by_value)
+    tops = [max(((pairs[k][m][0] * p, pairs[k][m][1] * p) for k, p in enumerate(prior)), key=by_value)
+            for m in range(8)]
+    best = (sum(a for a, _ in tops), sum(b for _, b in tops))
+    scale = den * GUESS_DENOMINATOR
+
+    def value(pair: tuple[int, int]) -> QSqrt2:
+        return QSqrt2(Fraction(pair[0], scale), Fraction(pair[1], scale))
+
     if worst != best:
-        raise CertificateError(f"guess-game certificate failed: strategy {worst * unit!r} != prior {best * unit!r}")
-    return worst * unit
+        raise CertificateError(f"guess-game certificate failed: strategy {value(worst)!r} != prior {value(best)!r}")
+    return value(worst)
 
 
 def solve_guess_game() -> GuessGameSolution:

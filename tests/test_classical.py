@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderfinding import classical
+from orderfinding import classical, permutations
 from orderfinding.classical import (
     HARDEST_PRIOR,
     MAX_EXPONENT,
     ONE_QUERY_WITNESS,
     OneQueryStrategy,
+    TwoQueryStrategy,
     one_query_value,
     paper_one_query_witness,
     prior_best_response_value,
@@ -17,7 +18,7 @@ from orderfinding.classical import (
     two_query_witness,
 )
 from orderfinding.exactlp import CertificateError
-from orderfinding.permutations import ALL_PERMUTATIONS, order_of, power
+from orderfinding.permutations import ALL_PERMUTATIONS, Permutation, order_of, power
 
 PERMS = ALL_PERMUTATIONS
 
@@ -75,6 +76,50 @@ def test_two_query_witness_succeeds_on_all_96_cases():
     for pi in PERMS:
         for y in range(4):
             assert witness.guess(pi, y) == order_of(pi, y)
+
+
+@given(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_two_query_decision_on_trajectories_equals_the_power_reference(queries, guesses):
+    # the decision reads path[x % 12]; the reference evaluates pi^x(y) = y with `power`
+    keys = [(True, True), (True, False), (False, True), (False, False)]
+    strategy = TwoQueryStrategy(queries, dict(zip(keys, guesses)))
+    for pi in PERMS:
+        for y in range(4):
+            expected = strategy.table[tuple(power(pi, x)(y) == y for x in queries)]
+            assert strategy.guess(pi, y) == expected
+            assert strategy.decide(classical._trajectories(y)[PERMS.index(pi)]) == expected
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5], ids=["negative", "bool", "float"])
+def test_two_query_strategy_rejects_a_query_that_is_not_a_nonnegative_int(bad):
+    table = two_query_witness().table
+    with pytest.raises(ValueError, match=f"query exponent {bad!r} is not a nonnegative int"):
+        TwoQueryStrategy((2, bad), table)
+
+
+def test_certificates_build_no_permutation_and_call_no_power(monkeypatch):
+    # both certificates read the cached trajectory tables; count every Permutation built and every power call
+    counts = {"Permutation": 0, "power": 0}
+    post_init, real_power = Permutation.__post_init__, permutations.power
+
+    def counted_post_init(self):
+        counts["Permutation"] += 1
+        post_init(self)
+
+    def counted_power(pi, k):
+        counts["power"] += 1
+        return real_power(pi, k)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted_post_init)
+    for module in (permutations, classical):
+        if hasattr(module, "power"):
+            monkeypatch.setattr(module, "power", counted_power)
+    classical._trajectories.cache_clear()
+    classical._permutation_names.cache_clear()
+    assert one_query_value().value == Fraction(1, 2)
+    assert two_query_certainty().cases_checked == 96
+    assert counts == {"Permutation": 0, "power": 0}
 
 
 def test_two_query_report(one_query_report):
@@ -147,6 +192,29 @@ def test_perturbed_stored_vertex_raises_certificate_error(monkeypatch, name, sto
     monkeypatch.setattr(classical, name, stored)
     with pytest.raises(CertificateError, match=match):
         one_query_value()
+
+
+@pytest.mark.parametrize("weights", [
+    {3: Fraction(2)},
+    {3: Fraction(1, 2)},
+    {3: Fraction(3, 2), 1: Fraction(-1, 2)},
+    {0: Fraction(1)},
+    {13: Fraction(1)},
+    {True: Fraction(1)},
+    {3.0: Fraction(1)},
+    {},
+], ids=["sum_2", "sum_1_2", "negative_weight", "exponent_0", "exponent_13", "bool_exponent", "float_exponent", "empty"])
+def test_strategy_weights_that_are_not_a_distribution_raise_certificate_error(weights):
+    # {3: 2} with the paper's rows would pay 1, twice the game value, without the weight check
+    guesses = {**paper_one_query_witness().guesses,
+               **{(x, z): (Fraction(1), Fraction(0), Fraction(0), Fraction(0)) for x in (0, 1, 13) for z in range(4)}}
+    with pytest.raises(CertificateError, match="witness weights are not a distribution over exponents 1..12"):
+        OneQueryStrategy(weights, guesses).min_payoff()
+
+
+def test_doubled_paper_weight_raises_certificate_error():
+    with pytest.raises(CertificateError, match="weights are not a distribution"):
+        OneQueryStrategy({3: Fraction(2)}, paper_one_query_witness().guesses).min_payoff()
 
 
 def _witness_with_rows(make_row) -> OneQueryStrategy:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from orderfinding import cli
-from orderfinding.exactlp import QSqrt2
+from orderfinding.exactlp import QSqrt2, sqrt2_sign
 
 
 def q(a, b=0):
@@ -41,6 +42,25 @@ def test_ordering_close_calls():
     assert q(0, 1) > q(1, 0)  # sqrt(2) > 1
     assert q(1414213562373095, -10**15) < 0  # tight rational approximation from below
     assert not (q(0) > 0) and not (q(0) < 0)
+
+
+@pytest.mark.parametrize("a, b", [(3, -2), (-17, 12), (99, -70), (577, -408), (0, 0), (0, 5), (-4, 0)])
+def test_integer_sign_agrees_with_the_field_on_near_sqrt2_pairs(a, b):
+    # a / b near -sqrt 2 (Pell convergents): a^2 - 2 b^2 = 1, so a + b sqrt 2 is tiny but nonzero
+    expected = q(a, b)._sign()
+    assert sqrt2_sign(a, b) == expected
+    assert sqrt2_sign(-a, -b) == -expected
+
+
+big = st.integers(-10**12, 10**12)
+# pairs within 2 of the line a = -b sqrt 2, where a + b sqrt 2 is closest to zero
+near_zero = st.builds(lambda b, d: (d - (1 if b > 0 else -1) * isqrt(2 * b * b), b), big, st.integers(-2, 2))
+
+
+@given(st.one_of(st.tuples(big, big), near_zero))
+def test_integer_sign_agrees_with_the_field(pair):
+    a, b = pair
+    assert sqrt2_sign(a, b) == q(a, b)._sign()
 
 
 def test_as_fraction():

@@ -44,6 +44,23 @@ CLOSED_FORMS = {
 }
 
 
+# the exact closed forms as they were typed before they were derived in Z[zeta_8]: the reference
+# for the derived `.exact` entries, as (numerator of a, numerator of b) over 64 for a + b sqrt 2
+TYPED_EXACT = {
+    1: [(64, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+    2: [(32, 0), (0, 0), (0, 0), (0, 0), (32, 0), (0, 0), (0, 0), (0, 0)],
+    3: [(22, 0), (8, -5), (4, 0), (8, 5), (2, 0), (8, 5), (4, 0), (8, -5)],
+    4: [(16, 0), (0, 0), (16, 0), (0, 0), (16, 0), (0, 0), (16, 0), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_derived_exact_entries_equal_the_typed_closed_forms(r):
+    exact = analytic_distribution(r).exact
+    assert exact == tuple(QSqrt2(Fraction(a, 64), Fraction(b, 64)) for a, b in TYPED_EXACT[r])
+    assert all(type(e.a) is Fraction and type(e.b) is Fraction for e in exact)
+
+
 @pytest.mark.parametrize("r", ORDERS)
 def test_analytic_distribution_matches_closed_forms(r):
     dist = analytic_distribution(r)
@@ -215,6 +232,50 @@ def test_certified_value_accepts_a_prior_with_zero_masses():
     for k in range(4):
         prior = tuple(GUESS_DENOMINATOR * (j == k) for j in range(4))
         assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(1))
+
+
+def _reference_certified_value(exact, strategy, prior) -> QSqrt2:
+    """The QSqrt2 sums the certificate made before it moved to integer pairs: the reference."""
+    zero, unit = QSqrt2(), Fraction(1, GUESS_DENOMINATOR)
+    worst = min(sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS)))
+    best = sum((max(exact[k][m] * p for k, p in enumerate(prior)) for m in range(8)), zero)
+    if worst != best:
+        raise CertificateError(f"guess-game certificate failed: strategy {worst * unit!r} != prior {best * unit!r}")
+    return worst * unit
+
+
+def _split(draw, total: int, size: int) -> tuple[int, ...]:
+    """size nonnegative ints summing to total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=size - 1, max_size=size - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@st.composite
+def guess_vertices(draw):
+    """A strategy and a prior over 109 near the stored vertex, and the exact rows under a relabeling."""
+    relabeling = draw(st.permutations(range(4)))
+    exact = [analytic_distribution(ORDERS[k]).exact for k in relabeling]
+    if draw(st.booleans()):
+        strategy = [draw(st.sampled_from([row, _split(draw, GUESS_DENOMINATOR, 4)])) for row in GUESS_STRATEGY]
+        prior = draw(st.sampled_from([GUESS_PRIOR, _split(draw, GUESS_DENOMINATOR, 4)]))
+    else:
+        strategy = [[row[k] for k in relabeling] for row in GUESS_STRATEGY]
+        prior = [GUESS_PRIOR[k] for k in relabeling]
+    return exact, strategy, prior
+
+
+@given(guess_vertices())
+def test_integer_certificate_equals_the_qsqrt2_reference(vertex):
+    # the integer pairs must reach the same verdict, the same value and the same failure text
+    try:
+        expected = _reference_certified_value(*vertex)
+    except CertificateError as error:
+        with pytest.raises(CertificateError) as got:
+            measurement._certified_value(*vertex)
+        assert str(got.value) == str(error)
+    else:
+        got = measurement._certified_value(*vertex)
+        assert got == expected and repr(got) == repr(expected)
 
 
 def _moved(cells, source, target):
