@@ -212,6 +212,15 @@ def test_strategy_weights_that_are_not_a_distribution_raise_certificate_error(we
         OneQueryStrategy(weights, guesses).min_payoff()
 
 
+def test_strategy_accepts_the_end_exponents_and_zero_weights():
+    # exponents 1 and 12 bound the accepted range, and a zero weight is a valid mass
+    guess_one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    weights = {1: Fraction(1, 2), 12: Fraction(1, 2), 5: Fraction(0)}
+    strategy = OneQueryStrategy(weights, {(x, z): guess_one for x in weights for z in range(4)})
+    assert strategy.min_payoff() == 0
+    assert strategy.payoff(PERMS[0]) == 1
+
+
 def test_doubled_paper_weight_raises_certificate_error():
     with pytest.raises(CertificateError, match="weights are not a distribution"):
         OneQueryStrategy({3: Fraction(2)}, paper_one_query_witness().guesses).min_payoff()
