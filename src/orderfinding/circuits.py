@@ -20,6 +20,11 @@ parse_readout_listing applies the operator-product reversal.
 
 `run_instances` simulates order-finding instances as one row batch through
 `simulator.run_circuits`; `run_orderfinding(spec)` is its one-row call.
+The Hadamard front and the QFT hold the same op on every row, so each of
+their steps is one kernel call on the whole batch.  The oracle's three
+stages (`permutations.oracle_stages`, read from the permutation's
+trajectories) are controlled permutations, so each stage is one exact index
+gather, every row through its own permutation's source index.
 
 Oracle checks are exact: each native op sends a basis state to one basis
 state times a power of i, so a listing is followed branch by branch as a

@@ -6,13 +6,14 @@ for every y, by relabeling; the implementation checks this), the one-query
 game is a finite zero-sum game: the guesser randomizes over the exponent x
 in 1..12 (pi^12 is the identity, so larger exponents add nothing), sees
 z = pi^x(0), and guesses r'; the adversary picks one of the 24 permutations.
-Everything a query can see is the trajectory pi^0(y), ..., pi^12(y), so one
-table of trajectories per start y evaluates strategies.  The game is an LP,
-but its optimal vertex at y = 0 is stored as exact literals
-(ONE_QUERY_WITNESS, HARDEST_PRIOR) and certified on every call instead of
-searched for: the witness is a strategy, the prior a distribution, and the
-witness's worst-case payoff equals the prior's best-response value, so by
-weak duality both equal the game value, exactly 1/2.  Relabeling carries
+Everything a query can see is the trajectory pi^0(y), ..., pi^12(y) of
+`permutations.trajectory`, so one table of trajectories per start y
+evaluates strategies.  The game is an LP, but its optimal vertex at y = 0
+is stored as exact literals (ONE_QUERY_WITNESS, HARDEST_PRIOR) and
+certified on every call instead of searched for: the witness is a
+strategy, the prior a distribution, and the witness's worst-case payoff
+equals the prior's best-response value, so by weak duality both equal the
+game value, exactly 1/2.  Relabeling carries
 the certificate to y = 1..3: the witness's integer table by relabeling the
 seen z, the prior by conjugating each permutation.  A failed check raises
 CertificateError.  The checks sum integer numerators over one denominator
@@ -29,9 +30,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from .exactlp import CertificateError
-from .permutations import ALL_PERMUTATIONS, N_ELEMENTS, Permutation
-
-MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
+from .permutations import ALL_PERMUTATIONS, MAX_EXPONENT, N_ELEMENTS, Permutation, trajectory
 
 # The optimal vertex of the one-query LP at y = 0.  The witness maps each
 # exponent x it queries to its weight and the deterministic guess r' made on
@@ -50,25 +49,10 @@ HARDEST_PRIOR = {
 }
 
 
-def _check_start(y: int) -> None:
-    """Reject a start element that is not an int (bools too) in 0..3."""
-    if type(y) is not int or not 0 <= y < N_ELEMENTS:
-        raise ValueError(f"start element {y!r} is not an int in 0..3")
-
-
-def _trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
-    """(pi^0(y), pi^1(y), ..., pi^12(y)): every observation a query can make."""
-    _check_start(y)
-    path = [y]
-    for _ in range(MAX_EXPONENT):
-        path.append(pi(path[-1]))
-    return tuple(path)
-
-
 @cache
 def _trajectories(y: int) -> tuple[tuple[int, ...], ...]:
     """The trajectory of y under each permutation, in ALL_PERMUTATIONS order."""
-    return tuple(_trajectory(pi, y) for pi in ALL_PERMUTATIONS)
+    return tuple(trajectory(pi, y) for pi in ALL_PERMUTATIONS)
 
 
 def _order(path: tuple[int, ...]) -> int:
@@ -101,7 +85,7 @@ class OneQueryStrategy:
 
     def payoff(self, pi: Permutation, y: int = 0) -> Fraction:
         den, xs, cells = self._table
-        return Fraction(_worst_scaled_payoff(xs, cells, [_trajectory(pi, y)]), den)
+        return Fraction(_worst_scaled_payoff(xs, cells, [trajectory(pi, y)]), den)
 
     def min_payoff(self, y: int = 0) -> Fraction:
         den, xs, cells = self._table
@@ -140,9 +124,6 @@ class TwoQueryStrategy:
         for x in self.queries:
             if type(x) is not int or x < 0:
                 raise ValueError(f"query exponent {x!r} is not a nonnegative int")
-
-    def guess(self, pi: Permutation, y: int) -> int:
-        return self.decide(_trajectory(pi, y))
 
     def decide(self, path: tuple[int, ...]) -> int:
         """The guess on a trajectory: query x sees whether pi^x(y) = y, and pi^12 is the identity."""

@@ -138,7 +138,8 @@ def cmd_sweep(out: Path) -> int:
     analytic = np.array([measurement.analytic_distribution(r).probs for r in orders])
     errors = np.abs(measurement.outcome_probabilities(amps) - analytic).max(axis=1)
     observables = expectation_Iz(amps * amps.conj())
-    rows = [(format_cycles(spec.pi), spec.y, r, err, *o)
+    names = {pi: format_cycles(pi) for pi in ALL_PERMUTATIONS}
+    rows = [(names[spec.pi], spec.y, r, err, *o)
             for spec, r, err, o in zip(specs, orders, errors.tolist(), observables.tolist())]
     _write_csv(out / "sweep.csv",
                ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], list(zip(*rows)))

@@ -1,8 +1,13 @@
-"""Permutations on {0,1,2,3}: cycle structure, powers, and the controlled oracle.
+"""Permutations on {0,1,2,3}: cycle structure, powers, trajectories, and the controlled oracle.
 
 The second register stores the permuted element y = y1 y0 with y1 on spin 4
 and y0 on spin 5.  The exponent register stores x = x2 x1 x0 with x2 on
 spin 1 (most significant), x1 on spin 2, x0 on spin 3.
+
+`trajectory(pi, y)` lists pi^0(y) .. pi^12(y), every power of pi that can
+act on y.  `order_of`, `oracle_stages` and the classical certificates read
+it; `power` builds a whole permutation and is kept for the native-sequence
+check and as the reference.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from .simulator import Circuit, ControlledPermutation
 
 N_ELEMENTS = 4
+MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,12 @@ IDENTITY = Permutation((0, 1, 2, 3))
 ALL_PERMUTATIONS = tuple(Permutation(images) for images in itertools.permutations(range(N_ELEMENTS)))
 
 
+def _check_start(y: int) -> None:
+    """Reject a start element that is not an int (bools too) in 0..3."""
+    if type(y) is not int or not 0 <= y < N_ELEMENTS:
+        raise ValueError(f"start element {y!r} is not an int in 0..3")
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """One problem instance: the permutation and the starting element y, an int (not a bool)."""
@@ -47,8 +59,7 @@ class OracleSpec:
     y: int
 
     def __post_init__(self) -> None:
-        if type(self.y) is not int or not 0 <= self.y < N_ELEMENTS:
-            raise ValueError(f"start element {self.y!r} is not an int in 0..3")
+        _check_start(self.y)
 
 
 def power(pi: Permutation, k: int) -> Permutation:
@@ -61,16 +72,21 @@ def power(pi: Permutation, k: int) -> Permutation:
     return Permutation(images)
 
 
+def trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
+    """(pi^0(y), pi^1(y), ..., pi^12(y)): every power of pi applied to the start element y."""
+    _check_start(y)
+    images = pi.images
+    cycle = [y]
+    z = images[y]
+    while z != y:
+        cycle.append(z)
+        z = images[z]
+    return tuple(cycle * (MAX_EXPONENT // len(cycle))) + (y,)  # the cycle length divides MAX_EXPONENT
+
+
 def order_of(pi: Permutation, y: int) -> int:
     """Smallest r >= 1 with pi^r(y) = y (the cycle length of y); y is an int in 0..3."""
-    if type(y) is not int or not 0 <= y < N_ELEMENTS:
-        raise ValueError(f"element {y!r} is not an int in 0..3")
-    z = pi(y)
-    r = 1
-    while z != y:
-        z = pi(z)
-        r += 1
-    return r
+    return trajectory(pi, y).index(y, 1)
 
 
 def oracle_stages(pi: Permutation) -> Circuit:
@@ -78,10 +94,11 @@ def oracle_stages(pi: Permutation) -> Circuit:
 
     pi^x factors as pi^{x0} pi^{2 x1} pi^{4 x2}, so the stages are pi^1
     controlled by spin 3, pi^2 controlled by spin 2 and pi^4 controlled by
-    spin 1, each a `ControlledPermutation` by the power's images on spins
-    4 and 5.
+    spin 1, each a `ControlledPermutation` on spins 4 and 5 by the power's
+    images, read from the trajectory of each element.
     """
-    return Circuit(tuple(ControlledPermutation(control, (4, 5), power(pi, exponent).images)
+    powers = list(zip(*(trajectory(pi, y) for y in range(N_ELEMENTS))))  # powers[k] = the images of pi^k
+    return Circuit(tuple(ControlledPermutation(control, (4, 5), powers[exponent])
                          for control, exponent in ((3, 1), (2, 2), (1, 4))))
 
 

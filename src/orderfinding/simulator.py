@@ -6,26 +6,29 @@ index 16*b1 + 8*b2 + 4*b3 + 2*b4 + b5.  Gate angles are in degrees.  A
 conditional z-rotation puts the phase on the |11> component of the
 control/target pair, so it is symmetric in control and target.
 
-Every gate type is lowered by `_lowered` to (controls, targets, m): the
-small unitary m acts on the target spins when every control spin is |1>.
-That table is the only place gate types are told apart for simulation;
-`circuits` reads the native ops (N, C and 90-degree P) exactly, as basis
-index maps with phases in quarter turns.  One kernel, `apply_unitary`,
-applies a small unitary to chosen spins of every row of an amplitude
-array; a controlled op goes through it as diag(I, m) on the controls
-followed by the targets.  States are simulated as row batches: the one
-runner, `run_circuits`, runs circuit i on row i of a (k, 32) array, one
-kernel call per distinct op at each step, and checks each row's norm once,
-at the end.  `gate_unitary` runs the kernel on the 32 rows of the identity.
+Every gate type is lowered by `_memo_operands`, the only place gate types
+are told apart for simulation.  A `ControlledPermutation` lowers to an exact
+source index s over the 32 basis states, new[b] = old[s[b]]; every other op
+to (spins, diag(I, m)), the small unitary m acting on the targets when
+every control is |1>.  `circuits` reads the native ops (N, C and 90-degree
+P) exactly, as basis index maps with phases in quarter turns.  One kernel,
+`apply_unitary`, applies a small unitary to chosen spins of every row of an
+amplitude array.  The one runner, `run_circuits`, runs circuit i on row i
+of a (k, 32) array, reading each step once per distinct circuit object: a
+step of controlled permutations is one `take_along_axis` gather, each row
+through its own op's source index; a step that holds one op on every row
+is one call on all rows; any other step is one call per distinct op.  Each
+row's norm is checked once, at the end.  `gate_unitary` applies the
+lowered op to the 32 rows of the identity.
 
 Every gate is a frozen, hashable value that checks itself exactly when
-built, so each op value is lowered once: `_memo_operands` memoizes (spins,
-diag(I, m)) by op value in an LRU memo of at most `_MEMO_SIZE` entries,
-and `Circuit` validates through the same memo, so a circuit that is built
-and then run lowers each op once.  The kernel is a gather, one matmul and a scatter: a
-flat index per (spins, rows), memoized in a memo of the same size, brings
-the listed spins' amplitudes to the rows of one contiguous matrix and puts
-the product back.  The memoized arrays are read-only.
+built, and `Circuit` checks that each op is a gate.  Each op value is
+lowered once, when first applied: `_memo_operands` is an LRU memo of at
+most `_MEMO_SIZE` entries keyed by op value.  The kernel is a gather, one
+matmul and a scatter: a flat index per (spins, rows), memoized in a memo of
+the same size, brings the listed spins' amplitudes to the rows of one
+contiguous matrix and puts the product back; a source index is built from
+the same flat index.  The memoized arrays are read-only.
 
 All operations are pure functions; values are never mutated after
 construction and are safe to share across threads.
@@ -35,7 +38,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -131,13 +133,7 @@ class ControlledPermutation:
             raise ValueError(f"images must be a tuple of ints forming a bijection of 0..3, got {images!r}")
 
 
-GateOp = Union[
-    Hadamard,
-    NotGate,
-    ConditionalZRotation,
-    ControlledNot,
-    ControlledPermutation,
-]
+GateOp = Hadamard | NotGate | ConditionalZRotation | ControlledNot | ControlledPermutation
 
 
 @dataclass(frozen=True)
@@ -148,32 +144,14 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:  # validates each op's type; the ops checked themselves when built
-            _memo_operands(op)
+        for op in self.ops:  # the ops checked their fields when built
+            if not isinstance(op, GateOp):
+                raise TypeError(f"not a gate op: {op!r}")
 
 
 def _phase(angle_deg: float, dagger: bool) -> complex:
     sign = -1.0 if dagger else 1.0
     return np.exp(1j * sign * np.deg2rad(angle_deg))
-
-
-def _lowered(op: GateOp) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """(controls, targets, m): m acts on `targets` (first = most significant) when all `controls` are |1>."""
-    if isinstance(op, Hadamard):
-        controls, targets, m = (), (op.spin,), _H
-    elif isinstance(op, NotGate):
-        controls, targets, m = (), (op.spin,), _X
-    elif isinstance(op, ConditionalZRotation):
-        controls, targets, m = (op.control,), (op.target,), np.diag([1.0, _phase(op.angle_deg, op.dagger)])
-    elif isinstance(op, ControlledNot):
-        controls, targets, m = (op.control,), (op.target,), _X
-    elif isinstance(op, ControlledPermutation):
-        m = np.zeros((4, 4))
-        m[op.images, range(4)] = 1.0
-        controls, targets = (op.control,), op.targets
-    else:
-        raise TypeError(f"not a gate op: {op!r}")
-    return controls, targets, m
 
 
 @dataclass(frozen=True)
@@ -260,9 +238,24 @@ def apply_unitary(amps: np.ndarray, spins: tuple[int, ...], u: np.ndarray) -> np
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _memo_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
-    """(controls + targets, diag(I, m)) of `op`: m acts only when every control is |1>."""
-    controls, targets, m = _lowered(op)
+def _memo_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray] | np.ndarray:
+    """`op` lowered: a source index s, new[b] = old[s[b]], or (controls + targets, diag(I, m))."""
+    if isinstance(op, ControlledPermutation):
+        rows = _gather_index((op.control, *op.targets), 1)[4:]  # control |1>; row t: the positions where the targets read t
+        source = np.arange(DIM)
+        source[rows[list(op.images)]] = rows  # the positions reading images[t] take their amplitudes from those reading t
+        source.setflags(write=False)
+        return source
+    if isinstance(op, Hadamard):
+        controls, targets, m = (), (op.spin,), _H
+    elif isinstance(op, NotGate):
+        controls, targets, m = (), (op.spin,), _X
+    elif isinstance(op, ConditionalZRotation):
+        controls, targets, m = (op.control,), (op.target,), np.diag([1.0, _phase(op.angle_deg, op.dagger)])
+    elif isinstance(op, ControlledNot):
+        controls, targets, m = (op.control,), (op.target,), _X
+    else:
+        raise TypeError(f"not a gate op: {op!r}")
     u = np.eye(2 ** len(controls) * len(m), dtype=complex)
     u[-len(m):, -len(m):] = m
     u.setflags(write=False)
@@ -270,17 +263,20 @@ def _memo_operands(op: GateOp) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
-    spins, u = _memo_operands(op)
-    return apply_unitary(amps, spins, u)
+    lowered = _memo_operands(op)
+    if isinstance(lowered, np.ndarray):
+        return np.asarray(amps, dtype=complex)[..., lowered]
+    return apply_unitary(amps, *lowered)
 
 
 def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
     """Run `circuits[i]` on row i of `amps` (k, 32); return the final (k, 32) amplitudes.
 
-    The circuits must have equal lengths.  At each step the rows are grouped
-    by op value, and each distinct op is one kernel call on its rows.  Each
-    row's norm is checked once, at the end: a row that is not a unit vector
-    raises ValueError naming it.
+    The circuits must have equal lengths.  A step of controlled permutations
+    is one gather, a step that holds one op on every row one call, and any
+    other step one call per distinct op on its rows.  Each row's norm is
+    checked once, at the end: a row that is not a unit vector raises
+    ValueError naming it.
     """
     rows = np.array(amps, dtype=complex)
     if rows.shape != (len(circuits), DIM):
@@ -288,12 +284,22 @@ def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
     lengths = sorted({len(c.ops) for c in circuits})
     if len(lengths) > 1:
         raise ValueError(f"circuits of unequal lengths {lengths}")
-    for step in zip(*(c.ops for c in circuits)):
-        groups: dict[GateOp, list[int]] = {}
-        for i, op in enumerate(step):
-            groups.setdefault(op, []).append(i)
-        for op, members in groups.items():
-            rows[members] = _apply_op(rows[members], op)
+    distinct = list({id(c): c for c in circuits}.values())  # rows that share a circuit object share its ops
+    slot = {id(c): i for i, c in enumerate(distinct)}
+    which = np.array([slot[id(c)] for c in circuits], dtype=np.intp)  # row i runs distinct[which[i]]
+    for step in zip(*(c.ops for c in distinct)):
+        if all(isinstance(op, ControlledPermutation) for op in step):
+            sources = np.array([_memo_operands(op) for op in step])
+            rows = np.take_along_axis(rows, sources[which], axis=1)
+        elif step.count(step[0]) == len(step):
+            rows = _apply_op(rows, step[0])
+        else:
+            groups: dict[GateOp, list[int]] = {}
+            for i, op in enumerate(step):
+                groups.setdefault(op, []).append(i)
+            for op, slots in groups.items():
+                members = np.isin(which, slots)
+                rows[members] = _apply_op(rows[members], op)
     norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
     if bad.size:

@@ -18,7 +18,7 @@ from orderfinding.classical import (
     two_query_witness,
 )
 from orderfinding.exactlp import CertificateError
-from orderfinding.permutations import ALL_PERMUTATIONS, Permutation, order_of, power
+from orderfinding.permutations import ALL_PERMUTATIONS, Permutation, order_of, power, trajectory
 
 PERMS = ALL_PERMUTATIONS
 
@@ -75,7 +75,7 @@ def test_two_query_witness_succeeds_on_all_96_cases():
     witness = two_query_witness()
     for pi in PERMS:
         for y in range(4):
-            assert witness.guess(pi, y) == order_of(pi, y)
+            assert witness.decide(trajectory(pi, y)) == order_of(pi, y)
 
 
 @given(st.tuples(st.integers(0, 40), st.integers(0, 40)),
@@ -87,7 +87,7 @@ def test_two_query_decision_on_trajectories_equals_the_power_reference(queries, 
     for pi in PERMS:
         for y in range(4):
             expected = strategy.table[tuple(power(pi, x)(y) == y for x in queries)]
-            assert strategy.guess(pi, y) == expected
+            assert strategy.decide(trajectory(pi, y)) == expected
             assert strategy.decide(classical._trajectories(y)[PERMS.index(pi)]) == expected
 
 
@@ -135,7 +135,7 @@ def test_single_query_count_matches_enumeration_on_a_smaller_adversary(monkeypat
     # perfect deterministic strategies exist; the per-z product count must
     # find exactly those a direct enumeration with `power` finds.
     perms = [PERMS[0], next(pi for pi in PERMS if pi.images == (1, 0, 2, 3))]
-    monkeypatch.setattr(classical, "_trajectories", lambda y: tuple(classical._trajectory(pi, y) for pi in perms))
+    monkeypatch.setattr(classical, "_trajectories", lambda y: tuple(trajectory(pi, y) for pi in perms))
     expected = 0
     for x in range(1, MAX_EXPONENT + 1):
         for code in range(4**4):

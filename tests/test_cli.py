@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderfinding import circuits, classical, cli, measurement
+from orderfinding import circuits, classical, cli, measurement, simulator
 from orderfinding.cli import main
 from orderfinding.permutations import OracleSpec, parse_permutation
 
@@ -48,6 +48,26 @@ def test_each_instance_is_simulated_once(tmp_path, monkeypatch):
     batches.clear()
     assert main(["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path / "run")]) == 0
     assert len(batches) == 1 and len(batches[0]) == 1
+
+
+def test_sweep_makes_nine_kernel_calls_and_one_gather_per_oracle_stage(tmp_path, monkeypatch):
+    # 3 Hadamards and 6 QFT ops hold one op on all 96 rows; each of the 3 oracle stages is one gather
+    kernel, gathers = [], []
+    apply_unitary, take_along_axis = simulator.apply_unitary, np.take_along_axis
+
+    def counted_kernel(amps, spins, u):
+        kernel.append(np.shape(amps))
+        return apply_unitary(amps, spins, u)
+
+    def counted_gather(arr, indices, axis):
+        gathers.append(indices.shape)
+        return take_along_axis(arr, indices, axis)
+
+    monkeypatch.setattr(simulator, "apply_unitary", counted_kernel)
+    monkeypatch.setattr(np, "take_along_axis", counted_gather)
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    assert kernel == [(96, 32)] * 9
+    assert gathers == [(96, 32)] * 3
 
 
 def test_sweep_rows_equal_the_one_row_path_exactly(tmp_path):

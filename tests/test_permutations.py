@@ -17,6 +17,7 @@ from orderfinding.permutations import (
     order_of,
     parse_permutation,
     power,
+    trajectory,
 )
 from orderfinding.simulator import basis_state, circuit_unitary
 from orderfinding.spectra import FrequencyGrid
@@ -64,13 +65,13 @@ def test_basis_index_and_exponent_are_ints_in_range(read, bad):
 @pytest.mark.parametrize("read_y", [
     order_of,
     lambda pi, y: verify_oracle_sequence(parse_native_sequence("C35"), pi, y),
-    classical._trajectory,
+    trajectory,
     lambda pi, y: classical.paper_one_query_witness().payoff(pi, y),
     lambda pi, y: classical.paper_one_query_witness().min_payoff(y),
     lambda pi, y: classical.prior_best_response_value([Fraction(1, 24)] * 24, y),
-    lambda pi, y: classical.two_query_witness().guess(pi, y),
+    lambda pi, y: classical.two_query_witness().decide(trajectory(pi, y)),
 ], ids=["order_of", "verify_oracle_sequence", "trajectory", "payoff", "min_payoff", "prior_best_response_value",
-        "two_query_guess"])
+        "two_query_decide"])
 def test_start_element_is_an_int_in_range_where_it_is_read(read_y, y):
     with pytest.raises(ValueError, match=re.escape(repr(y))):
         read_y(IDENTITY, y)
@@ -119,6 +120,13 @@ def test_power_additivity(pi, a, b):
 @given(perm_strategy, st.integers(0, 3))
 def test_cycle_mates_share_order(pi, y):
     assert order_of(pi, y) == order_of(pi, pi(y))
+
+
+def test_trajectory_and_oracle_stages_equal_the_power_reference():
+    for pi in PERMS:
+        for y in range(4):
+            assert trajectory(pi, y) == tuple(power(pi, x)(y) for x in range(13))
+        assert [op.images for op in oracle_stages(pi).ops] == [power(pi, k).images for k in (1, 2, 4)]
 
 
 def test_oracle_identity_is_identity():

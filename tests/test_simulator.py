@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +234,18 @@ def test_run_circuits_batch_is_byte_equal_to_one_row_runs(cases):
     assert np.array_equal(amps, [state.amplitudes for state, _ in cases])  # the input is not modified
 
 
+@given(st.lists(st.lists(gate_strategy(), min_size=3, max_size=3), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), state_strategy()), min_size=1, max_size=8))
+def test_rows_sharing_a_circuit_object_are_byte_equal_to_one_row_runs(op_lists, rows):
+    # the runner looks at each distinct circuit object once per step and maps its rows to it
+    circuits = [Circuit(tuple(ops)) for ops in op_lists]
+    batch_circuits = [circuits[i % len(circuits)] for i, _ in rows]
+    amps = np.array([state.amplitudes for _, state in rows])
+    batch = run_circuits(batch_circuits, amps)
+    for c, row, out in zip(batch_circuits, amps, batch):
+        assert out.tobytes() == run_circuits([c], row[None]).tobytes()
+
+
 def test_run_circuits_rejects_circuits_of_unequal_length():
     amps = np.array([basis_state(0).amplitudes, basis_state(1).amplitudes])
     with pytest.raises(ValueError, match="unequal lengths"):
@@ -296,6 +310,28 @@ def test_apply_unitary_is_byte_equal_to_the_transpose_formulation(seed, shape, n
 def test_controlled_permutation_rejects_bad_images_and_spins(control, targets, images):
     with pytest.raises(ValueError):
         ControlledPermutation(control, targets, images)
+
+
+def _matrix_controlled_permutation(amps: np.ndarray, op: ControlledPermutation) -> np.ndarray:
+    """The permutation as a 0/1 matrix m, |t> -> |images[t]>, applied by the kernel as diag(I, m)."""
+    u = np.eye(8, dtype=complex)
+    u[4:, 4:] = 0.0
+    u[4 + np.array(op.images), range(4, 8)] = 1.0
+    return apply_unitary(amps, (op.control, *op.targets), u)
+
+
+@pytest.mark.parametrize("control, targets", [(1, (4, 5)), (2, (5, 4)), (3, (1, 2)), (5, (3, 1)), (4, (2, 5))])
+def test_controlled_permutation_gather_is_byte_equal_to_the_matrix_kernel(control, targets):
+    gen = np.random.default_rng(control)
+    amps = gen.normal(size=(24, DIM)) + 1j * gen.normal(size=(24, DIM))
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    ops = [ControlledPermutation(control, targets, images) for images in itertools.permutations(range(4))]
+    expected = np.array([_matrix_controlled_permutation(row, op) for row, op in zip(amps, ops)])
+    gathered = run_circuits([Circuit((op,)) for op in ops], amps)  # one step of 24 distinct permutations
+    assert gathered.tobytes() == expected.tobytes()
+    for row, op, out in zip(amps, ops, expected):
+        assert run_circuits([Circuit((op,))], row[None])[0].tobytes() == out.tobytes()
+        assert gate_unitary(op).tobytes() == _matrix_controlled_permutation(np.eye(DIM), op).T.tobytes()
 
 
 def test_equal_controlled_permutations_compare_and_hash_equal():
