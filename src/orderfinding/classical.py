@@ -30,7 +30,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from .exactlp import CertificateError
-from .permutations import ALL_PERMUTATIONS, MAX_EXPONENT, N_ELEMENTS, Permutation, trajectory
+from .permutations import ALL_PERMUTATIONS, MAX_EXPONENT, N_ELEMENTS, Permutation, permutation_names, trajectory
 
 # The optimal vertex of the one-query LP at y = 0.  The witness maps each
 # exponent x it queries to its weight and the deterministic guess r' made on
@@ -58,12 +58,6 @@ def _trajectories(y: int) -> tuple[tuple[int, ...], ...]:
 def _order(path: tuple[int, ...]) -> int:
     """The cycle length of y = path[0]: the first return of the trajectory."""
     return path.index(path[0], 1)
-
-
-@cache
-def _permutation_names() -> tuple[str, ...]:
-    """The cycle notation of each permutation, in ALL_PERMUTATIONS order."""
-    return tuple(str(pi) for pi in ALL_PERMUTATIONS)
 
 
 def _worst_scaled_payoff(xs: tuple[int, ...], cells: dict[tuple[int, int], tuple[int, ...]], paths) -> int:
@@ -212,7 +206,7 @@ def _stored_witness() -> OneQueryStrategy:
 
 def _prior_vector(prior: dict[str, Fraction]) -> list[Fraction]:
     """The prior as masses in ALL_PERMUTATIONS order, checked to be a distribution."""
-    names = _permutation_names()
+    names = permutation_names()
     unknown = sorted(set(prior) - set(names))
     if unknown:
         raise CertificateError(f"hardest prior names {unknown[0]!r}, not a permutation of 0..3")
@@ -242,7 +236,7 @@ def one_query_value() -> OneQueryReport:
     return OneQueryReport(
         value=value,
         witness=witness,
-        prior={name: p for name, p in zip(_permutation_names(), prior) if p},
+        prior={name: p for name, p in zip(permutation_names(), prior) if p},
         prior_best_response=upper,
         paper_witness_value=paper_one_query_witness().min_payoff(),
         values_per_y=tuple(values),
@@ -280,7 +274,7 @@ def two_query_certainty() -> TwoQueryReport:
     witness = two_query_witness()
     cases = 0
     for y in range(N_ELEMENTS):
-        for name, path in zip(_permutation_names(), _trajectories(y)):
+        for name, path in zip(permutation_names(), _trajectories(y)):
             if witness.decide(path) != _order(path):
                 raise CertificateError(f"two-query witness failed on {name}, y={y}")
             cases += 1

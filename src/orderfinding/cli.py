@@ -19,7 +19,7 @@ import numpy as np
 
 from . import circuits, classical, measurement, prodops, spectra
 from .exactlp import CertificateError
-from .permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
+from .permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation, permutation_names
 from .simulator import circuit_unitary, expectation_Iz
 
 SWEEP_TOL = 1e-10
@@ -138,7 +138,7 @@ def cmd_sweep(out: Path) -> int:
     analytic = np.array([measurement.analytic_distribution(r).probs for r in orders])
     errors = np.abs(measurement.outcome_probabilities(amps) - analytic).max(axis=1)
     observables = expectation_Iz(amps * amps.conj())
-    names = {pi: format_cycles(pi) for pi in ALL_PERMUTATIONS}
+    names = dict(zip(ALL_PERMUTATIONS, permutation_names()))
     rows = [(names[spec.pi], spec.y, r, err, *o)
             for spec, r, err, o in zip(specs, orders, errors.tolist(), observables.tolist())]
     _write_csv(out / "sweep.csv",

@@ -135,24 +135,18 @@ def m_from_register_index(b: int) -> int:
     return 4 * b3 + 2 * b2 + b1
 
 
-def _unchecked_probabilities(amps: np.ndarray) -> np.ndarray:
-    """Pr[m] for m = 0..7 from each row of final amplitudes (k, 32), not checked: shape (k, 8)."""
+def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Pr[m] for m = 0..7 from each row of final amplitudes (k, 32), each row checked: shape (k, 8)."""
     register = (np.abs(amps) ** 2).reshape(-1, 8, 4).sum(axis=2)  # spins 1-3, indexed b1b2b3
     probs = np.empty_like(register)
     probs[:, [m_from_register_index(b) for b in range(8)]] = register
-    return probs
-
-
-def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
-    """Pr[m] for m = 0..7 from each row of final amplitudes (k, 32), each row checked: shape (k, 8)."""
-    probs = _unchecked_probabilities(amps)
     _check_probability_rows(probs)
     return probs
 
 
 def simulated_distribution(state: QuantumState) -> OutcomeDistribution:
-    """Outcome distribution of the circuit's final state, e.g. `run_orderfinding(spec)`; the distribution checks its row."""
-    return OutcomeDistribution(_unchecked_probabilities(state.amplitudes)[0])
+    """Outcome distribution of the circuit's final state, e.g. `run_orderfinding(spec)`."""
+    return OutcomeDistribution(outcome_probabilities(state.amplitudes)[0])
 
 
 def simulated_observables(rho: DensityOperator) -> tuple[float, float, float, float, float]:

@@ -7,13 +7,16 @@ spin 1 (most significant), x1 on spin 2, x0 on spin 3.
 `trajectory(pi, y)` lists pi^0(y) .. pi^12(y), every power of pi that can
 act on y.  `order_of`, `oracle_stages` and the classical certificates read
 it; `power` builds a whole permutation and is kept for the native-sequence
-check and as the reference.
+check and as the reference.  `permutation_names()` formats the cycle
+notation of the 24 permutations once per process, for the classical reports
+and the sweep table.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .simulator import Circuit, ControlledPermutation
 
@@ -123,6 +126,12 @@ def format_cycles(pi: Permutation) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+
+
+@cache
+def permutation_names() -> tuple[str, ...]:
+    """The cycle notation of each permutation, in ALL_PERMUTATIONS order, formatted once per process."""
+    return tuple(format_cycles(pi) for pi in ALL_PERMUTATIONS)
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -116,7 +116,7 @@ def test_certificates_build_no_permutation_and_call_no_power(monkeypatch):
         if hasattr(module, "power"):
             monkeypatch.setattr(module, "power", counted_power)
     classical._trajectories.cache_clear()
-    classical._permutation_names.cache_clear()
+    permutations.permutation_names.cache_clear()
     assert one_query_value().value == Fraction(1, 2)
     assert two_query_certainty().cases_checked == 96
     assert counts == {"Permutation": 0, "power": 0}

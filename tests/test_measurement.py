@@ -367,23 +367,6 @@ def test_outcome_probabilities_name_the_row_that_is_not_a_probability_vector(bad
         outcome_probabilities(amps)
 
 
-def test_simulated_distribution_checks_its_row_once(monkeypatch):
-    checks = []
-    check = measurement._check_probability_rows
-
-    def counted(p):
-        checks.append(p.shape)
-        check(p)
-
-    monkeypatch.setattr(measurement, "_check_probability_rows", counted)
-    simulated_distribution(run_orderfinding(OracleSpec(IDENTITY, 0)))
-    assert checks == [(1, 8)]
-    # a norm within the state's 1e-9 check is still 4e-10 off in probability, past the 1e-12 row check
-    with pytest.raises(InfeasibleInput, match=r"^row 0 is not a probability vector"):
-        simulated_distribution(QuantumState(np.eye(DIM, dtype=complex)[0] * (1 + 2e-10)))
-    assert len(checks) == 2
-
-
 def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:
     out = np.array(valid, dtype=complex if np.iscomplexobj(valid) else float)
     out.flat[3] = value

@@ -16,6 +16,7 @@ from orderfinding.permutations import (
     oracle_stages,
     order_of,
     parse_permutation,
+    permutation_names,
     power,
     trajectory,
 )
@@ -189,6 +190,11 @@ def test_stage_product_equals_direct_sum_construction():
 def test_cycle_notation_round_trip():
     for pi in PERMS:
         assert parse_permutation(format_cycles(pi)) == pi
+
+
+def test_permutation_names_are_the_cycle_notations_in_table_order():
+    assert permutation_names() == tuple(format_cycles(pi) for pi in ALL_PERMUTATIONS)
+    assert permutation_names() is permutation_names()
 
 
 def test_parse_image_list_and_errors():
