@@ -18,13 +18,18 @@ Two listing conventions are in use, resolved empirically during bring-up:
 Functions here take ops in time order (first op acts first);
 parse_readout_listing applies the operator-product reversal.
 
-`run_instances` simulates order-finding instances as one row batch through
-`simulator.run_circuits`; `run_orderfinding(spec)` is its one-row call.
-The Hadamard front and the QFT hold the same op on every row, so each of
-their steps is one kernel call on the whole batch.  The oracle's three
-stages (`permutations.oracle_stages`, read from the permutation's
-trajectories) are controlled permutations, so each stage is one exact index
-gather, every row through its own permutation's source index.
+The second register holds the permuted element y = y1 y0, y1 on spin 4 and
+y0 on spin 5; the exponent register holds x = x2 x1 x0, x2 on spin 1 (most
+significant), x1 on spin 2 and x0 on spin 3.
+
+`run_instances` simulates order-finding instances, one or many, as one
+(k, 32) amplitude array through `simulator.run_circuits`: row i starts as
+the basis state |000>|y_i> and ends as instance i's final state.  The
+Hadamard front and the QFT hold the same op on every row, so each of their
+steps is one kernel call on the whole batch.  The oracle's three stages
+(`oracle_stages`, read from the permutation's trajectories) are controlled
+permutations, so each stage is one exact index gather, every row through
+its own permutation's source index.
 
 Oracle checks are exact: each native op sends a basis state to one basis
 state times a power of i, so a listing is followed branch by branch as a
@@ -37,17 +42,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .permutations import N_ELEMENTS, OracleSpec, Permutation, oracle_stages, power
+from .permutations import N_ELEMENTS, OracleSpec, Permutation, power, trajectory
 from .simulator import (
+    DIM,
     N_SPINS,
     Circuit,
     ConditionalZRotation,
     ControlledNot,
+    ControlledPermutation,
     GateOp,
     Hadamard,
     NotGate,
-    QuantumState,
-    basis_state,
     bit_of,
     run_circuits,
 )
@@ -106,6 +111,19 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
 
 
+def oracle_stages(pi: Permutation) -> Circuit:
+    """The oracle |x>|y> -> |x>|pi^x(y)> as three controlled permutation stages.
+
+    pi^x factors as pi^{x0} pi^{2 x1} pi^{4 x2}, so the stages are pi^1
+    controlled by spin 3, pi^2 controlled by spin 2 and pi^4 controlled by
+    spin 1, each a `ControlledPermutation` on spins 4 and 5 by the power's
+    images, read from the trajectory of each element.
+    """
+    powers = list(zip(*(trajectory(pi, y) for y in range(N_ELEMENTS))))  # powers[k] = the images of pi^k
+    return Circuit(tuple(ControlledPermutation(control, (4, 5), powers[exponent])
+                         for control, exponent in ((3, 1), (2, 2), (1, 4))))
+
+
 # The instance-independent parts of the order-finding circuit.
 _HADAMARD_FRONT = Circuit((Hadamard(1), Hadamard(2), Hadamard(3)))
 _QFT_NO_SWAP = build_qft3(include_final_swap=False)
@@ -129,13 +147,8 @@ def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     for spec in specs:
         if spec.pi not in circuit_of:
             circuit_of[spec.pi] = build_orderfinding(spec)
-    inputs = np.array([basis_state(y).amplitudes for y in range(N_ELEMENTS)])  # row y is |000>|y1 y0>
-    return run_circuits([circuit_of[spec.pi] for spec in specs], inputs[[spec.y for spec in specs]])
-
-
-def run_orderfinding(spec: OracleSpec) -> QuantumState:
-    """Final state of one instance: `run_instances` on a one-row batch."""
-    return QuantumState(run_instances([spec])[0])
+    inputs = np.eye(DIM, dtype=complex)[[spec.y for spec in specs]]  # row i is |000>|y1 y0> of spec i
+    return run_circuits([circuit_of[spec.pi] for spec in specs], inputs)
 
 
 def _native_image(seq: NativeSequence, index: int) -> tuple[int, int]:

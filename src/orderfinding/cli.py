@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +19,10 @@ import numpy as np
 from . import circuits, classical, measurement, prodops, spectra
 from .exactlp import CertificateError
 from .permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation, permutation_names
-from .simulator import circuit_unitary, expectation_Iz
+from .simulator import DensityOperator, circuit_unitary, expectation_Iz
 
 SWEEP_TOL = 1e-10
 _QUOTED = frozenset(',"\r\n')  # csv.writer would quote a cell holding one, or csv.reader split it
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    perm: str
-    y: int
-    molecule: str | None
-    out: Path
-    grid: spectra.FrequencyGrid
 
 
 def _parse_grid(text: str) -> spectra.FrequencyGrid:
@@ -43,10 +33,6 @@ def _parse_grid(text: str) -> spectra.FrequencyGrid:
         return spectra.FrequencyGrid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from err
-
-
-def _molecule(path: str | None) -> spectra.MoleculeParams:
-    return spectra.load_molecule(path) if path else spectra.synthetic_molecule()
 
 
 def _csv_cells(column: list) -> Iterable[str]:
@@ -90,42 +76,41 @@ def _guess_game() -> measurement.GuessGameSolution:
     return measurement.solve_guess_game()
 
 
-def cmd_run(config: RunConfig) -> int:
-    pi = parse_permutation(config.perm)
-    spec = OracleSpec(pi, config.y)
-    params = _molecule(config.molecule)
-    out = config.out
+def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.FrequencyGrid) -> int:
+    """One instance end to end: `cmd_sweep`'s simulation and reductions on a one-row batch."""
+    pi = parse_permutation(perm)
+    spec = OracleSpec(pi, y)
+    params = spectra.load_molecule(molecule) if molecule else spectra.synthetic_molecule()
     out.mkdir(parents=True, exist_ok=True)
 
-    state = circuits.run_orderfinding(spec)
-    dist = measurement.simulated_distribution(state)
+    amps = circuits.run_instances([spec])
+    dist = measurement.OutcomeDistribution(measurement.outcome_probabilities(amps)[0])
     _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), dist.probs.tolist()])
 
-    rho = measurement.final_density(state)
-    observables = measurement.simulated_observables(rho)
-    _write_json(out / "observables.json", {"O": list(observables)})
+    observables = expectation_Iz(amps * amps.conj())[0].tolist()
+    _write_json(out / "observables.json", {"O": observables})
 
-    lines = spectra.readout_lines(rho, 1, params)
+    lines = spectra.readout_lines(DensityOperator(np.outer(amps[0], amps[0].conj())), 1, params)
     _write_csv(out / "lines_spin1.csv", ["spin", "label", "frequency_hz", "amp_real", "amp_imag"],
                [[l.spin for l in lines], [l.label for l in lines], [l.frequency_hz for l in lines],
                 [l.amplitude.real for l in lines], [l.amplitude.imag for l in lines]])
-    spectrum = spectra.render_spectrum(lines, params, config.grid)
+    spectrum = spectra.render_spectrum(lines, params, grid)
     _write_csv(out / "spectrum_spin1.csv", ["frequency_hz", "real", "imag"],
                [spectrum.frequencies_hz.tolist(), spectrum.trace.real.tolist(), spectrum.trace.imag.tolist()])
 
-    r_true = order_of(pi, config.y)
+    r_true = order_of(pi, y)
     r_inferred = measurement.infer_order(dist)
     game = _guess_game()
     _write_json(out / "report.json", {
         "perm": format_cycles(pi),
-        "y": config.y,
+        "y": y,
         "r_inferred": r_inferred,
         "r_true": r_true,
         "distribution_error": float(np.abs(dist.probs - measurement.analytic_distribution(r_true).probs).max()),
         "guess_value": game.value,
         "guess_success_per_order": list(game.per_order_success),
     })
-    print(f"perm={format_cycles(pi)} y={config.y}: r={r_inferred}  O=" +
+    print(f"perm={format_cycles(pi)} y={y}: r={r_inferred}  O=" +
           "(" + ", ".join(f"{v:.6g}" for v in observables) + ")")
     return 0 if r_inferred == r_true else 1
 
@@ -301,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(RunConfig(args.perm, args.y, args.molecule, args.out, args.grid))
+            return cmd_run(args.perm, args.y, args.molecule, args.out, args.grid)
         if args.command == "sweep":
             return cmd_sweep(args.out)
         if args.command == "prep-verify":

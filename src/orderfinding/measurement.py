@@ -5,13 +5,11 @@ m_i is the bit read from spin i: the QFT is run without its final swap, so
 spin 1 ends up holding the least significant bit of m.  The ensemble
 observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
 
-The reductions work on row batches: `outcome_probabilities` turns (k, 32)
-final amplitudes, e.g. `circuits.run_instances(specs)`, into k checked
-outcome distributions, and `simulator.expectation_Iz` turns density
-diagonals into O_1..O_5.  `simulated_distribution` and `final_density` read
-the state of `circuits.run_orderfinding(spec)`, a one-row batch, and
-`simulated_observables` reads the density that `final_density` builds; the
-two `simulated_*` functions are the batched reductions applied to one row.
+Simulated states arrive in one form, a (k, 32) array of final amplitudes
+such as `circuits.run_instances(specs)`, one instance per row, and a single
+instance is the one-row case.  `outcome_probabilities` turns the rows into
+k checked outcome distributions, and `simulator.expectation_Iz` reads
+O_1..O_5 from the rows' a * conj(a).
 
 The exact distributions are derived in Z[zeta_8], zeta = exp(2 pi i / 8): each
 coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2.
@@ -30,7 +28,6 @@ from math import lcm
 import numpy as np
 
 from .exactlp import CertificateError, QSqrt2, sqrt2_sign
-from .simulator import DensityOperator, QuantumState, expectation_Iz
 
 ORDERS = (1, 2, 3, 4)
 
@@ -142,21 +139,6 @@ def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     probs[:, [m_from_register_index(b) for b in range(8)]] = register
     _check_probability_rows(probs)
     return probs
-
-
-def simulated_distribution(state: QuantumState) -> OutcomeDistribution:
-    """Outcome distribution of the circuit's final state, e.g. `run_orderfinding(spec)`."""
-    return OutcomeDistribution(outcome_probabilities(state.amplitudes)[0])
-
-
-def simulated_observables(rho: DensityOperator) -> tuple[float, float, float, float, float]:
-    """O_1..O_5 of the circuit's final density, e.g. `final_density(state)`, via 2 Tr(rho I_zi)."""
-    return tuple(expectation_Iz(rho.matrix.diagonal()).tolist())
-
-
-def final_density(state: QuantumState) -> DensityOperator:
-    """Density operator of the circuit's final state."""
-    return state.density()
 
 
 def observables_from_distribution(dist: OutcomeDistribution) -> tuple[float, float, float]:

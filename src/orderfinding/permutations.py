@@ -1,15 +1,12 @@
-"""Permutations on {0,1,2,3}: cycle structure, powers, trajectories, and the controlled oracle.
+"""Permutations on {0,1,2,3}: cycle structure, powers, trajectories and text forms.
 
-The second register stores the permuted element y = y1 y0 with y1 on spin 4
-and y0 on spin 5.  The exponent register stores x = x2 x1 x0 with x2 on
-spin 1 (most significant), x1 on spin 2, x0 on spin 3.
-
-`trajectory(pi, y)` lists pi^0(y) .. pi^12(y), every power of pi that can
-act on y.  `order_of`, `oracle_stages` and the classical certificates read
-it; `power` builds a whole permutation and is kept for the native-sequence
-check and as the reference.  `permutation_names()` formats the cycle
-notation of the 24 permutations once per process, for the classical reports
-and the sweep table.
+Plain Python over ints, with no numpy and no import from the rest of the
+package.  `trajectory(pi, y)` lists pi^0(y) .. pi^12(y), every power of pi
+that can act on y.  `order_of`, the classical certificates and the oracle
+stages of `circuits` read it; `power` builds a whole permutation and is
+kept for the native-sequence check and as the reference.
+`permutation_names()` formats the cycle notation of the 24 permutations
+once per process, for the classical reports and the sweep table.
 """
 from __future__ import annotations
 
@@ -17,8 +14,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cache
-
-from .simulator import Circuit, ControlledPermutation
 
 N_ELEMENTS = 4
 MAX_EXPONENT = 12  # every permutation order divides lcm(1,2,3,4) = 12
@@ -90,19 +85,6 @@ def trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
 def order_of(pi: Permutation, y: int) -> int:
     """Smallest r >= 1 with pi^r(y) = y (the cycle length of y); y is an int in 0..3."""
     return trajectory(pi, y).index(y, 1)
-
-
-def oracle_stages(pi: Permutation) -> Circuit:
-    """The oracle |x>|y> -> |x>|pi^x(y)> as three controlled permutation stages.
-
-    pi^x factors as pi^{x0} pi^{2 x1} pi^{4 x2}, so the stages are pi^1
-    controlled by spin 3, pi^2 controlled by spin 2 and pi^4 controlled by
-    spin 1, each a `ControlledPermutation` on spins 4 and 5 by the power's
-    images, read from the trajectory of each element.
-    """
-    powers = list(zip(*(trajectory(pi, y) for y in range(N_ELEMENTS))))  # powers[k] = the images of pi^k
-    return Circuit(tuple(ControlledPermutation(control, (4, 5), powers[exponent])
-                         for control, exponent in ((3, 1), (2, 2), (1, 4))))
 
 
 # Text format: cycle notation like "(0 1 2 3)", "(0 1)(2 3)", "()" for the

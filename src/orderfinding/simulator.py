@@ -1,10 +1,14 @@
-"""Dense state-vector and density-operator simulation of the five-spin register.
+"""Dense state-vector simulation of the five-spin register.
 
 Basis convention, used everywhere in this package: a basis state is labeled
 b1 b2 b3 b4 b5 with spin 1 the most significant bit, i.e. |b1..b5> lives at
 index 16*b1 + 8*b2 + 4*b3 + 2*b4 + b5.  Gate angles are in degrees.  A
 conditional z-rotation puts the phase on the |11> component of the
 control/target pair, so it is symmetric in control and target.
+
+A state has one form: a complex amplitude array of shape (32,) or (k, 32),
+one state per row; |b> is row b of the identity.  `DensityOperator`, the
+readout spectra's input, is the one checked matrix type.
 
 Every gate type is lowered by `_memo_operands`, the only place gate types
 are told apart for simulation.  A `ControlledPermutation` lowers to an exact
@@ -152,33 +156,6 @@ class Circuit:
 def _phase(angle_deg: float, dagger: bool) -> complex:
     sign = -1.0 if dagger else 1.0
     return np.exp(1j * sign * np.deg2rad(angle_deg))
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """Pure state of the five-spin register: 32 complex amplitudes."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(DIM)
-        norm = np.sqrt(np.vdot(a, a).real)
-        if not abs(norm - 1.0) <= 1e-9:
-            raise ValueError(f"state norm {norm} is not 1")
-        object.__setattr__(self, "amplitudes", a)
-
-    def density(self) -> "DensityOperator":
-        a = self.amplitudes
-        return DensityOperator(np.outer(a, a.conj()), kind="normalized")
-
-
-def basis_state(index: int) -> QuantumState:
-    """|index> for an int (not a bool) index in 0..31."""
-    if type(index) is not int or not 0 <= index < DIM:
-        raise ValueError(f"basis index {index!r} is not an int in 0..{DIM - 1}")
-    a = np.zeros(DIM, dtype=complex)
-    a[index] = 1.0
-    return QuantumState(a)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from orderfinding import circuits, classical, measurement, prodops
-from orderfinding.circuits import run_orderfinding
+from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
-from orderfinding.simulator import circuit_unitary
+from orderfinding.simulator import DensityOperator, circuit_unitary, expectation_Iz
 from orderfinding.spectra import net_area, readout_lines, synthetic_molecule
 
 PERMS = ALL_PERMUTATIONS
@@ -32,11 +32,10 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def test_c1_exhaustive_distribution_sweep():
     worst = 0.0
-    for pi in PERMS:
-        for y in range(4):
-            sim = measurement.simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
-            ref = measurement.analytic_distribution(order_of(pi, y))
-            worst = max(worst, float(np.max(np.abs(sim.probs - ref.probs))))
+    specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4)]
+    for spec, sim in zip(specs, measurement.outcome_probabilities(run_instances(specs))):
+        ref = measurement.analytic_distribution(order_of(spec.pi, spec.y))
+        worst = max(worst, float(np.max(np.abs(sim - ref.probs))))
     _report("criterion 1 (96-case sweep vs analytic, 1e-10)", worst <= 1e-10, f"worst error {worst:.3e}")
 
 
@@ -47,15 +46,13 @@ def test_c2_observable_anchor_values():
         "(0 1)(2 3)": (1.0, 1.0, 0.0, 1.0, 0.0),
         "(0 1 2 3)": (1.0, 0.0, 0.0, 0.0, 0.0),
     }
-    for text, expected in cases.items():
-        observed = measurement.simulated_observables(
-            measurement.final_density(run_orderfinding(OracleSpec(parse_permutation(text), 0))))
-        checks.append(max(abs(a - b) for a, b in zip(observed, expected)) <= 1e-9)
+    amps = run_instances([OracleSpec(parse_permutation(text), 0) for text in (*cases, "(0 1 2)")])
+    *observed, sim3 = expectation_Iz(amps * amps.conj()).tolist()
+    for row, expected in zip(observed, cases.values()):
+        checks.append(max(abs(a - b) for a, b in zip(row, expected)) <= 1e-9)
     o123 = measurement.observables_from_distribution(measurement.analytic_distribution(3))
     checks.append(max(abs(a - b) for a, b in zip(o123, (0.0, 0.25, 0.3125))) <= 1e-9)
-    sim3 = measurement.simulated_observables(
-        measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2)"), 0))))[:3]
-    checks.append(max(abs(a - b) for a, b in zip(sim3, (0.0, 0.25, 0.3125))) <= 1e-9)
+    checks.append(max(abs(a - b) for a, b in zip(sim3[:3], (0.0, 0.25, 0.3125))) <= 1e-9)
     _report("criterion 2 (O_i anchors r=1,2,3,4)", all(checks), f"{sum(checks)}/{len(checks)} anchor sets")
 
 
@@ -156,7 +153,6 @@ def test_c7_qft_identities():
 
 def test_c8_spectral_signatures():
     from orderfinding.prodops import effective_pure_target, zsum_to_matrix
-    from orderfinding.simulator import DensityOperator
 
     checks = []
     pure = DensityOperator(zsum_to_matrix(effective_pure_target()), kind="deviation")
@@ -165,18 +161,17 @@ def test_c8_spectral_signatures():
     checks.append(by_label["0000"].real > 0 and abs(by_label["0000"].imag) < 1e-9)
     checks.append(all(abs(a) < 1e-9 for lab, a in by_label.items() if lab != "0000"))
 
-    rho2 = measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
+    amps = run_instances([OracleSpec(parse_permutation(text), 0) for text in ("(0 1)(2 3)", "(0 1 2 3)", "(0 1 2)")])
+    rho2, rho4, rho3 = (DensityOperator(np.outer(a, a.conj())) for a in amps)
     lines2 = readout_lines(rho2, 1, PARAMS)
     positive = {l.label for l in lines2 if l.amplitude.real > 1e-9}
     checks.append(positive == {"0000", "0001", "0100", "0101"})
     checks.append(all(abs(l.amplitude) < 1e-9 for l in lines2 if l.label not in positive))
 
-    rho4 = measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2 3)"), 0)))
     lines4 = readout_lines(rho4, 1, PARAMS)
     checks.append(all(l.amplitude.real >= -1e-9 for l in lines4))
     checks.append(net_area(lines4) > 0)
 
-    rho3 = measurement.final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2)"), 0)))
     checks.append(abs(net_area(readout_lines(rho3, 1, PARAMS))) < 1e-9)
 
     _report("criterion 8 (spectral signatures: pure/r=2/r=4/r=3)", all(checks),

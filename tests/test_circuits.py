@@ -13,24 +13,25 @@ from orderfinding.circuits import (
     dft_matrix,
     parse_native_sequence,
     parse_readout_listing,
-    run_orderfinding,
+    run_instances,
     verify_oracle_sequence,
 )
 from orderfinding import cli
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation, power
 from orderfinding.simulator import (
+    DIM,
     Circuit,
     ConditionalZRotation,
     ControlledNot,
     ControlledPermutation,
     Hadamard,
     NotGate,
-    basis_state,
     circuit_unitary,
     run_circuits,
 )
 
 PERMS = ALL_PERMUTATIONS
+BASIS = np.eye(DIM, dtype=complex)  # row b is the basis state |b>
 
 
 def _dft8() -> np.ndarray:
@@ -54,7 +55,7 @@ def test_qft_without_swap_is_bit_reversed_dft():
 
 @pytest.mark.parametrize("swap", [True, False])
 def test_qft_of_zero_is_uniform(swap):
-    (amps,) = run_circuits([build_qft3(swap)], basis_state(0).amplitudes[None])
+    (amps,) = run_circuits([build_qft3(swap)], BASIS[:1])
     reg = amps.reshape(8, 4)
     assert np.allclose(reg[:, 0], np.full(8, 1 / np.sqrt(8)), atol=1e-12)
     assert np.allclose(reg[:, 1:], 0, atol=1e-12)
@@ -68,18 +69,18 @@ def test_qft_uses_only_90_and_45_degree_rotations():
 
 
 def test_orderfinding_identity_instance_returns_to_ground():
-    state = run_orderfinding(OracleSpec(IDENTITY, 0))
+    (state,) = run_instances([OracleSpec(IDENTITY, 0)])
     expected = np.zeros(32)
     expected[0] = 1.0
-    assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+    assert np.max(np.abs(state - expected)) < 1e-12
 
 
 def test_orderfinding_order_two_supported_on_0_and_4():
-    from orderfinding.measurement import simulated_distribution
+    from orderfinding.measurement import outcome_probabilities
 
-    dist = simulated_distribution(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
-    assert dist.probs[[0, 4]] == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert np.max(np.abs(dist.probs[[1, 2, 3, 5, 6, 7]])) < 1e-12
+    (probs,) = outcome_probabilities(run_instances([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)]))
+    assert probs[[0, 4]] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert np.max(np.abs(probs[[1, 2, 3, 5, 6, 7]])) < 1e-12
 
 
 def test_orderfinding_gate_count():
@@ -88,13 +89,12 @@ def test_orderfinding_gate_count():
 
 
 def test_orderfinding_distribution_matches_order_for_all_instances():
-    from orderfinding.measurement import analytic_distribution, simulated_distribution
+    from orderfinding.measurement import analytic_distribution, outcome_probabilities
 
-    for pi in PERMS:
-        for y in range(4):
-            dist = simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
-            expected = analytic_distribution(order_of(pi, y))
-            assert np.max(np.abs(dist.probs - expected.probs)) < 1e-10
+    specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4)]
+    for spec, probs in zip(specs, outcome_probabilities(run_instances(specs))):
+        expected = analytic_distribution(order_of(spec.pi, spec.y))
+        assert np.max(np.abs(probs - expected.probs)) < 1e-10
 
 
 def test_native_sequence_parse():
@@ -196,15 +196,15 @@ def test_readout_c_listing_cannot_implement_any_order_three_instance():
 
 def test_input_state_places_y_in_second_register():
     # the identity instance returns spins 1-3 to |000>, so the final state is the input |000>|y>
-    state = run_orderfinding(OracleSpec(IDENTITY, 3))
-    assert np.max(np.abs(state.amplitudes - basis_state(3).amplitudes)) < 1e-12
+    (state,) = run_instances([OracleSpec(IDENTITY, 3)])
+    assert np.max(np.abs(state - BASIS[3])) < 1e-12
 
 
 def _dense_verdict(seq, pi, y) -> bool:
     """Float reference for verify_oracle_sequence: simulate the sequence on (H H H |000>) (x) |y>
     and compare with (1/sqrt(8)) sum_x |x>|pi^x(y)> up to one global phase, entry-wise within 1e-9."""
     (state,) = run_circuits([Circuit((Hadamard(1), Hadamard(2), Hadamard(3)) + tuple(seq))],
-                            basis_state(y).amplitudes[None])
+                            BASIS[y][None])
     target = np.zeros(32, dtype=complex)
     for x in range(8):
         target[4 * x + power(pi, x)(y)] = 1 / np.sqrt(8.0)

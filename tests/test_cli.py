@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from orderfinding import circuits, classical, cli, measurement, simulator
 from orderfinding.cli import main
-from orderfinding.permutations import OracleSpec, parse_permutation
 
 
 def _read_csv(path):
@@ -71,19 +70,20 @@ def test_sweep_makes_nine_kernel_calls_and_one_gather_per_oracle_stage(tmp_path,
 
 
 def test_sweep_rows_equal_the_one_row_path_exactly(tmp_path):
-    # the batch and the one-row call must agree to the last bit, not within a tolerance
-    assert main(["sweep", "--out", str(tmp_path)]) == 0
-    rows = _read_csv(tmp_path / "sweep.csv")
+    # `run` is the sweep's one-row case: its written figures equal the sweep row's to the last bit
+    assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    rows = _read_csv(tmp_path / "sweep" / "sweep.csv")
     assert rows[0] == ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"]
     assert len(rows) == 1 + 96
-    for perm, y, r, dist_error, *observables in rows[1:]:
-        spec = OracleSpec(parse_permutation(perm), int(y))
-        state = circuits.run_orderfinding(spec)
-        dist = measurement.simulated_distribution(state)
-        expected = float(np.abs(dist.probs - measurement.analytic_distribution(int(r)).probs).max())
-        assert float(dist_error) == expected, (perm, y)
-        assert [float(o) for o in observables] == list(
-            measurement.simulated_observables(measurement.final_density(state))), (perm, y)
+    orders = set()
+    for perm, y, r, dist_error, *observables in rows[1::5]:
+        out = tmp_path / "run"
+        assert main(["run", "--perm", perm, "--y", y, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["distribution_error"] == float(dist_error), (perm, y)
+        assert json.loads((out / "observables.json").read_text())["O"] == [float(o) for o in observables], (perm, y)
+        orders.add(int(r))
+    assert orders == {1, 2, 3, 4}
 
 
 def test_run_order_two_distribution(tmp_path):

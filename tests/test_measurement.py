@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orderfinding import measurement
-from orderfinding.circuits import run_instances, run_orderfinding
+from orderfinding.circuits import run_instances
 from orderfinding.exactlp import CertificateError, QSqrt2
 from orderfinding.measurement import (
     GUESS_DENOMINATOR,
@@ -17,18 +17,15 @@ from orderfinding.measurement import (
     InfeasibleInput,
     OutcomeDistribution,
     analytic_distribution,
-    final_density,
     guess_success_per_r,
     infer_order,
     m_from_register_index,
     observables_from_distribution,
     outcome_probabilities,
-    simulated_distribution,
-    simulated_observables,
     solve_guess_game,
 )
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation
-from orderfinding.simulator import DIM, QuantumState
+from orderfinding.simulator import DIM, expectation_Iz
 
 SQRT2 = math.sqrt(2.0)
 PERMS = ALL_PERMUTATIONS
@@ -114,22 +111,32 @@ def test_supports_on_multiples_of_eight_over_r(r):
             assert probs[m] == pytest.approx(0.0, abs=1e-12)
 
 
+def simulated(specs: list[OracleSpec]) -> list[OutcomeDistribution]:
+    """Each instance's outcome distribution, as `run` builds it, from one batch."""
+    return [OutcomeDistribution(row) for row in outcome_probabilities(run_instances(specs))]
+
+
+def observables_of(specs: list[OracleSpec]) -> np.ndarray:
+    """O_1..O_5 of each instance's final state, one row each, as `run` and `sweep` read them."""
+    amps = run_instances(specs)
+    return expectation_Iz(amps * amps.conj())
+
+
 def test_simulated_identity_is_delta_at_zero():
-    dist = simulated_distribution(run_orderfinding(OracleSpec(IDENTITY, 0)))
+    (dist,) = simulated([OracleSpec(IDENTITY, 0)])
     assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulated_matches_analytic_for_order_two():
-    dist = simulated_distribution(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
+    (dist,) = simulated([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)])
     assert np.max(np.abs(dist.probs - analytic_distribution(2).probs)) < 1e-12
 
 
 def test_simulated_matches_analytic_exhaustively():
-    for pi in PERMS:
-        for y in range(4):
-            dist = simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
-            r = order_of(pi, y)
-            assert np.max(np.abs(dist.probs - analytic_distribution(r).probs)) < 1e-10
+    specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4)]
+    for spec, dist in zip(specs, simulated(specs)):
+        r = order_of(spec.pi, spec.y)
+        assert np.max(np.abs(dist.probs - analytic_distribution(r).probs)) < 1e-10
 
 
 def test_observable_anchors_per_order():
@@ -147,33 +154,26 @@ def test_full_observable_anchors_for_y_zero_instances():
         "(0 1)(2 3)": (1, 1, 0, 1, 0),
         "(0 1 2 3)": (1, 0, 0, 0, 0),
     }
-    for text, expected in cases.items():
-        observed = simulated_observables(final_density(run_orderfinding(OracleSpec(parse_permutation(text), 0))))
-        assert observed == pytest.approx(expected, abs=1e-9)
+    observed = observables_of([OracleSpec(parse_permutation(text), 0) for text in cases])
+    for expected, row in zip(cases.values(), observed.tolist()):
+        assert tuple(row) == pytest.approx(expected, abs=1e-9)
 
 
 def test_order_three_register_two_observables_range():
     # for order-3 instances O_4 and O_5 depend on y but stay in {0, +-1/4, +-1/2}
     allowed = {0.0, 0.25, -0.25, 0.5, -0.5}
-    for pi in PERMS:
-        for y in range(4):
-            if order_of(pi, y) != 3:
-                continue
-            _, _, _, o4, o5 = simulated_observables(final_density(run_orderfinding(OracleSpec(pi, y))))
-            assert min(abs(o4 - a) for a in allowed) < 1e-9
-            assert min(abs(o5 - a) for a in allowed) < 1e-9
+    specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4) if order_of(pi, y) == 3]
+    for _, _, _, o4, o5 in observables_of(specs).tolist():
+        assert min(abs(o4 - a) for a in allowed) < 1e-9
+        assert min(abs(o5 - a) for a in allowed) < 1e-9
 
 
 def test_bit_mapping_consistency_between_distribution_and_spins():
-    from orderfinding.simulator import expectation_Iz
-
-    for pi in PERMS[::5]:
-        for y in range(4):
-            spec = OracleSpec(pi, y)
-            from_dist = observables_from_distribution(simulated_distribution(run_orderfinding(spec)))
-            rho = final_density(run_orderfinding(spec))
-            from_spins = tuple(expectation_Iz(rho.matrix.diagonal())[:3])
-            assert from_dist == pytest.approx(from_spins, abs=1e-10)
+    specs = [OracleSpec(pi, y) for pi in PERMS[::5] for y in range(4)]
+    for dist, observables in zip(simulated(specs), observables_of(specs)):
+        from_dist = observables_from_distribution(dist)
+        from_spins = tuple(observables[:3])
+        assert from_dist == pytest.approx(from_spins, abs=1e-10)
 
 
 def test_m_from_register_index_is_bit_reversal():
@@ -330,10 +330,9 @@ def test_guess_success_per_r_examples():
 
 
 def test_infer_order_from_distributions():
-    for pi in PERMS[::3]:
-        for y in range(4):
-            dist = simulated_distribution(run_orderfinding(OracleSpec(pi, y)))
-            assert infer_order(dist) == order_of(pi, y)
+    specs = [OracleSpec(pi, y) for pi in PERMS[::3] for y in range(4)]
+    for spec, dist in zip(specs, simulated(specs)):
+        assert infer_order(dist) == order_of(spec.pi, spec.y)
 
 
 def test_invalid_distribution_rejected():
@@ -347,7 +346,7 @@ def test_invalid_distribution_rejected():
 
 @given(st.integers(0, 23), st.integers(0, 3))
 def test_distribution_normalization_property(k, y):
-    dist = simulated_distribution(run_orderfinding(OracleSpec(PERMS[k], y)))
+    (dist,) = simulated([OracleSpec(PERMS[k], y)])
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert dist.probs.min() >= -1e-12
 
@@ -357,7 +356,7 @@ def test_outcome_probabilities_rows_equal_the_one_row_distributions():
     probs = outcome_probabilities(run_instances(specs))
     assert probs.shape == (len(specs), 8)
     for spec, row in zip(specs, probs):
-        assert row.tobytes() == simulated_distribution(run_orderfinding(spec)).probs.tobytes()
+        assert row.tobytes() == simulated([spec])[0].probs.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.zeros(DIM), np.full(DIM, np.nan), np.full(DIM, 1.0)], ids=["zero", "nan", "heavy"])
@@ -368,20 +367,18 @@ def test_outcome_probabilities_name_the_row_that_is_not_a_probability_vector(bad
 
 
 def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:
-    out = np.array(valid, dtype=complex if np.iscomplexobj(valid) else float)
+    out = np.array(valid, dtype=float)
     out.flat[3] = value
     return out
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("make", [
-    lambda v: QuantumState(np.full(DIM, v)),
-    lambda v: QuantumState(_with_entry(np.eye(DIM, dtype=complex)[0], v)),
     lambda v: OutcomeDistribution(np.full(8, v)),
     lambda v: OutcomeDistribution(_with_entry(np.full(8, 1 / 8), v)),
     lambda v: GuessStrategy(np.full((8, 4), v)),
     lambda v: GuessStrategy(_with_entry(np.full((8, 4), 0.25), v)),
-], ids=["state", "state-entry", "distribution", "distribution-entry", "strategy", "strategy-entry"])
+], ids=["distribution", "distribution-entry", "strategy", "strategy-entry"])
 def test_validated_types_reject_non_finite_entries(make, value):
     with pytest.raises(ValueError):
         make(value)

@@ -68,16 +68,18 @@ def test_public_functions_no_module_calls_do_not_grow():
 
 @pytest.mark.parametrize("module", ["classical", "exactlp"])
 def test_classical_imports_no_numpy(module):
-    # the certificates are exact integer, Fraction and Q(sqrt 2) work; numpy still
-    # loads through `permutations`, which imports `simulator` for `oracle_stages`
+    # the certificates are exact integer, Fraction and Q(sqrt 2) work; the test
+    # below checks that nothing they import loads numpy either
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {name for name in modules if name.partition(".")[0] == "numpy"}
 
 
-def test_importing_the_package_loads_no_numpy():
+@pytest.mark.parametrize("module", ["orderfinding", "orderfinding.permutations", "orderfinding.classical",
+                                    "orderfinding.exactlp"])
+def test_importing_the_package_loads_no_numpy(module):
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, orderfinding; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    code = f"import sys, {module}; assert 'numpy' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,21 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderfinding import classical
-from orderfinding.circuits import parse_native_sequence, verify_oracle_sequence
+from orderfinding.circuits import oracle_stages, parse_native_sequence, verify_oracle_sequence
 from orderfinding.permutations import (
     ALL_PERMUTATIONS,
     IDENTITY,
     OracleSpec,
     Permutation,
     format_cycles,
-    oracle_stages,
     order_of,
     parse_permutation,
     permutation_names,
     power,
     trajectory,
 )
-from orderfinding.simulator import basis_state, circuit_unitary
+from orderfinding.simulator import circuit_unitary
 from orderfinding.spectra import FrequencyGrid
 
 PERMS = ALL_PERMUTATIONS
@@ -53,13 +52,10 @@ def test_validated_types_reject_non_integers_naming_the_value(cls, args, bad):
         cls(*args)
 
 
-@pytest.mark.parametrize(("read", "bad"), [
-    *(pytest.param(basis_state, bad, id=f"basis_state-{bad!r}") for bad in (True, False, 1.5, "1", None, -1, 32)),
-    *(pytest.param(lambda k: power(IDENTITY, k), bad, id=f"power-{bad!r}") for bad in (True, 1.5, "2", None, -1)),
-])
-def test_basis_index_and_exponent_are_ints_in_range(read, bad):
+@pytest.mark.parametrize("bad", [True, 1.5, "2", None, -1], ids=repr)
+def test_power_exponent_is_an_int_in_range(bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        read(bad)
+        power(IDENTITY, bad)
 
 
 @pytest.mark.parametrize("y", [1.5, True, "1", None, -1, 4])

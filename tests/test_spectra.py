@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderfinding.circuits import run_orderfinding
-from orderfinding.measurement import final_density
+from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum, zsum_to_matrix
-from orderfinding.simulator import DIM, DensityOperator, basis_state, bit_of, expectation_Iz
+from orderfinding.simulator import DIM, DensityOperator, bit_of, expectation_Iz
 from orderfinding.spectra import (
     FrequencyGrid,
     MoleculeParams,
@@ -26,6 +25,12 @@ from orderfinding.spectra import (
 
 PARAMS = synthetic_molecule()
 PERMS = ALL_PERMUTATIONS
+BASIS = np.eye(DIM, dtype=complex)  # row b is the basis state |b>
+
+
+def pure_density(amps: np.ndarray) -> DensityOperator:
+    """|a><a| for one amplitude row a, as `run` hands it to `readout_lines`."""
+    return DensityOperator(np.outer(amps, amps.conj()))
 
 
 def test_line_frequency_no_couplings():
@@ -81,7 +86,7 @@ def test_line_frequency_matches_hamiltonian_eigenvalue_differences():
 
 
 def test_ground_state_single_positive_line():
-    lines = readout_lines(basis_state(0).density(), 1, PARAMS)
+    lines = readout_lines(pure_density(BASIS[0]), 1, PARAMS)
     by_label = {l.label: l.amplitude for l in lines}
     assert by_label["0000"].real == pytest.approx(0.5, abs=1e-12)
     assert by_label["0000"].imag == pytest.approx(0.0, abs=1e-12)
@@ -110,7 +115,7 @@ def test_maximally_mixed_all_lines_vanish():
 
 def test_sixteen_labels_always_present():
     for spin in range(1, 6):
-        lines = readout_lines(basis_state(7).density(), spin, PARAMS)
+        lines = readout_lines(pure_density(BASIS[7]), spin, PARAMS)
         assert sorted(l.label for l in lines) == sorted(format(c, "04b") for c in range(16))
 
 
@@ -140,17 +145,16 @@ def test_readout_linearity(pair, spin):
 
 
 def test_net_area_proportional_to_observable_across_sweep():
-    for pi in PERMS[::4]:
-        for y in range(4):
-            rho = final_density(run_orderfinding(OracleSpec(pi, y)))
-            observables = expectation_Iz(rho.matrix.diagonal())
-            for spin in range(1, 6):
-                area = net_area(readout_lines(rho, spin, PARAMS))
-                assert area == pytest.approx(observables[spin - 1] / 2.0, abs=1e-10)
+    amps = run_instances([OracleSpec(pi, y) for pi in PERMS[::4] for y in range(4)])
+    for row, observables in zip(amps, expectation_Iz(amps * amps.conj())):
+        rho = pure_density(row)
+        for spin in range(1, 6):
+            area = net_area(readout_lines(rho, spin, PARAMS))
+            assert area == pytest.approx(observables[spin - 1] / 2.0, abs=1e-10)
 
 
 def test_order_two_line_signature():
-    rho = final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1)(2 3)"), 0)))
+    rho = pure_density(run_instances([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)])[0])
     lines = readout_lines(rho, 1, PARAMS)
     positive = {l.label for l in lines if l.amplitude.real > 1e-9}
     assert positive == {"0000", "0001", "0100", "0101"}
@@ -160,16 +164,16 @@ def test_order_two_line_signature():
 
 
 def test_order_four_lines_all_nonnegative_with_positive_sum():
-    rho = final_density(run_orderfinding(OracleSpec(parse_permutation("(0 1 2 3)"), 0)))
+    rho = pure_density(run_instances([OracleSpec(parse_permutation("(0 1 2 3)"), 0)])[0])
     lines = readout_lines(rho, 1, PARAMS)
     assert all(l.amplitude.real >= -1e-9 for l in lines)
     assert net_area(lines) > 0.1
 
 
 def test_order_three_net_area_vanishes():
-    for text, y in (("(0 1 2)", 0), ("(1 2 3)", 1), ("(0 2 3)", 2)):
-        rho = final_density(run_orderfinding(OracleSpec(parse_permutation(text), y)))
-        assert abs(net_area(readout_lines(rho, 1, PARAMS))) < 1e-9
+    specs = [OracleSpec(parse_permutation(text), y) for text, y in (("(0 1 2)", 0), ("(1 2 3)", 1), ("(0 2 3)", 2))]
+    for row in run_instances(specs):
+        assert abs(net_area(readout_lines(pure_density(row), 1, PARAMS))) < 1e-9
 
 
 def test_unit_line_integral_and_peak():
