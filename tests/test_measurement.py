@@ -25,7 +25,7 @@ from orderfinding.measurement import (
     solve_guess_game,
 )
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation
-from orderfinding.simulator import DIM, expectation_Iz
+from orderfinding.simulator import DIM, Circuit, DensityOperator, expectation_Iz, run_circuits
 
 SQRT2 = math.sqrt(2.0)
 PERMS = ALL_PERMUTATIONS
@@ -367,18 +367,23 @@ def test_outcome_probabilities_name_the_row_that_is_not_a_probability_vector(bad
 
 
 def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:
-    out = np.array(valid, dtype=float)
+    out = np.array(valid, dtype=complex if np.iscomplexobj(valid) else float)
     out.flat[3] = value
     return out
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("make", [
+@pytest.mark.parametrize("make", [  # a state is checked where it enters the runner
+    lambda v: run_circuits([Circuit()], np.full((1, DIM), v)),
+    lambda v: run_circuits([Circuit()], _with_entry(np.eye(DIM, dtype=complex)[:1], v)),
     lambda v: OutcomeDistribution(np.full(8, v)),
     lambda v: OutcomeDistribution(_with_entry(np.full(8, 1 / 8), v)),
     lambda v: GuessStrategy(np.full((8, 4), v)),
     lambda v: GuessStrategy(_with_entry(np.full((8, 4), 0.25), v)),
-], ids=["distribution", "distribution-entry", "strategy", "strategy-entry"])
+    lambda v: DensityOperator(np.full((DIM, DIM), v)),
+    lambda v: DensityOperator(_with_entry(np.eye(DIM, dtype=complex) / DIM, v)),
+], ids=["state", "state-entry", "distribution", "distribution-entry", "strategy", "strategy-entry", "density",
+        "density-entry"])
 def test_validated_types_reject_non_finite_entries(make, value):
     with pytest.raises(ValueError):
         make(value)

@@ -360,6 +360,12 @@ def test_invalid_spin_indices_rejected():
             Circuit((Hadamard(spin),))
 
 
+def test_quantum_state_norm_validated():
+    # a state that is not a unit vector is refused by the runner, its one way in
+    with pytest.raises(ValueError, match="state norm"):
+        run_circuits([Circuit()], np.ones((1, DIM)))
+
+
 def test_density_operator_validation():
     m = np.eye(DIM, dtype=complex)
     m[0, 1] = 1.0  # not Hermitian
