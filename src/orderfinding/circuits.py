@@ -34,6 +34,8 @@ its own permutation's source index.
 Oracle checks are exact: each native op sends a basis state to one basis
 state times a power of i, so a listing is followed branch by branch as a
 basis index and a phase counted in quarter turns, with no float arithmetic.
+That one basis-map evaluator, `native_image`, serves both the oracle check
+and the preparation cross-check (`prodops.apply_prep_dense`).
 """
 from __future__ import annotations
 
@@ -151,7 +153,7 @@ def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     return run_circuits([circuit_of[spec.pi] for spec in specs], inputs)
 
 
-def _native_image(seq: NativeSequence, index: int) -> tuple[int, int]:
+def native_image(seq: NativeSequence, index: int) -> tuple[int, int]:
     """(index', k): the native ops of `seq` send basis state `index` to i^k |index'>, k in 0..3."""
     k = 0
     for op in seq:
@@ -178,7 +180,7 @@ def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int) -> bool
     """
     if type(y) is not int or not 0 <= y < 4:
         raise ValueError(f"start element {y!r} is not an int in 0..3")
-    images = [_native_image(seq, 4 * x + y) for x in range(8)]
+    images = [native_image(seq, 4 * x + y) for x in range(8)]
     return ({index for index, _ in images} == {4 * x + power(pi, x)(y) for x in range(8)}
             and len({k for _, k in images}) == 1)
 

@@ -139,10 +139,8 @@ def cmd_prep_verify(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seqs = prodops.standard_prep_sequences()
     report = prodops.verify_prep_set(seqs)
-    dense_ok = all(
-        prodops.apply_prep(seq, prodops.equilibrium_zsum()) == prodops.apply_prep_dense(seq, prodops.equilibrium_zsum())
-        for seq in seqs
-    )
+    eq = prodops.equilibrium_zsum()
+    dense_ok = all(prodops.apply_prep(seq, eq) == prodops.apply_prep_dense(seq, eq) for seq in seqs)
     _write_json(out / "prep_report.json", {
         "sequences": list(prodops.PREP_SET_5SPIN),
         "total_terms": report.total_terms,

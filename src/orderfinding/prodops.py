@@ -18,17 +18,23 @@ terms, which bounds every schedule from below (see schedule_prep).
 
 Ops in a preparation sequence are applied in listed (time) order, the same
 convention as module circuits.
+
+apply_prep_dense cross-checks apply_prep exactly without these rules.  A sum
+with Z-string coefficients c is the diagonal d = WHT(c), an integer
+Walsh-Hadamard transform: d[a] = sum_b (-1)^popcount(a & b) c[b].  C and N ops
+send basis state a to one basis state, read from `circuits.native_image` as in
+the oracle check (its phase cancels on a diagonal), and d[a] moves there.  WHT
+of the moved diagonal is 32 times the new coefficients, so each entry must
+divide by 32 exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .circuits import NativeSequence, parse_native_sequence
+from . import circuits
 from .exactlp import CertificateError
-from .simulator import DIM, N_SPINS, Circuit, ControlledNot, NotGate, circuit_unitary
+from .simulator import DIM, N_SPINS, ControlledNot, NotGate
 
 
 class SearchExhausted(RuntimeError):
@@ -97,7 +103,7 @@ class ZTermSum(dict):
         return out
 
 
-PrepSequence = NativeSequence  # restricted to ControlledNot and NotGate ops
+PrepSequence = circuits.NativeSequence  # restricted to ControlledNot and NotGate ops
 
 
 def _check_prep_op(op) -> None:
@@ -186,42 +192,36 @@ def verify_prep_set(seqs: Sequence[PrepSequence], n: int = N_SPINS) -> PrepRepor
 
 
 def standard_prep_sequences() -> list[PrepSequence]:
-    return [parse_native_sequence(text) for text in PREP_SET_5SPIN]
+    return [circuits.parse_native_sequence(text) for text in PREP_SET_5SPIN]
 
 
-# Dense cross-check: the same conjugation computed with 32x32 matrices.
-
-# _PARITY[a, b] = (-1)^popcount(a & b): the sign of Z-string b on basis state a.
-_PARITY = np.array([[-1.0 if bin(a & b).count("1") & 1 else 1.0 for b in range(DIM)] for a in range(DIM)])
-
-
-def zsum_to_matrix(terms: ZTermSum) -> np.ndarray:
-    coeffs = np.zeros(DIM)
-    for pattern, coeff in terms.items():
-        coeffs[pattern_to_mask(pattern)] += coeff
-    return np.diag(coeffs @ _PARITY).astype(complex)
-
-
-def matrix_to_zsum(matrix: np.ndarray) -> ZTermSum:
-    """Exact Z-string decomposition of a diagonal integer-coefficient operator."""
-    if np.max(np.abs(matrix - np.diag(np.diag(matrix)))) > 1e-9:
-        raise ValueError("operator is not diagonal in the computational basis")
-    coeffs = _PARITY @ np.real(np.diag(matrix)) / DIM
-    out = ZTermSum()
-    for mask in range(1, DIM):
-        coeff = float(coeffs[mask])
-        rounded = round(coeff)
-        if abs(coeff - rounded) > 1e-9:
-            raise ValueError(f"non-integer coefficient {coeff} for mask {mask}")
-        if rounded:
-            out.add(mask_to_pattern(mask), rounded)
+def _walsh_hadamard(values: list[int]) -> list[int]:
+    """out[a] = sum_b (-1)^popcount(a & b) values[b] over the DIM basis states, in N_SPINS butterfly passes."""
+    out = list(values)
+    for half in (1 << k for k in range(N_SPINS)):
+        for j in range(DIM):
+            if not j & half:
+                out[j], out[j | half] = out[j] + out[j | half], out[j] - out[j | half]
     return out
 
 
 def apply_prep_dense(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
-    u = circuit_unitary(Circuit(tuple(seq)))
-    rho = zsum_to_matrix(terms)
-    return matrix_to_zsum(u @ rho @ u.conj().T)
+    """Conjugate 5-spin terms by the sequence through its basis map, independently of `conjugate`."""
+    coeffs = [0] * DIM
+    for pattern, coeff in terms.items():
+        if len(pattern) != N_SPINS:
+            raise ValueError(f"dense conjugation takes {N_SPINS}-spin patterns, got {pattern!r}")
+        coeffs[pattern_to_mask(pattern)] = coeff
+    moved = [0] * DIM
+    for index, value in enumerate(_walsh_hadamard(coeffs)):
+        moved[circuits.native_image(seq, index)[0]] = value
+    out = ZTermSum()
+    for mask, value in enumerate(_walsh_hadamard(moved)):
+        if value % DIM:
+            raise ValueError(f"coefficient {value}/{DIM} of mask {mask} is not an integer")
+        if value:
+            out.add(mask_to_pattern(mask), value // DIM)
+    return out
 
 
 # Minimal temporal-labeling plans (time order left to right), one per odd
@@ -273,7 +273,7 @@ def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequen
             f"no schedule exists for n={n} within {max_experiments} experiments: "
             f"each contributes {n} terms and the target has {2**n - 1}, so {bound} are needed"
         )
-    seqs = [parse_native_sequence(text) for text in OPTIMAL_SCHEDULES[n]]
+    seqs = [circuits.parse_native_sequence(text) for text in OPTIMAL_SCHEDULES[n]]
     if not verify_prep_set(seqs, n).is_effective_pure:
         raise CertificateError(f"stored {n}-spin schedule does not sum to the effective pure target")
     return seqs

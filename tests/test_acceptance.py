@@ -152,7 +152,8 @@ def test_c7_qft_identities():
 
 
 def test_c8_spectral_signatures():
-    from orderfinding.prodops import effective_pure_target, zsum_to_matrix
+    from dense_reference import zsum_to_matrix
+    from orderfinding.prodops import effective_pure_target
 
     checks = []
     pure = DensityOperator(zsum_to_matrix(effective_pure_target()), kind="deviation")

@@ -159,6 +159,19 @@ def test_prep_verify_report(tmp_path):
     assert report["residual"] == {}
 
 
+def test_prep_verify_fails_when_the_basis_map_disagrees(tmp_path, capsys, monkeypatch):
+    # every basis image swapped with its partner across spin 5: the map stays a permutation that is affine
+    # over GF(2), so the dense Z-sums stay integer, but each experiment's spin-5 strings change sign
+    real = circuits.native_image
+    monkeypatch.setattr(circuits, "native_image", lambda seq, index: (real(seq, index)[0] ^ 1, 0))
+    out = tmp_path / "prep"
+    assert main(["prep-verify", "--out", str(out)]) == 1
+    report = json.loads((out / "prep_report.json").read_text())
+    assert report["dense_conjugation_agrees"] is False
+    assert report["is_effective_pure"] is True
+    assert "dense_agreement=False" in capsys.readouterr().out
+
+
 def test_guess_table_outputs(tmp_path):
     out = tmp_path / "guess"
     assert main(["guess-table", "--out", str(out)]) == 0

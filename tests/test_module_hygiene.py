@@ -66,10 +66,11 @@ def test_public_functions_no_module_calls_do_not_grow():
     assert _uncalled_public() <= UNCALLED_PUBLIC
 
 
-@pytest.mark.parametrize("module", ["classical", "exactlp"])
+@pytest.mark.parametrize("module", ["classical", "exactlp", "prodops"])
 def test_classical_imports_no_numpy(module):
-    # the certificates are exact integer, Fraction and Q(sqrt 2) work; the test
-    # below checks that nothing they import loads numpy either
+    # the certificates and the preparation algebra are exact integer, Fraction and
+    # Q(sqrt 2) work; the test below checks that nothing the certificates import
+    # loads numpy either (prodops still does, through the gate types in simulator)
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

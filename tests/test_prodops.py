@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import zsum_to_matrix
+from orderfinding import circuits
 from orderfinding.circuits import parse_native_sequence
 from orderfinding.exactlp import CertificateError
 from orderfinding.prodops import (
@@ -24,9 +26,8 @@ from orderfinding.prodops import (
     schedule_prep,
     standard_prep_sequences,
     verify_prep_set,
-    zsum_to_matrix,
 )
-from orderfinding.simulator import ControlledNot, NotGate
+from orderfinding.simulator import Circuit, ControlledNot, NotGate, circuit_unitary
 
 ALL_PATTERNS = [mask_to_pattern(m) for m in range(1, 32)]
 C_OPS = [ControlledNot(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
@@ -90,11 +91,19 @@ def prep_sequence_strategy(draw):
     return tuple(draw(st.sampled_from(C_OPS + N_OPS)) for _ in range(n_ops))
 
 
-@given(prep_sequence_strategy())
+zterm_sums = st.one_of(
+    st.just(equilibrium_zsum()),
+    st.dictionaries(st.sampled_from(ALL_PATTERNS), st.integers(-9, 9)).map(lambda d: ZTermSum(d.items())),
+)
+
+
+@given(prep_sequence_strategy(), zterm_sums)
 @settings(max_examples=40)
-def test_apply_prep_matches_dense_conjugation(seq):
-    eq = equilibrium_zsum()
-    assert apply_prep(seq, eq) == apply_prep_dense(seq, eq)
+def test_apply_prep_matches_dense_conjugation(seq, terms):
+    out = apply_prep_dense(seq, terms)
+    assert apply_prep(seq, terms) == out
+    u = circuit_unitary(Circuit(seq))
+    assert np.allclose(zsum_to_matrix(out), u @ zsum_to_matrix(terms) @ u.conj().T, atol=1e-9)
 
 
 @given(prep_sequence_strategy())
@@ -116,8 +125,6 @@ def test_production_prep_set_sums_to_effective_pure_target():
 def test_production_prep_set_dense_cross_check():
     total = np.zeros((32, 32), dtype=complex)
     for seq in standard_prep_sequences():
-        from orderfinding.simulator import Circuit, circuit_unitary
-
         u = circuit_unitary(Circuit(seq))
         total += u @ zsum_to_matrix(equilibrium_zsum()) @ u.conj().T
     assert np.allclose(total, zsum_to_matrix(effective_pure_target()), atol=1e-9)
@@ -214,16 +221,27 @@ def _verify_on_three_spins(text):
     (lambda: apply_prep((NotGate(3),), equilibrium_zsum(2)), "NotGate(spin=3) acts on a spin above n=2"),
     (lambda: conjugate(ZTerm("ZZ"), ControlledNot(1, 3)),
      "ControlledNot(control=1, target=3) acts on a spin above n=2"),
+    (lambda: apply_prep_dense(parse_native_sequence("C12"), equilibrium_zsum(3)),
+     "dense conjugation takes 5-spin patterns, got 'IIZ'"),
     (lambda: schedule_prep(3, 3.5), "experiment budget 3.5 is not an int >= 1"),
     (lambda: schedule_prep(3, True), "experiment budget True is not an int >= 1"),
     (lambda: schedule_prep(3, "9"), "experiment budget '9' is not an int >= 1"),
     (lambda: schedule_prep(3, None), "experiment budget None is not an int >= 1"),
     (lambda: schedule_prep(3, 0), "experiment budget 0 is not an int >= 1"),
-], ids=["verify_C45", "verify_N4", "apply_prep", "conjugate",
+], ids=["verify_C45", "verify_N4", "apply_prep", "conjugate", "apply_prep_dense",
         "budget_3.5", "budget_True", "budget_str", "budget_None", "budget_0"])
 def test_prep_input_errors_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_dense_conjugation_refuses_a_basis_map_that_is_not_affine(monkeypatch):
+    # swapping the images of |00000> and |00001> moves diagonal entries 5 and 3 of equilibrium,
+    # so the mask-1 coefficient reads (32 - 4)/32
+    real = circuits.native_image
+    monkeypatch.setattr(circuits, "native_image", lambda seq, index: real(seq, index ^ 1 if index < 2 else index))
+    with pytest.raises(ValueError, match=re.escape("coefficient 28/32 of mask 1 is not an integer")):
+        apply_prep_dense((), equilibrium_zsum())
 
 
 def test_two_spin_schedules_are_impossible_for_any_experiment_count():

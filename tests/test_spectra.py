@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import zsum_to_matrix
 from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
-from orderfinding.prodops import effective_pure_target, equilibrium_zsum, zsum_to_matrix
+from orderfinding.prodops import effective_pure_target, equilibrium_zsum
 from orderfinding.simulator import DIM, DensityOperator, bit_of, expectation_Iz
 from orderfinding.spectra import (
     FrequencyGrid,
