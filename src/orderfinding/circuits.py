@@ -25,6 +25,8 @@ significant), x1 on spin 2 and x0 on spin 3.
 `run_instances` simulates order-finding instances, one or many, as one
 (k, 32) amplitude array through `simulator.run_circuits`: row i starts as
 the basis state |000>|y_i> and ends as instance i's final state.  The
+circuit depends only on the permutation, so each permutation's circuit is
+built once per process and kept, a cache of at most 24 circuits.  The
 Hadamard front and the QFT hold the same op on every row, so each of their
 steps is one kernel call on the whole batch.  The oracle's three stages
 (`oracle_stages`, read from the permutation's trajectories) are controlled
@@ -39,6 +41,7 @@ and the preparation cross-check (`prodops.apply_prep_dense`).
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Sequence
 
@@ -140,17 +143,20 @@ def build_orderfinding(spec: OracleSpec) -> Circuit:
     return Circuit(_HADAMARD_FRONT.ops + oracle_stages(spec.pi).ops + _QFT_NO_SWAP.ops)
 
 
+@functools.cache
+def _orderfinding_circuit(pi: Permutation) -> Circuit:
+    """`build_orderfinding`'s circuit for pi, built once per process; it does not depend on y."""
+    return build_orderfinding(OracleSpec(pi, 0))
+
+
 def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     """Final amplitudes of the order-finding circuit, one (32,) row per instance, as one batch.
 
-    The circuit depends only on the permutation, so it is built once per distinct pi.
+    The circuit depends only on the permutation, so each permutation's
+    circuit is built once per process, a cache of at most 24 circuits.
     """
-    circuit_of = {}
-    for spec in specs:
-        if spec.pi not in circuit_of:
-            circuit_of[spec.pi] = build_orderfinding(spec)
     inputs = np.eye(DIM, dtype=complex)[[spec.y for spec in specs]]  # row i is |000>|y1 y0> of spec i
-    return run_circuits([circuit_of[spec.pi] for spec in specs], inputs)
+    return run_circuits([_orderfinding_circuit(spec.pi) for spec in specs], inputs)
 
 
 def native_image(seq: NativeSequence, index: int) -> tuple[int, int]:

@@ -115,17 +115,28 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.Fr
     return 0 if r_inferred == r_true else 1
 
 
+@functools.cache
+def _sweep_table() -> tuple[tuple[OracleSpec, ...], tuple[tuple[str, int, int], ...], np.ndarray]:
+    """The sweep's 96 instances, their (perm name, y, r) labels and their analytic distributions.
+
+    Built once per process: the distributions are a read-only (96, 8)
+    array.  The simulation and its checks still run on every sweep.
+    """
+    specs = tuple(OracleSpec(pi, y) for pi in ALL_PERMUTATIONS for y in range(4))
+    names = dict(zip(ALL_PERMUTATIONS, permutation_names()))
+    labels = tuple((names[spec.pi], spec.y, order_of(spec.pi, spec.y)) for spec in specs)
+    analytic = np.array([measurement.analytic_distribution(r).probs for _, _, r in labels])
+    analytic.flags.writeable = False
+    return specs, labels, analytic
+
+
 def cmd_sweep(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    specs = [OracleSpec(pi, y) for pi in ALL_PERMUTATIONS for y in range(4)]
-    orders = [order_of(spec.pi, spec.y) for spec in specs]
+    specs, labels, analytic = _sweep_table()
     amps = circuits.run_instances(specs)
-    analytic = np.array([measurement.analytic_distribution(r).probs for r in orders])
     errors = np.abs(measurement.outcome_probabilities(amps) - analytic).max(axis=1)
     observables = expectation_Iz(amps * amps.conj())
-    names = dict(zip(ALL_PERMUTATIONS, permutation_names()))
-    rows = [(names[spec.pi], spec.y, r, err, *o)
-            for spec, r, err, o in zip(specs, orders, errors.tolist(), observables.tolist())]
+    rows = [(*label, err, *o) for label, err, o in zip(labels, errors.tolist(), observables.tolist())]
     _write_csv(out / "sweep.csv",
                ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], list(zip(*rows)))
     worst = errors.max()

@@ -180,7 +180,7 @@ def load_molecule(path: str | Path) -> MoleculeParams:
     raw = path.read_bytes()
     try:
         text = raw.decode("utf-8")
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     except UnicodeDecodeError as err:
         head = raw[:err.start].decode("utf-8")
         raise _located(path, head, len(head), "not valid UTF-8") from err
@@ -198,6 +198,14 @@ def load_molecule(path: str | Path) -> MoleculeParams:
         raise _located(path, text, _value_offset(text, where), _describe(err.reason, where)) from err
 
 
+def _parse_int(literal: str) -> int | float:
+    """A JSON integer literal as an int; one with too many digits for int() reads as inf, rejected as not finite."""
+    try:
+        return int(literal)
+    except ValueError:
+        return math.inf
+
+
 def _located(path: Path, text: str, offset: int, message: str) -> ValueError:
     at = json.JSONDecodeError(message, text, offset)
     return ValueError(f"{path}:{at.lineno}:{at.colno}: {message}")
@@ -209,7 +217,7 @@ def _value_offset(text: str, where: tuple[str | int, ...]) -> int:
     Duplicate keys resolve to the last, as json.loads does.
     """
     skip = json.decoder.WHITESPACE.match
-    decoder = json.JSONDecoder()
+    decoder = json.JSONDecoder(parse_int=_parse_int)
     pos = skip(text, 0).end()
     for step in where:
         opener, pos = text[pos], skip(text, pos + 1).end()

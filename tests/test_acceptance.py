@@ -13,7 +13,6 @@ tests/test_circuits.py; see the docstrings below.
 import re
 
 import numpy as np
-import pytest
 
 from orderfinding import circuits, classical, measurement, prodops
 from orderfinding.circuits import run_instances

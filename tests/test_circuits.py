@@ -10,7 +10,6 @@ from orderfinding.circuits import (
     READOUT_SEQUENCES,
     build_orderfinding,
     build_qft3,
-    dft_matrix,
     parse_native_sequence,
     parse_readout_listing,
     run_instances,

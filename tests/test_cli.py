@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orderfinding import circuits, classical, cli, measurement, simulator
 from orderfinding.cli import main
+from orderfinding.permutations import OracleSpec, parse_permutation
 
 
 def _read_csv(path):
@@ -223,6 +224,17 @@ def test_run_non_object_molecule_exits_2_with_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_molecule_integer_past_the_digit_limit_exits_2_with_one_located_error_line(tmp_path, capsys):
+    # int() refuses a literal of more than 4300 digits; the loader reports it at the literal like any bad value
+    config = tmp_path / "mol.json"
+    config.write_text('{"shifts": [0, 1, 2, 3, 1' + "0" * 5000 + '], "J": [], "linewidth_hz": 1}')
+    assert main(["run", "--perm", "()", "--y", "0", "--molecule", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err == f"error: {config}:1:25: shifts[4]: not a finite number\n"
+
+
 @pytest.mark.parametrize("grid", ["-60,60", "60,-60,100", "nan,60,100", "-inf,inf,5", "-1e308,1e308,5",
                                   "-60,60,1000001"])
 def test_run_bad_grid_exits_2_without_spectrum(tmp_path, capsys, grid):
@@ -366,3 +378,54 @@ def test_failed_guess_game_solve_is_not_cached(tmp_path, capsys, monkeypatch, co
         assert main(argv) == 1
     assert main(argv) == 0
     assert capsys.readouterr().err == "error: guess-game certificate failed: strategy 60/109 != prior 61/109\n"
+
+
+@pytest.fixture
+def cold_sweep_caches():
+    circuits._orderfinding_circuit.cache_clear()
+    cli._sweep_table.cache_clear()
+    yield
+    circuits._orderfinding_circuit.cache_clear()
+    cli._sweep_table.cache_clear()
+
+
+def test_sweep_builds_each_circuit_once_per_process(tmp_path, monkeypatch, cold_sweep_caches):
+    built = []
+    build = circuits.build_orderfinding
+
+    def counted(spec):
+        built.append(spec.pi)
+        return build(spec)
+
+    monkeypatch.setattr(circuits, "build_orderfinding", counted)
+    assert main(["sweep", "--out", str(tmp_path / "a")]) == 0
+    assert len(built) == 24 and len(set(built)) == 24
+    built.clear()
+    assert main(["sweep", "--out", str(tmp_path / "b")]) == 0
+    assert built == []
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
+def test_run_gets_the_circuit_the_sweep_used(tmp_path, monkeypatch, cold_sweep_caches):
+    batches = []
+    run_circuits = circuits.run_circuits
+
+    def recorded(batch, amps):
+        batches.append(list(batch))
+        return run_circuits(batch, amps)
+
+    monkeypatch.setattr(circuits, "run_circuits", recorded)
+    assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["run", "--perm", "(0 1 2)", "--y", "3", "--out", str(tmp_path / "run")]) == 0
+    specs = cli._sweep_table()[0]
+    row = specs.index(OracleSpec(parse_permutation("(0 1 2)"), 3))
+    assert len(batches) == 2 and len(batches[1]) == 1
+    assert batches[1][0] is batches[0][row]
+
+
+def test_sweep_table_distributions_are_read_only(cold_sweep_caches):
+    specs, labels, analytic = cli._sweep_table()
+    assert len(specs) == len(labels) == 96 and analytic.shape == (96, 8)
+    assert not analytic.flags.writeable
+    with pytest.raises(ValueError):
+        analytic[0, 0] = 0.5

@@ -1,4 +1,4 @@
-"""Every module-level import and private function in the package is used in its own module.
+"""Every module-level import and private function in the package and in its tests is used in its own module.
 
 `__init__` is skipped: it holds only the docstring and `__version__`, so
 importing the package loads no submodule and no numpy.  `from __future__`
@@ -18,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orderfinding"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unreferenced(path: Path) -> list[str]:
@@ -42,6 +43,11 @@ def test_package_modules_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_level_names_are_referenced(path):
+    assert _unreferenced(path) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_test_module_level_names_are_referenced(path):
     assert _unreferenced(path) == []
 
 

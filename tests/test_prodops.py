@@ -12,7 +12,6 @@ from orderfinding.circuits import parse_native_sequence
 from orderfinding.exactlp import CertificateError
 from orderfinding.prodops import (
     OPTIMAL_SCHEDULES,
-    PREP_SET_5SPIN,
     SearchExhausted,
     ZTerm,
     ZTermSum,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import zsum_to_matrix
 from orderfinding.circuits import run_instances
-from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
+from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum
 from orderfinding.simulator import DIM, DensityOperator, bit_of, expectation_Iz
 from orderfinding.spectra import (
@@ -265,6 +265,7 @@ def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1"):
         (_config_text(shifts="[0, 1, 2, 3, -Infinity]"), "2:26", "shifts[4]"),
         (_config_text(shifts="[0, 1, 2, 3, 1e400]"), "2:26", "shifts[4]"),
         (_config_text(shifts="[0, 1, 2, 3, 1" + "0" * 400 + "]"), "2:26", "shifts[4]"),
+        (_config_text(shifts="[0, 1, 2, 3, 1" + "0" * 5000 + "]"), "2:26", "shifts[4]"),  # past int()'s digit limit
         (_config_text(shifts='[0, 1, "oops", 3, 4]'), "2:20", "shifts[2]"),
         (_config_text(shifts="5"), "2:13", "shifts"),
         (_config_text(shifts="[0, 1, 2, 3]"), "2:13", "shifts"),
@@ -279,8 +280,8 @@ def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1"):
     ],
     ids=[
         "not_object", "array_document", "missing_key", "nan_shift", "inf_shift", "overflow_shift",
-        "int_overflow_shift", "string_shift", "shifts_not_list", "four_shifts", "ragged_J", "one_row_J",
-        "nan_J", "asymmetric_J", "linewidth_null", "linewidth_list", "linewidth_bool", "linewidth_zero",
+        "int_overflow_shift", "int_digit_limit_shift", "string_shift", "shifts_not_list", "four_shifts",
+        "ragged_J", "one_row_J", "nan_J", "asymmetric_J", "linewidth_null", "linewidth_list", "linewidth_bool", "linewidth_zero",
     ],
 )
 def test_molecule_config_errors_are_located(tmp_path, text, location, names):
@@ -310,7 +311,7 @@ def test_molecule_config_shipped_file_matches_synthetic_parameters():
 
 _CORRUPT_VALUE = st.one_of(
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "null", "true", '"1"', "[]", "{}", "[0, 1]",
-                     "-0.5", "1" + "0" * 400]),
+                     "-0.5", "1" + "0" * 400, "1" + "0" * 5000]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.text(max_size=4),
 )
