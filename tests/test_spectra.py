@@ -281,7 +281,8 @@ def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1"):
     ids=[
         "not_object", "array_document", "missing_key", "nan_shift", "inf_shift", "overflow_shift",
         "int_overflow_shift", "int_digit_limit_shift", "string_shift", "shifts_not_list", "four_shifts",
-        "ragged_J", "one_row_J", "nan_J", "asymmetric_J", "linewidth_null", "linewidth_list", "linewidth_bool", "linewidth_zero",
+        "ragged_J", "one_row_J", "nan_J", "asymmetric_J", "linewidth_null", "linewidth_list", "linewidth_bool",
+        "linewidth_zero",
     ],
 )
 def test_molecule_config_errors_are_located(tmp_path, text, location, names):
