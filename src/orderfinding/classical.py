@@ -7,22 +7,25 @@ game is a finite zero-sum game: the guesser randomizes over the exponent x
 in 1..12 (pi^12 is the identity, so larger exponents add nothing), sees
 z = pi^x(0), and guesses r'; the adversary picks one of the 24 permutations.
 Everything a query can see is the trajectory pi^0(y), ..., pi^12(y) of
-`permutations.trajectory`, so one table of trajectories per start y
-evaluates strategies.  The game is an LP, but its optimal vertex at y = 0
-is stored as exact literals (ONE_QUERY_WITNESS, HARDEST_PRIOR) and
+`permutations.trajectory`, so one table per start y, each trajectory with
+its order, evaluates strategies.  The game is an LP, but its optimal vertex
+at y = 0 is stored as exact literals (ONE_QUERY_WITNESS, HARDEST_PRIOR) and
 certified on every call instead of searched for: the witness is a
 strategy, the prior a distribution, and the witness's worst-case payoff
 equals the prior's best-response value, so by weak duality both equal the
-game value, exactly 1/2.  Relabeling carries
-the certificate to y = 1..3: the witness's integer table by relabeling the
-seen z, the prior by conjugating each permutation.  A failed check raises
+game value, exactly 1/2.  Relabeling carries the certificate to y = 1..3:
+the witness's integer table by relabeling the seen z, the prior through an
+index map of each permutation to its conjugate.  A failed check raises
 CertificateError.  The checks sum integer numerators over one denominator
 (weight times guess probability, or prior mass), so each result is one
-Fraction(total, den).  The two-query witness is checked on the same cached
-trajectories, and no certificate builds a Permutation or calls `power`.
+Fraction(total, den).  The two-query witness is checked on the same tables,
+and no certificate builds a Permutation or calls `power`.  The tables
+depend only on the permutations and are built once per process; the stored
+literals are read and every check runs on every call.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -50,19 +53,30 @@ HARDEST_PRIOR = {
 
 
 @cache
-def _trajectories(y: int) -> tuple[tuple[int, ...], ...]:
-    """The trajectory of y under each permutation, in ALL_PERMUTATIONS order."""
-    return tuple(trajectory(pi, y) for pi in ALL_PERMUTATIONS)
+def _cases(y: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(trajectory, order) of start y under each permutation, in ALL_PERMUTATIONS order, built once per process.
+
+    The order is the cycle length of y: the trajectory's first return to y.
+    """
+    paths = (trajectory(pi, y) for pi in ALL_PERMUTATIONS)
+    return tuple((path, path.index(y, 1)) for path in paths)
 
 
-def _order(path: tuple[int, ...]) -> int:
-    """The cycle length of y = path[0]: the first return of the trajectory."""
-    return path.index(path[0], 1)
+@cache
+def _relabeling(y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(tau, conjugates) for the transposition tau = (0 y), built once per process.
+
+    tau[v] is the image of room v, and conjugates maps i to the j with ALL_PERMUTATIONS[j] = tau pi_i tau.
+    """
+    t = list(range(N_ELEMENTS))
+    t[0], t[y] = y, 0  # tau, its own inverse
+    index = {pi.images: j for j, pi in enumerate(ALL_PERMUTATIONS)}
+    return tuple(t), tuple(index[tuple(t[pi.images[t[v]]] for v in range(N_ELEMENTS))] for pi in ALL_PERMUTATIONS)
 
 
-def _worst_scaled_payoff(xs: tuple[int, ...], cells: dict[tuple[int, int], tuple[int, ...]], paths) -> int:
-    """The least integer payoff of a strategy table (live x, cells) over the given trajectories."""
-    return min(sum(cells[(x, path[x])][_order(path) - 1] for x in xs) for path in paths)
+def _worst_scaled_payoff(columns: tuple, cases: Sequence[tuple[tuple[int, ...], int]]) -> int:
+    """The least integer payoff of a strategy's columns (x, cells[z][r - 1]) over (trajectory, order) cases."""
+    return min(sum(cells[path[x]][r - 1] for x, cells in columns) for path, r in cases)
 
 
 @dataclass(frozen=True)
@@ -78,33 +92,38 @@ class OneQueryStrategy:
         object.__setattr__(self, "guesses", MappingProxyType(dict(self.guesses)))
 
     def payoff(self, pi: Permutation, y: int = 0) -> Fraction:
-        den, xs, cells = self._table
-        return Fraction(_worst_scaled_payoff(xs, cells, [trajectory(pi, y)]), den)
+        den, columns = self._table
+        return Fraction(_worst_scaled_payoff(columns, [_cases(y)[ALL_PERMUTATIONS.index(pi)]]), den)
 
     def min_payoff(self, y: int = 0) -> Fraction:
-        den, xs, cells = self._table
-        return Fraction(_worst_scaled_payoff(xs, cells, _trajectories(y)), den)
+        den, columns = self._table
+        return Fraction(_worst_scaled_payoff(columns, _cases(y)), den)
 
     @cached_property
-    def _table(self) -> tuple[int, tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
-        """(den, live x, cells): cells[(x, z)][r - 1] is weight(x) * Pr[guess r | x, z] in units of 1/den.
+    def _table(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]]:
+        """(den, columns): per live x, (x, cells), cells[z][r - 1] = weight(x) * Pr[guess r | x, z] in units of 1/den.
 
+        den is the lcm of the weights' denominators times the lcm of the live guess rows' denominators.
         Weights that are not a distribution over the exponents 1..12, or a guess row at a live x
-        that is not one over the orders 1..4, raise CertificateError.
+        that is missing or not a distribution over the orders 1..4, raise CertificateError.
         """
-        if (any(type(x) is not int or not 1 <= x <= MAX_EXPONENT or w < 0 for x, w in self.x_weights.items())
-                or sum(self.x_weights.values()) != 1):
+        weights = self.x_weights
+        den_w = lcm(*(w.denominator for w in weights.values()))
+        if (any(type(x) is not int or not 1 <= x <= MAX_EXPONENT or w < 0 for x, w in weights.items())
+                or sum(w.numerator * (den_w // w.denominator) for w in weights.values()) != den_w):
             raise CertificateError(f"witness weights are not a distribution over exponents 1..{MAX_EXPONENT}")
-        xs = tuple(x for x, qx in self.x_weights.items() if qx)
-        live = {(x, z): (self.x_weights[x], row) for (x, z), row in self.guesses.items() if x in xs}
-        den = lcm(*(qx.denominator * g.denominator for qx, row in live.values() for g in row))
-        cells = {key: tuple(qx.numerator * g.numerator * (den // (qx.denominator * g.denominator)) for g in row)
-                 for key, (qx, row) in live.items()}
-        for (x, z), (qx, _) in live.items():
-            cell = cells[(x, z)]  # weight(x) * row in units of 1/den: the row sums to 1 iff cell sums to weight(x) * den
-            if len(cell) != N_ELEMENTS or min(cell) < 0 or sum(cell) * qx.denominator != qx.numerator * den:
-                raise CertificateError(f"guess row at x={x}, z={z} is not a distribution over the orders 1..4")
-        return den, xs, cells
+        xs = tuple(x for x, w in weights.items() if w)
+        rows = [[self.guesses.get((x, z), ()) for z in range(N_ELEMENTS)] for x in xs]
+        den_g = lcm(*(g.denominator for by_z in rows for row in by_z for g in row))
+        columns = []
+        for x, by_z in zip(xs, rows):
+            wx = weights[x].numerator * (den_w // weights[x].denominator)  # weight(x) in units of 1/den_w
+            cells = tuple(tuple([wx * g.numerator * (den_g // g.denominator) for g in row]) for row in by_z)
+            for z, cell in enumerate(cells):  # the row sums to 1 iff its cell sums to wx * den_g
+                if len(cell) != N_ELEMENTS or min(cell) < 0 or sum(cell) != wx * den_g:
+                    raise CertificateError(f"guess row at x={x}, z={z} is not a distribution over the orders 1..4")
+            columns.append((x, cells))
+        return den_w * den_g, tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -121,7 +140,7 @@ class TwoQueryStrategy:
 
     def decide(self, path: tuple[int, ...]) -> int:
         """The guess on a trajectory: query x sees whether pi^x(y) = y, and pi^12 is the identity."""
-        return self.table[tuple(path[x % MAX_EXPONENT] == path[0] for x in self.queries)]
+        return self.table[tuple([path[x % MAX_EXPONENT] == path[0] for x in self.queries])]
 
 
 def paper_one_query_witness() -> OneQueryStrategy:
@@ -157,61 +176,60 @@ class OneQueryReport:
 
 def prior_best_response_value(prior: list[Fraction], y: int = 0) -> Fraction:
     """Value of the best deterministic single-query reply to a prior, one mass per ALL_PERMUTATIONS entry."""
-    paths = _trajectories(y)
-    if len(prior) != len(paths):
-        raise ValueError(f"prior has {len(prior)} masses, expected {len(paths)} (one per permutation)")
+    cases = _cases(y)
+    if len(prior) != len(cases):
+        raise ValueError(f"prior has {len(prior)} masses, expected {len(cases)} (one per permutation)")
     den = lcm(*(p.denominator for p in prior))
-    live = [(p.numerator * (den // p.denominator), path, _order(path) - 1) for p, path in zip(prior, paths) if p]
+    live = [(p.numerator * (den // p.denominator), path, r - 1) for p, (path, r) in zip(prior, cases) if p]
     best = 0
     for x in range(1, MAX_EXPONENT + 1):
-        mass = [[0] * 4 for _ in range(4)]  # mass[z][r - 1], in units of 1/den
-        for p, path, r in live:
-            mass[path[x]][r] += p
-        best = max(best, sum(max(m) for m in mass))
+        mass = [0] * 16  # mass[4 z + r - 1], in units of 1/den
+        for p, path, k in live:
+            mass[4 * path[x] + k] += p
+        best = max(best, max(mass[0:4]) + max(mass[4:8]) + max(mass[8:12]) + max(mass[12:16]))
     return Fraction(best, den)
 
 
 def _value_at_y(y: int, witness: OneQueryStrategy, prior: list[Fraction]) -> Fraction:
     """Exact game value at start y, via certificates transported from y = 0.
 
-    Relabeling rooms by the transposition (0 y) carries the y = 0 game onto
-    the y game: the transported witness bounds the value from below and the
-    transported prior from above; the bounds coincide, pinning the value.
-    The witness is transported as its integer table, whose rows are checked already.
+    Relabeling rooms by the transposition tau = (0 y) carries the y = 0 game
+    onto the y game: the transported witness bounds the value from below and
+    the transported prior from above; the bounds coincide, pinning the value.
+    The witness is transported as its integer table, whose rows are checked
+    already, and the prior through the index map pi -> tau pi tau.
     """
-    t = list(range(N_ELEMENTS))
-    t[0], t[y] = y, 0  # tau = (0 y), its own inverse
-    den, xs, cells = witness._table
-    cells_y = {(x, z): cells[(x, t[z])] for (x, z) in cells}
-    by_images = {pi.images: p for pi, p in zip(ALL_PERMUTATIONS, prior)}
-    prior_y = [by_images[tuple(t[img[t[v]]] for v in range(N_ELEMENTS))] for img in by_images]  # tau pi tau
-    lower = Fraction(_worst_scaled_payoff(xs, cells_y, _trajectories(y)), den)
-    upper = prior_best_response_value(prior_y, y)
+    tau, conjugates = _relabeling(y)
+    den, columns = witness._table
+    columns_y = tuple((x, tuple(cells[tau[z]] for z in range(N_ELEMENTS))) for x, cells in columns)
+    lower = Fraction(_worst_scaled_payoff(columns_y, _cases(y)), den)
+    upper = prior_best_response_value([prior[j] for j in conjugates], y)
     if lower != upper:
         raise CertificateError(f"certificate transport failed at y={y}: {lower} != {upper}")
     return lower
 
 
 def _stored_witness() -> OneQueryStrategy:
-    """ONE_QUERY_WITNESS as a strategy; each guess becomes a one-hot row, and the strategy checks its weights."""
+    """ONE_QUERY_WITNESS as a strategy; each guess becomes a one-hot int row, and the strategy checks its weights."""
     weights = {x: w for x, (w, _) in ONE_QUERY_WITNESS.items()}
     guesses = {}
     for x, (_, row) in ONE_QUERY_WITNESS.items():
         if len(row) != N_ELEMENTS or any(guess not in (1, 2, 3, 4) for guess in row):
             raise CertificateError(f"witness guesses at x={x} are not one order in 1..4 per seen z")
         for z, guess in enumerate(row):
-            guesses[(x, z)] = tuple(Fraction(int(guess == r)) for r in range(1, 5))
+            guesses[(x, z)] = tuple(int(guess == r) for r in range(1, 5))
     return OneQueryStrategy(weights, guesses)
 
 
 def _prior_vector(prior: dict[str, Fraction]) -> list[Fraction]:
-    """The prior as masses in ALL_PERMUTATIONS order, checked to be a distribution."""
+    """The stored masses in ALL_PERMUTATIONS order, 0 where none is stored, checked to be a distribution."""
     names = permutation_names()
     unknown = sorted(set(prior) - set(names))
     if unknown:
         raise CertificateError(f"hardest prior names {unknown[0]!r}, not a permutation of 0..3")
-    vector = [prior.get(name, Fraction(0)) for name in names]
-    if min(vector) < 0 or sum(vector) != 1:
+    vector = [prior.get(name, 0) for name in names]
+    den = lcm(*(p.denominator for p in vector))
+    if min(vector) < 0 or sum(p.numerator * (den // p.denominator) for p in vector) != den:
         raise CertificateError("hardest prior is not a distribution over the 24 permutations")
     return vector
 
@@ -258,14 +276,13 @@ def _single_query_deterministic_perfect_count(y: int = 0) -> tuple[int, int]:
     At a fixed x, each seen z multiplies the count of perfect guess tables by
     4 if no trajectory shows z, by 1 if all that do share one order, else by 0.
     """
-    paths = _trajectories(y)
-    orders = [_order(path) for path in paths]
+    cases = _cases(y)
     perfect = 0
     for x in range(1, MAX_EXPONENT + 1):
-        seen = [set() for _ in range(N_ELEMENTS)]  # seen[z]: the orders of the trajectories showing z
-        for path, r in zip(paths, orders):
-            seen[path[x]].add(r)
-        perfect += prod(N_ELEMENTS if not orders else int(len(orders) == 1) for orders in seen)
+        seen = [0] * N_ELEMENTS  # seen[z]: bit r is set when a trajectory of order r shows z
+        for path, r in cases:
+            seen[path[x]] |= 1 << r
+        perfect += prod(N_ELEMENTS if not bits else int(bits & (bits - 1) == 0) for bits in seen)
     return N_ELEMENTS**N_ELEMENTS * MAX_EXPONENT, perfect
 
 
@@ -274,9 +291,9 @@ def two_query_certainty() -> TwoQueryReport:
     witness = two_query_witness()
     cases = 0
     for y in range(N_ELEMENTS):
-        for name, path in zip(permutation_names(), _trajectories(y)):
-            if witness.decide(path) != _order(path):
-                raise CertificateError(f"two-query witness failed on {name}, y={y}")
+        for i, (path, r) in enumerate(_cases(y)):
+            if witness.decide(path) != r:
+                raise CertificateError(f"two-query witness failed on {permutation_names()[i]}, y={y}")
             cases += 1
     checked, perfect = _single_query_deterministic_perfect_count()
     return TwoQueryReport(

@@ -151,7 +151,7 @@ def cmd_prep_verify(out: Path) -> int:
     seqs = prodops.standard_prep_sequences()
     report = prodops.verify_prep_set(seqs)
     eq = prodops.equilibrium_zsum()
-    dense_ok = all(prodops.apply_prep(seq, eq) == prodops.apply_prep_dense(seq, eq) for seq in seqs)
+    dense_ok = all(image == prodops.apply_prep_dense(seq, eq) for seq, image in zip(seqs, report.images))
     _write_json(out / "prep_report.json", {
         "sequences": list(prodops.PREP_SET_5SPIN),
         "total_terms": report.total_terms,

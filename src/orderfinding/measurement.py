@@ -16,7 +16,9 @@ coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2.
 The guess game's optimal vertex is stored as literals and certified on every
 `solve_guess_game()` call, in integers: every exact entry is scaled to a pair
 (a, b) meaning (a + b sqrt 2) / den, and the sums are ordered by the sign of
-a + b sqrt 2.  By weak duality the value is exactly 60/109.
+a + b sqrt 2.  The pairs depend on nothing stored and are built once per
+process; the literals are read on every call.  By weak duality the value is
+exactly 60/109.
 """
 from __future__ import annotations
 
@@ -166,13 +168,27 @@ class GuessGameSolution:
     per_order_success: tuple[float, float, float, float]
 
 
-def _certified_value(exact, strategy, prior) -> QSqrt2:
+def _exact_pairs(exact) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(den, pairs): exact[k][m] = (a + b sqrt 2) / den for (a, b) = pairs[k][m], den the lcm of all denominators."""
+    den = lcm(*(part.denominator for entries in exact for e in entries for part in (e.a, e.b)))
+    return den, tuple(tuple((e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
+                            for e in entries) for entries in exact)
+
+
+@functools.cache
+def _guess_pairs() -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The four orders' exact outcome distributions as integer pairs over one denominator, built once per process."""
+    return _exact_pairs([analytic_distribution(r).exact for r in ORDERS])
+
+
+def _certified_value(pairs, strategy, prior) -> QSqrt2:
     """The guess-game value pinned by a strategy and a prior, or CertificateError naming the failed check.
 
-    exact[k][m] = Pr[m | order ORDERS[k]]; strategy and prior count units of 1/GUESS_DENOMINATOR.
-    The strategy's worst success bounds the value from below, the prior's best-response value
-    sum_m max_k prior[k] exact[k][m] from above.  Both are integer pairs (a, b) meaning
-    (a + b sqrt 2) / (den * GUESS_DENOMINATOR), den the lcm of the entries' denominators.
+    pairs = (den, table) from `_exact_pairs`: Pr[m | order ORDERS[k]] = (a + b sqrt 2) / den for
+    (a, b) = table[k][m]; strategy and prior count units of 1/GUESS_DENOMINATOR.  The strategy's
+    worst success bounds the value from below, the prior's best-response value
+    sum_m max_k prior[k] Pr[m | ORDERS[k]] from above.  Both are integer pairs (a, b) meaning
+    (a + b sqrt 2) / (den * GUESS_DENOMINATOR).
     """
     if len(strategy) != 8:
         raise CertificateError(f"guess strategy has {len(strategy)} rows, expected one per outcome m = 0..7")
@@ -181,14 +197,12 @@ def _certified_value(exact, strategy, prior) -> QSqrt2:
             raise CertificateError(f"guess strategy row m={m} is not a distribution over the orders")
     if len(prior) != len(ORDERS) or min(prior) < 0 or sum(prior) != GUESS_DENOMINATOR:
         raise CertificateError("hardest guess prior is not a distribution over the orders")
-    den = lcm(*(part.denominator for entries in exact for e in entries for part in (e.a, e.b)))
-    pairs = [[(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator)) for e in entries]
-             for entries in exact]
+    den, table = pairs
     by_value = functools.cmp_to_key(lambda u, v: sqrt2_sign(u[0] - v[0], u[1] - v[1]))
-    worst = min(((sum(pairs[k][m][0] * row[k] for m, row in enumerate(strategy)),
-                  sum(pairs[k][m][1] * row[k] for m, row in enumerate(strategy))) for k in range(len(ORDERS))),
+    worst = min(((sum(table[k][m][0] * row[k] for m, row in enumerate(strategy)),
+                  sum(table[k][m][1] * row[k] for m, row in enumerate(strategy))) for k in range(len(ORDERS))),
                 key=by_value)
-    tops = [max(((pairs[k][m][0] * p, pairs[k][m][1] * p) for k, p in enumerate(prior)), key=by_value)
+    tops = [max(((table[k][m][0] * p, table[k][m][1] * p) for k, p in enumerate(prior)), key=by_value)
             for m in range(8)]
     best = (sum(a for a, _ in tops), sum(b for _, b in tops))
     scale = den * GUESS_DENOMINATOR
@@ -203,7 +217,7 @@ def _certified_value(exact, strategy, prior) -> QSqrt2:
 
 def solve_guess_game() -> GuessGameSolution:
     """The maximin guess strategy and the hardest prior over r: the stored vertex, certified on every call."""
-    value = _certified_value([analytic_distribution(r).exact for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
+    value = _certified_value(_guess_pairs(), GUESS_STRATEGY, GUESS_PRIOR)
     strategy = GuessStrategy(np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR)
     return GuessGameSolution(
         strategy=strategy,

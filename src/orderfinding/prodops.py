@@ -168,27 +168,30 @@ PREP_SET_5SPIN: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class PrepReport:
+    """The summed experiments against the target; images[i] is experiment i, seqs[i] applied to equilibrium."""
+
     total_terms: int
     summed: ZTermSum
     is_effective_pure: bool
     residual: ZTermSum
     canceled_pairs: int
+    images: tuple[ZTermSum, ...]
 
 
 def verify_prep_set(seqs: Sequence[PrepSequence], n: int = N_SPINS) -> PrepReport:
     """Sum the experiments over the given sequences and compare with the target."""
     target = effective_pure_target(n)
     eq = equilibrium_zsum(n)
+    images = tuple(apply_prep(seq, eq) for seq in seqs)
     total = ZTermSum()
     total_terms = 0
-    for seq in seqs:
-        out = apply_prep(seq, eq)
+    for out in images:
         total_terms += sum(abs(c) for c in out.values())
         total = total + out
     residual = total - target
     is_pure = not residual
     canceled = (total_terms - len(target)) // 2 if is_pure else 0
-    return PrepReport(total_terms, total, is_pure, residual, canceled)
+    return PrepReport(total_terms, total, is_pure, residual, canceled, images)
 
 
 def standard_prep_sequences() -> list[PrepSequence]:

@@ -172,9 +172,10 @@ def load_molecule(path: str | Path) -> MoleculeParams:
     and linewidth_hz; other keys are ignored.  Every malformed config
     raises ValueError with the one-line message "path:line:col: reason",
     the position counted as json.JSONDecodeError counts it.  A syntax
-    error points where decoding stopped, a missing key or a document that
-    is not an object points at the enclosing object, and a bad value points
-    at that value.  A file that cannot be read raises OSError.
+    error points where decoding stopped, a document nested deeper than the
+    decoder's recursion limit points at its start, a missing key or a
+    document that is not an object points at the enclosing object, and a bad
+    value points at that value.  A file that cannot be read raises OSError.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -186,6 +187,8 @@ def load_molecule(path: str | Path) -> MoleculeParams:
         raise _located(path, head, len(head), "not valid UTF-8") from err
     except json.JSONDecodeError as err:
         raise _located(path, text, err.pos, err.msg) from err
+    except RecursionError as err:  # the decoder recurses once per nested array or object
+        raise _located(path, text, 0, "nested too deeply to decode") from err
     try:
         if not isinstance(data, dict):
             raise MoleculeError("config must be a JSON object")

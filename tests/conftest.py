@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -5,7 +7,13 @@ import pytest
 hypothesis.settings.register_profile(
     "ci", max_examples=25, deadline=None, derandomize=True
 )
-hypothesis.settings.load_profile("ci")
+# The same runs without the shrink phase: a failing example is reported as first found.  For
+# runs that only need pass or fail, such as testing mutants; select it with HYPOTHESIS_PROFILE.
+hypothesis.settings.register_profile(
+    "noshrink", hypothesis.settings.get_profile("ci"),
+    phases=[phase for phase in hypothesis.Phase if phase is not hypothesis.Phase.shrink],
+)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture(scope="session")

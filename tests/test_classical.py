@@ -88,7 +88,7 @@ def test_two_query_decision_on_trajectories_equals_the_power_reference(queries, 
         for y in range(4):
             expected = strategy.table[tuple(power(pi, x)(y) == y for x in queries)]
             assert strategy.decide(trajectory(pi, y)) == expected
-            assert strategy.decide(classical._trajectories(y)[PERMS.index(pi)]) == expected
+            assert strategy.decide(classical._cases(y)[PERMS.index(pi)][0]) == expected
 
 
 @pytest.mark.parametrize("bad", [-1, True, 1.5], ids=["negative", "bool", "float"])
@@ -115,11 +115,22 @@ def test_certificates_build_no_permutation_and_call_no_power(monkeypatch):
     for module in (permutations, classical):
         if hasattr(module, "power"):
             monkeypatch.setattr(module, "power", counted_power)
-    classical._trajectories.cache_clear()
+    classical._cases.cache_clear()
+    classical._relabeling.cache_clear()
     permutations.permutation_names.cache_clear()
     assert one_query_value().value == Fraction(1, 2)
     assert two_query_certainty().cases_checked == 96
     assert counts == {"Permutation": 0, "power": 0}
+
+
+@pytest.mark.parametrize("y", range(4))
+def test_case_and_relabeling_tables_are_tuples_read_from_the_permutations(y):
+    cases, (tau, conjugates) = classical._cases(y), classical._relabeling(y)
+    assert type(cases) is tuple and all(type(case) is tuple and type(case[0]) is tuple for case in cases)
+    assert cases == tuple((trajectory(pi, y), order_of(pi, y)) for pi in PERMS)
+    assert type(tau) is tuple and tau == tuple(y if v == 0 else 0 if v == y else v for v in range(4))  # (0 y)
+    assert type(conjugates) is tuple
+    assert [PERMS[j] for j in conjugates] == [Permutation(tuple(tau[pi(tau[v])] for v in range(4))) for pi in PERMS]
 
 
 def test_two_query_report(one_query_report):
@@ -135,7 +146,7 @@ def test_single_query_count_matches_enumeration_on_a_smaller_adversary(monkeypat
     # perfect deterministic strategies exist; the per-z product count must
     # find exactly those a direct enumeration with `power` finds.
     perms = [PERMS[0], next(pi for pi in PERMS if pi.images == (1, 0, 2, 3))]
-    monkeypatch.setattr(classical, "_trajectories", lambda y: tuple(trajectory(pi, y) for pi in perms))
+    monkeypatch.setattr(classical, "_cases", lambda y: tuple((trajectory(pi, y), order_of(pi, y)) for pi in perms))
     expected = 0
     for x in range(1, MAX_EXPONENT + 1):
         for code in range(4**4):
@@ -253,6 +264,13 @@ def test_guess_row_that_is_not_a_distribution_names_x_and_z(row, where):
         OneQueryStrategy(strategy.x_weights, guesses).min_payoff()
 
 
+def test_missing_guess_row_at_a_queried_exponent_is_rejected():
+    guesses = dict(paper_one_query_witness().guesses)
+    del guesses[(3, 2)]
+    with pytest.raises(CertificateError, match="guess row at x=3, z=2 is not a distribution"):
+        OneQueryStrategy({3: Fraction(1)}, guesses).min_payoff()
+
+
 def test_guess_rows_at_unqueried_exponents_are_not_read():
     strategy = _witness_with_rows(lambda guess: tuple(Fraction(int(guess == r)) for r in range(1, 5)))
     weights = {**strategy.x_weights, 5: Fraction(0)}
@@ -260,10 +278,10 @@ def test_guess_rows_at_unqueried_exponents_are_not_read():
     assert OneQueryStrategy(weights, guesses).min_payoff() == Fraction(1, 2)
 
 
-def reference_payoff(strategy: OneQueryStrategy, path: tuple[int, ...]) -> Fraction:
+def reference_payoff(strategy: OneQueryStrategy, pi: Permutation, y: int) -> Fraction:
     """The Fraction loop classical used before its integer table: the reference for payoff."""
     total = Fraction(0)
-    r = classical._order(path)
+    path, r = trajectory(pi, y), order_of(pi, y)
     for x, qx in strategy.x_weights.items():
         if qx:
             total += qx * strategy.guesses[(x, path[x])][r - 1]
@@ -272,13 +290,12 @@ def reference_payoff(strategy: OneQueryStrategy, path: tuple[int, ...]) -> Fract
 
 def reference_best_response(prior: list[Fraction], y: int) -> Fraction:
     """The Fraction loop classical used before scaling the prior to ints: the reference."""
-    paths = classical._trajectories(y)
     best = Fraction(0)
     for x in range(1, MAX_EXPONENT + 1):
         mass = [[Fraction(0)] * 4 for _ in range(4)]  # mass[z][r - 1]
-        for p, path in zip(prior, paths):
+        for p, pi in zip(prior, PERMS):
             if p:
-                mass[path[x]][classical._order(path) - 1] += p
+                mass[power(pi, x)(y)][order_of(pi, y) - 1] += p
         best = max(best, sum((max(m) for m in mass), Fraction(0)))
     return best
 
@@ -309,7 +326,7 @@ def priors(draw) -> list[Fraction]:
 @given(one_query_strategies(), priors())
 def test_integer_checks_equal_the_fraction_reference(strategy, prior):
     for y in range(4):
-        payoffs = [reference_payoff(strategy, path) for path in classical._trajectories(y)]
+        payoffs = [reference_payoff(strategy, pi, y) for pi in PERMS]
         got = [strategy.payoff(pi, y) for pi in PERMS]
         assert got == payoffs and all(type(p) is Fraction for p in got)
         assert strategy.min_payoff(y) == min(payoffs)

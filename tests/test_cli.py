@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderfinding import circuits, classical, cli, measurement, simulator
+from orderfinding import circuits, classical, cli, measurement, prodops, simulator
 from orderfinding.cli import main
 from orderfinding.permutations import OracleSpec, parse_permutation
 
@@ -235,6 +235,15 @@ def test_run_molecule_integer_past_the_digit_limit_exits_2_with_one_located_erro
     assert err == f"error: {config}:1:25: shifts[4]: not a finite number\n"
 
 
+def test_run_deeply_nested_molecule_exits_2_with_one_located_error_line(tmp_path, capsys):
+    # the JSON decoder recurses once per nested array; past its limit the loader still reports a location
+    config = tmp_path / "mol.json"
+    config.write_text('{"shifts": ' + "[" * 200000 + "]" * 200000 + ', "J": [], "linewidth_hz": 1}')
+    assert main(["run", "--perm", "()", "--y", "0", "--molecule", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {config}:1:1: nested too deeply to decode\n"
+
+
 @pytest.mark.parametrize("grid", ["-60,60", "60,-60,100", "nan,60,100", "-inf,inf,5", "-1e308,1e308,5",
                                   "-60,60,1000001"])
 def test_run_bad_grid_exits_2_without_spectrum(tmp_path, capsys, grid):
@@ -429,3 +438,41 @@ def test_sweep_table_distributions_are_read_only(cold_sweep_caches):
     assert not analytic.flags.writeable
     with pytest.raises(ValueError):
         analytic[0, 0] = 0.5
+
+
+def test_prep_verify_conjugates_each_sequence_once(tmp_path, monkeypatch):
+    # verify_prep_set keeps each sequence's image, and the exact cross-check compares those
+    calls = []
+    apply_prep = prodops.apply_prep
+
+    def counted(seq, terms):
+        calls.append(seq)
+        return apply_prep(seq, terms)
+
+    monkeypatch.setattr(prodops, "apply_prep", counted)
+    assert main(["prep-verify", "--out", str(tmp_path)]) == 0
+    assert len(calls) == len(prodops.PREP_SET_5SPIN) == 9
+    assert json.loads((tmp_path / "prep_report.json").read_text())["dense_conjugation_agrees"] is True
+
+
+@pytest.mark.parametrize("module, name, broken, argv, message", [
+    (classical, "ONE_QUERY_WITNESS", {**classical.ONE_QUERY_WITNESS, 1: (Fraction(1, 2), (1, 2, 3, 3))},
+     ["classical"], "witness weights are not a distribution over exponents 1..12"),
+    (classical, "HARDEST_PRIOR", {**classical.HARDEST_PRIOR, "(1 3)": Fraction(1, 3)},
+     ["classical"], "hardest prior is not a distribution over the 24 permutations"),
+    (measurement, "GUESS_STRATEGY", (*measurement.GUESS_STRATEGY[:3], (0, 0, 108, 0), *measurement.GUESS_STRATEGY[4:]),
+     ["guess-table"], "guess strategy row m=3 is not a distribution over the orders"),
+    (measurement, "GUESS_PRIOR", (11, 22, 32, 45), ["guess-table"],
+     "hardest guess prior is not a distribution over the orders"),
+], ids=["witness_weight", "hardest_prior_mass", "guess_strategy_row", "guess_prior"])
+def test_tables_built_once_per_process_cache_no_verdict(tmp_path, capsys, monkeypatch, module, name, broken, argv,
+                                                         message):
+    # the per-process tables are warm after passing calls, and a stored literal broken afterwards still fails
+    assert main(["classical", "--out", str(tmp_path / "a")]) == 0
+    assert main(["guess-table", "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, broken)
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(argv + ["--out", str(tmp_path / "c")]) == 0

@@ -217,10 +217,17 @@ def test_certificate_transports_under_order_relabeling(relabeling):
     exact = [analytic_distribution(ORDERS[k]).exact for k in relabeling]
     strategy = [[row[k] for k in relabeling] for row in GUESS_STRATEGY]
     prior = [GUESS_PRIOR[k] for k in relabeling]
-    assert measurement._certified_value(exact, strategy, prior) == Fraction(60, 109)
+    assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == Fraction(60, 109)
     if relabeling != (0, 1, 2, 3):
         with pytest.raises(CertificateError, match="certificate failed"):
-            measurement._certified_value(exact, GUESS_STRATEGY, GUESS_PRIOR)
+            measurement._certified_value(measurement._exact_pairs(exact), GUESS_STRATEGY, GUESS_PRIOR)
+
+
+def test_guess_pair_table_is_a_tuple_of_the_exact_distributions():
+    den, table = measurement._guess_pairs()
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    for row, r in zip(table, ORDERS, strict=True):
+        assert [QSqrt2(Fraction(a, den), Fraction(b, den)) for a, b in row] == list(analytic_distribution(r).exact)
 
 
 def test_certified_value_accepts_a_prior_with_zero_masses():
@@ -231,7 +238,7 @@ def test_certified_value_accepts_a_prior_with_zero_masses():
     strategy = [tuple(GUESS_DENOMINATOR * (k == (m if m < 4 else 0)) for k in range(4)) for m in range(8)]
     for k in range(4):
         prior = tuple(GUESS_DENOMINATOR * (j == k) for j in range(4))
-        assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(1))
+        assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == QSqrt2(Fraction(1))
 
 
 def _reference_certified_value(exact, strategy, prior) -> QSqrt2:
@@ -267,14 +274,15 @@ def guess_vertices(draw):
 @given(guess_vertices())
 def test_integer_certificate_equals_the_qsqrt2_reference(vertex):
     # the integer pairs must reach the same verdict, the same value and the same failure text
+    exact, strategy, prior = vertex
     try:
-        expected = _reference_certified_value(*vertex)
+        expected = _reference_certified_value(exact, strategy, prior)
     except CertificateError as error:
         with pytest.raises(CertificateError) as got:
-            measurement._certified_value(*vertex)
+            measurement._certified_value(measurement._exact_pairs(exact), strategy, prior)
         assert str(got.value) == str(error)
     else:
-        got = measurement._certified_value(*vertex)
+        got = measurement._certified_value(measurement._exact_pairs(exact), strategy, prior)
         assert got == expected and repr(got) == repr(expected)
 
 

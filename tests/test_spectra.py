@@ -277,12 +277,14 @@ def _config_text(shifts="[0, 1, 2, 3, 4]", J=_ZERO_J, linewidth_hz="1"):
         (_config_text(linewidth_hz="[1]"), "4:19", "linewidth_hz"),
         (_config_text(linewidth_hz="true"), "4:19", "linewidth_hz"),
         (_config_text(linewidth_hz="0"), "4:19", "linewidth_hz"),
+        ("[" * 200000 + "]" * 200000, "1:1", "nested too deeply"),  # past the decoder's recursion limit
+        (_config_text(shifts="[" * 200000 + "]" * 200000), "1:1", "nested too deeply"),
     ],
     ids=[
         "not_object", "array_document", "missing_key", "nan_shift", "inf_shift", "overflow_shift",
         "int_overflow_shift", "int_digit_limit_shift", "string_shift", "shifts_not_list", "four_shifts",
         "ragged_J", "one_row_J", "nan_J", "asymmetric_J", "linewidth_null", "linewidth_list", "linewidth_bool",
-        "linewidth_zero",
+        "linewidth_zero", "deeply_nested_document", "deeply_nested_shifts",
     ],
 )
 def test_molecule_config_errors_are_located(tmp_path, text, location, names):
