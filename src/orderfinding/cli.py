@@ -157,7 +157,7 @@ def cmd_prep_verify(out: Path) -> int:
         "total_terms": report.total_terms,
         "is_effective_pure": report.is_effective_pure,
         "canceled_pairs": report.canceled_pairs,
-        "residual": {k: v for k, v in sorted(report.residual.items())},
+        "residual": {prodops.mask_to_pattern(k): v for k, v in report.residual.items()},
         "dense_conjugation_agrees": dense_ok,
     })
     print(f"prep-verify: total_terms={report.total_terms} "

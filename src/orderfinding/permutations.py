@@ -34,9 +34,6 @@ class Permutation:
     def __call__(self, y: int) -> int:
         return self.images[y]
 
-    def __str__(self) -> str:
-        return format_cycles(self)
-
 
 IDENTITY = Permutation((0, 1, 2, 3))
 # All 24 permutations of {0,1,2,3} in lexicographic image order, built once.

@@ -1,20 +1,23 @@
 """Signed {I,Z}-string algebra for temporal-labeling state preparation.
 
 A deviation density operator that is diagonal in the computational basis
-decomposes over tensor strings of I and Z.  Conjugation by controlled-NOT
-and NOT gates maps each signed string to exactly one signed string, so a
+decomposes over tensor strings of I and Z.  A string on n spins is the bit
+mask of its Z positions: spin i is bit n - i, so spin 1 is the most
+significant bit, as in module simulator.  Conjugation by controlled-NOT and
+NOT gates maps each signed string to exactly one signed string, so a
 preparation experiment can be tracked exactly with integer coefficients:
 
-    under C_ij (control i, target j):  Z_i -> Z_i,  Z_j -> Z_i Z_j,
-                                       Z_i Z_j -> Z_j,  sign unchanged;
-    under N_i: the sign flips iff the string has Z at position i.
+    under C_ij (control i, target j): if bit j is set, flip bit i;
+                                      the sign is unchanged;
+    under N_i: if bit i is set, negate the coefficient.
 
-Equivalently, writing a string as the bit vector of its Z positions, C_ij
-adds bit j to bit i, and N_i reads bit i into the sign.  An experiment
-(one preparation sequence applied to thermal equilibrium) therefore yields
-the image of the n unit vectors under an invertible linear map over GF(2),
-with freely choosable signs.  Each experiment thus contributes n signed
-terms, which bounds every schedule from below (see schedule_prep).
+So C_ij adds bit j to bit i over GF(2), and N_i reads bit i into the sign.
+An experiment (one preparation sequence applied to thermal equilibrium)
+therefore yields the image of the n unit vectors under an invertible linear
+map over GF(2), with freely choosable signs.  Each experiment thus
+contributes n signed terms, which bounds every schedule from below (see
+schedule_prep).  Pattern text like "IZIZZ" is only for reports
+(mask_to_pattern).
 
 Ops in a preparation sequence are applied in listed (time) order, the same
 convention as module circuits.
@@ -41,115 +44,67 @@ class SearchExhausted(RuntimeError):
     """No preparation schedule exists within the requested limits."""
 
 
-@dataclass(frozen=True)
-class ZTerm:
-    """One signed tensor string over {I, Z}; pattern like "IZIZZ".
-
-    Patterns are length 5 for the physical register; shorter ones appear in
-    schedules on fewer spins.
-    """
-
-    pattern: str
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.pattern) <= N_SPINS or set(self.pattern) - {"I", "Z"}:
-            raise ValueError(f"bad pattern {self.pattern!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-
-def pattern_to_mask(pattern: str) -> int:
-    """Bit mask of Z positions; spin 1 is the most significant bit."""
-    n = len(pattern)
-    mask = 0
-    for k, ch in enumerate(pattern):
-        if ch == "Z":
-            mask |= 1 << (n - 1 - k)
-    return mask
-
-
 def mask_to_pattern(mask: int, n: int = N_SPINS) -> str:
+    """Pattern text of an n-spin mask, like "IZIZZ", for reports."""
     return "".join("Z" if (mask >> (n - 1 - k)) & 1 else "I" for k in range(n))
 
 
 class ZTermSum(dict):
-    """Integer-coefficient sum of non-identity {I,Z}-strings, keyed by pattern."""
+    """Integer-coefficient sum of non-identity {I,Z}-strings on n spins, keyed by mask."""
 
-    def __init__(self, items: Iterable[tuple[str, int]] = ()):
+    def __init__(self, items: Iterable[tuple[int, int]] = (), n: int = N_SPINS):
         super().__init__()
-        for pattern, coeff in items:
-            self.add(pattern, coeff)
+        if not 1 <= n <= N_SPINS:
+            raise ValueError(f"spin count {n!r} is not in 1..{N_SPINS}")
+        self.n = n
+        for mask, coeff in items:
+            self.add(mask, coeff)
 
-    def add(self, pattern: str, coeff: int) -> None:
-        if pattern == "I" * len(pattern):
-            raise ValueError("identity pattern carries no signal and is not stored")
-        new = self.get(pattern, 0) + coeff
+    def add(self, mask: int, coeff: int) -> None:
+        if not 0 < mask < 1 << self.n:
+            raise ValueError(f"mask {mask!r} is not a non-identity string on {self.n} spins")
+        new = self.get(mask, 0) + coeff
         if new:
-            self[pattern] = new
+            self[mask] = new
         else:
-            self.pop(pattern, None)
-
-    def __add__(self, other: "ZTermSum") -> "ZTermSum":
-        out = ZTermSum(self.items())
-        for pattern, coeff in other.items():
-            out.add(pattern, coeff)
-        return out
-
-    def __sub__(self, other: "ZTermSum") -> "ZTermSum":
-        out = ZTermSum(self.items())
-        for pattern, coeff in other.items():
-            out.add(pattern, -coeff)
-        return out
+            self.pop(mask, None)
 
 
 PrepSequence = circuits.NativeSequence  # restricted to ControlledNot and NotGate ops
 
 
-def _check_prep_op(op) -> None:
-    if not isinstance(op, (ControlledNot, NotGate)):
-        raise ValueError(f"preparation sequences use only C and N ops, got {op!r}")
-
-
-def conjugate(term: ZTerm, op) -> ZTerm:
-    """Conjugate one signed Z-string by a C_ij or N_i gate whose spins lie within the string."""
-    _check_prep_op(op)
-    try:
-        if isinstance(op, NotGate):
-            flip = term.pattern[op.spin - 1] == "Z"
-            return ZTerm(term.pattern, -term.sign if flip else term.sign)
-        zi = term.pattern[op.control - 1] == "Z"
-        zj = term.pattern[op.target - 1] == "Z"
-    except IndexError:  # gate spins are >= 1, so only a spin above the string's length gets here
-        raise ValueError(f"{op!r} acts on a spin above n={len(term.pattern)}") from None
-    if not zj:
-        return term
-    chars = list(term.pattern)
-    chars[op.control - 1] = "I" if zi else "Z"
-    return ZTerm("".join(chars), term.sign)
-
-
 def apply_prep(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
     """Conjugate every term by each op of the sequence, in time order."""
+    n, top = terms.n, 1 << terms.n
+    rules = []  # (bit tested, bit flipped, sign factor) per op; spin i is bit top >> i
     for op in seq:
-        _check_prep_op(op)
-    out = ZTermSum()
-    for pattern, coeff in terms.items():
-        term = ZTerm(pattern, 1)
-        for op in seq:
-            term = conjugate(term, op)
-        out.add(term.pattern, coeff * term.sign)
+        if isinstance(op, ControlledNot):
+            spins, rule = (op.control, op.target), (top >> op.target, top >> op.control, 1)
+        elif isinstance(op, NotGate):
+            spins, rule = (op.spin,), (top >> op.spin, 0, -1)
+        else:
+            raise ValueError(f"preparation sequences use only C and N ops, got {op!r}")
+        if max(spins) > n:
+            raise ValueError(f"{op!r} acts on a spin above n={n}")
+        rules.append(rule)
+    out = ZTermSum(n=n)
+    for mask, coeff in terms.items():
+        for tested, flipped, sign in rules:
+            if mask & tested:
+                mask ^= flipped
+                coeff *= sign
+        out.add(mask, coeff)
     return out
 
 
 def equilibrium_zsum(n: int = N_SPINS) -> ZTermSum:
     """Thermal equilibrium deviation: the n single-Z strings, coefficient +1."""
-    return ZTermSum((mask_to_pattern(1 << k, n), 1) for k in range(n))
+    return ZTermSum(((1 << k, 1) for k in range(n)), n)
 
 
 def effective_pure_target(n: int = N_SPINS) -> ZTermSum:
     """All 2^n - 1 non-identity strings with coefficient +1."""
-    return ZTermSum((mask_to_pattern(mask, n), 1) for mask in range(1, 2**n))
+    return ZTermSum(((mask, 1) for mask in range(1, 2**n)), n)
 
 
 # The nine production preparation sequences (time order left to right).
@@ -183,12 +138,9 @@ def verify_prep_set(seqs: Sequence[PrepSequence], n: int = N_SPINS) -> PrepRepor
     target = effective_pure_target(n)
     eq = equilibrium_zsum(n)
     images = tuple(apply_prep(seq, eq) for seq in seqs)
-    total = ZTermSum()
-    total_terms = 0
-    for out in images:
-        total_terms += sum(abs(c) for c in out.values())
-        total = total + out
-    residual = total - target
+    total_terms = sum(abs(c) for out in images for c in out.values())
+    total = ZTermSum((term for out in images for term in out.items()), n)
+    residual = ZTermSum([*total.items(), *((mask, -c) for mask, c in target.items())], n)
     is_pure = not residual
     canceled = (total_terms - len(target)) // 2 if is_pure else 0
     return PrepReport(total_terms, total, is_pure, residual, canceled, images)
@@ -209,12 +161,12 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
 
 
 def apply_prep_dense(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
-    """Conjugate 5-spin terms by the sequence through its basis map, independently of `conjugate`."""
+    """Conjugate 5-spin terms by the sequence through its basis map, independently of apply_prep's rules."""
+    if terms.n != N_SPINS:
+        raise ValueError(f"dense conjugation takes {N_SPINS}-spin sums, got n={terms.n}")
     coeffs = [0] * DIM
-    for pattern, coeff in terms.items():
-        if len(pattern) != N_SPINS:
-            raise ValueError(f"dense conjugation takes {N_SPINS}-spin patterns, got {pattern!r}")
-        coeffs[pattern_to_mask(pattern)] = coeff
+    for mask, coeff in terms.items():
+        coeffs[mask] = coeff
     moved = [0] * DIM
     for index, value in enumerate(_walsh_hadamard(coeffs)):
         moved[circuits.native_image(seq, index)[0]] = value
@@ -223,7 +175,7 @@ def apply_prep_dense(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
         if value % DIM:
             raise ValueError(f"coefficient {value}/{DIM} of mask {mask} is not an integer")
         if value:
-            out.add(mask_to_pattern(mask), value // DIM)
+            out.add(mask, value // DIM)
     return out
 
 

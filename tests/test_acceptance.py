@@ -16,7 +16,7 @@ import numpy as np
 
 from orderfinding import circuits, classical, measurement, prodops
 from orderfinding.circuits import run_instances
-from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, order_of, parse_permutation
+from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
 from orderfinding.simulator import DensityOperator, circuit_unitary, expectation_Iz
 from orderfinding.spectra import net_area, readout_lines, synthetic_molecule
 
@@ -190,7 +190,7 @@ def test_c9_oracle_sequences_b_and_d():
     ]
     ok = b_ok and len(d_hits) > 0
     _report("criterion 9 (sequence b and d verify)", ok,
-            f"b={b_ok}, d hits={[(str(p), y) for p, y in d_hits]}")
+            f"b={b_ok}, d hits={[(format_cycles(p), y) for p, y in d_hits]}")
 
 
 def test_c9_oracle_sequence_c_order_three():

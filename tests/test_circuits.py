@@ -16,7 +16,7 @@ from orderfinding.circuits import (
     verify_oracle_sequence,
 )
 from orderfinding import cli
-from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation, power
+from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, format_cycles, order_of, parse_permutation, power
 from orderfinding.simulator import (
     DIM,
     Circuit,
@@ -232,7 +232,7 @@ def test_exact_verdicts_match_the_dense_reference_for_every_listing_instance_and
             for pi in PERMS:
                 for y in range(4):
                     exact = verify_oracle_sequence(seq, pi, y)
-                    assert exact == _dense_verdict(seq, pi, y), (text, parse.__name__, str(pi), y)
+                    assert exact == _dense_verdict(seq, pi, y), (text, parse.__name__, format_cycles(pi), y)
                     verdicts += exact
     assert verdicts == 55
 

@@ -160,6 +160,19 @@ def test_prep_verify_report(tmp_path):
     assert report["residual"] == {}
 
 
+def test_prep_verify_reports_the_residual_of_an_impure_set(tmp_path, monkeypatch):
+    # without the ninth sequence, "C35 C23 N1", the eight experiments miss the target by five strings
+    monkeypatch.setattr(prodops, "PREP_SET_5SPIN", prodops.PREP_SET_5SPIN[:8])
+    out = tmp_path / "prep"
+    assert main(["prep-verify", "--out", str(out)]) == 1
+    report = json.loads((out / "prep_report.json").read_text())
+    assert report["total_terms"] == 40
+    assert report["is_effective_pure"] is False
+    assert list(report["residual"].items()) == [
+        ("IIIZI", -1), ("IZIII", -1), ("IZZII", -1), ("IZZIZ", -1), ("ZIIII", 1),
+    ]
+
+
 def test_prep_verify_fails_when_the_basis_map_disagrees(tmp_path, capsys, monkeypatch):
     # every basis image swapped with its partner across spin 5: the map stays a permutation that is affine
     # over GF(2), so the dense Z-sums stay integer, but each experiment's spin-5 strings change sign

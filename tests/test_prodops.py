@@ -13,63 +13,71 @@ from orderfinding.exactlp import CertificateError
 from orderfinding.prodops import (
     OPTIMAL_SCHEDULES,
     SearchExhausted,
-    ZTerm,
     ZTermSum,
     apply_prep,
     apply_prep_dense,
-    conjugate,
     effective_pure_target,
     equilibrium_zsum,
-    mask_to_pattern,
-    pattern_to_mask,
     schedule_prep,
     standard_prep_sequences,
     verify_prep_set,
 )
 from orderfinding.simulator import Circuit, ControlledNot, NotGate, circuit_unitary
 
-ALL_PATTERNS = [mask_to_pattern(m) for m in range(1, 32)]
+ALL_MASKS = range(1, 32)  # the non-identity 5-spin strings; spin 1 is the most significant bit
 C_OPS = [ControlledNot(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
 N_OPS = [NotGate(i) for i in range(1, 6)]
 
 
+def _conjugated(op, mask, sign=1):
+    """The one signed term that conjugating the term (mask, sign) by op gives."""
+    (term,) = apply_prep((op,), ZTermSum([(mask, sign)])).items()
+    return term
+
+
 def test_conjugation_rule_examples():
-    assert conjugate(ZTerm("IZIII"), ControlledNot(1, 2)) == ZTerm("ZZIII")
-    assert conjugate(ZTerm("ZIIII"), ControlledNot(1, 2)) == ZTerm("ZIIII")
-    assert conjugate(ZTerm("ZZIII"), ControlledNot(1, 2)) == ZTerm("IZIII")
-    assert conjugate(ZTerm("IIZII"), NotGate(3)) == ZTerm("IIZII", -1)
-    assert conjugate(ZTerm("IIZII", -1), NotGate(3)) == ZTerm("IIZII", 1)
+    assert _conjugated(ControlledNot(1, 2), 0b01000) == (0b11000, 1)
+    assert _conjugated(ControlledNot(1, 2), 0b10000) == (0b10000, 1)
+    assert _conjugated(ControlledNot(1, 2), 0b11000) == (0b01000, 1)
+    assert _conjugated(NotGate(3), 0b00100) == (0b00100, -1)
+    assert _conjugated(NotGate(3), 0b00100, -1) == (0b00100, 1)
 
 
 def test_closure_every_pattern_and_op():
-    for pattern in ALL_PATTERNS:
+    for mask in ALL_MASKS:
         for op in C_OPS + N_OPS:
-            out = conjugate(ZTerm(pattern), op)
-            assert out.sign in (1, -1)
-            assert len(out.pattern) == 5 and set(out.pattern) <= {"I", "Z"}
-            assert out.pattern != "IIIII"
+            out_mask, sign = _conjugated(op, mask)
+            assert sign in (1, -1)
+            assert 0 <= out_mask < 32
+            assert out_mask != 0
 
 
 def test_conjugation_involution():
-    for pattern in ALL_PATTERNS:
+    for mask in ALL_MASKS:
         for op in C_OPS:
-            twice = conjugate(conjugate(ZTerm(pattern), op), op)
-            assert twice == ZTerm(pattern)
+            twice = _conjugated(op, *_conjugated(op, mask))
+            assert twice == (mask, 1)
 
 
 def test_equilibrium_and_target_contents():
     eq = equilibrium_zsum()
     assert len(eq) == 5
-    assert all(eq[p] == 1 and p.count("Z") == 1 for p in eq)
+    assert all(eq[m] == 1 and bin(m).count("1") == 1 for m in eq)
     target = effective_pure_target()
     assert len(target) == 31
-    assert target["ZZZZZ"] == 1
+    assert target[0b11111] == 1
     assert all(c == 1 for c in target.values())
 
 
 def test_zterm_sum_rejects_identity_pattern():
     with pytest.raises(ValueError):
-        ZTermSum([("IIIII", 1)])
+        ZTermSum([(0, 1)])
+
+
+@pytest.mark.parametrize("n, mask", [(5, 32), (3, 8), (5, -1)])
+def test_zterm_sum_rejects_a_mask_outside_its_spins(n, mask):
+    with pytest.raises(ValueError, match=re.escape(f"mask {mask} is not a non-identity string on {n} spins")):
+        ZTermSum([(mask, 1)], n)
 
 
 def test_apply_prep_empty_sequence():
@@ -92,7 +100,7 @@ def prep_sequence_strategy(draw):
 
 zterm_sums = st.one_of(
     st.just(equilibrium_zsum()),
-    st.dictionaries(st.sampled_from(ALL_PATTERNS), st.integers(-9, 9)).map(lambda d: ZTermSum(d.items())),
+    st.dictionaries(st.sampled_from(ALL_MASKS), st.integers(-9, 9)).map(lambda d: ZTermSum(d.items())),
 )
 
 
@@ -218,16 +226,18 @@ def _verify_on_three_spins(text):
     (lambda: _verify_on_three_spins("C45"), "ControlledNot(control=4, target=5) acts on a spin above n=3"),
     (lambda: _verify_on_three_spins("N4"), "NotGate(spin=4) acts on a spin above n=3"),
     (lambda: apply_prep((NotGate(3),), equilibrium_zsum(2)), "NotGate(spin=3) acts on a spin above n=2"),
-    (lambda: conjugate(ZTerm("ZZ"), ControlledNot(1, 3)),
+    (lambda: apply_prep((ControlledNot(1, 3),), ZTermSum([(0b11, 1)], 2)),
      "ControlledNot(control=1, target=3) acts on a spin above n=2"),
     (lambda: apply_prep_dense(parse_native_sequence("C12"), equilibrium_zsum(3)),
-     "dense conjugation takes 5-spin patterns, got 'IIZ'"),
+     "dense conjugation takes 5-spin sums, got n=3"),
+    (lambda: verify_prep_set([], 6), "spin count 6 is not in 1..5"),
+    (lambda: equilibrium_zsum(0), "spin count 0 is not in 1..5"),
     (lambda: schedule_prep(3, 3.5), "experiment budget 3.5 is not an int >= 1"),
     (lambda: schedule_prep(3, True), "experiment budget True is not an int >= 1"),
     (lambda: schedule_prep(3, "9"), "experiment budget '9' is not an int >= 1"),
     (lambda: schedule_prep(3, None), "experiment budget None is not an int >= 1"),
     (lambda: schedule_prep(3, 0), "experiment budget 0 is not an int >= 1"),
-], ids=["verify_C45", "verify_N4", "apply_prep", "conjugate", "apply_prep_dense",
+], ids=["verify_C45", "verify_N4", "apply_prep", "conjugate", "apply_prep_dense", "verify_n6", "equilibrium_n0",
         "budget_3.5", "budget_True", "budget_str", "budget_None", "budget_0"])
 def test_prep_input_errors_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -265,11 +275,6 @@ def test_two_spin_schedules_are_impossible_for_any_experiment_count():
                 for v, s in exp:
                     total[v] = total.get(v, 0) + s
             assert {k: v for k, v in total.items() if v} != target
-
-
-def test_pattern_mask_round_trip():
-    for mask in range(1, 32):
-        assert pattern_to_mask(mask_to_pattern(mask)) == mask
 
 
 def test_prep_sequence_rejects_non_cn_ops():
