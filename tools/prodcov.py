@@ -1,12 +1,13 @@
 """Production coverage: which function-body statements of `orderfinding` no CLI input runs.
 
 Runs 15 CLI invocations in one process under a stdlib `sys.settrace` line
-tracer: every subcommand on its defaults (`run` with and without the
-molecule file), plus a bad sequence token, a bad permutation, a bad
-molecule, a missing molecule file and a bad grid.  A statement inside a
-function body counts as run when its first line was reached; module-level
-statements run on import and are not counted.  Prints, per module, the
-never-run statements over the total and their line numbers.
+tracer: every subcommand on its defaults, `run` also with the molecule
+file and `verify-sequence` also on a listing with P tokens, plus a bad
+sequence token, a bad permutation, a bad molecule, a missing molecule file
+and two bad grids.  A statement inside a function body counts as run when
+its first line was reached; module-level statements run on import and are
+not counted.  Prints, per module, the never-run statements over the total
+and their line numbers.
 
 Usage: python3 tools/prodcov.py   (from the repository root or anywhere; it is not part of tier-1)
 """
