@@ -33,7 +33,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from .exactlp import CertificateError
-from .permutations import ALL_PERMUTATIONS, MAX_EXPONENT, N_ELEMENTS, Permutation, permutation_names, trajectory
+from .permutations import ALL_PERMUTATIONS, MAX_EXPONENT, N_ELEMENTS, permutation_names, trajectory
 
 # The optimal vertex of the one-query LP at y = 0.  The witness maps each
 # exponent x it queries to its weight and the deterministic guess r' made on
@@ -90,10 +90,6 @@ class OneQueryStrategy:
         # read-only copies, so the integer table cached from them cannot go stale
         object.__setattr__(self, "x_weights", MappingProxyType(dict(self.x_weights)))
         object.__setattr__(self, "guesses", MappingProxyType(dict(self.guesses)))
-
-    def payoff(self, pi: Permutation, y: int = 0) -> Fraction:
-        den, columns = self._table
-        return Fraction(_worst_scaled_payoff(columns, [_cases(y)[ALL_PERMUTATIONS.index(pi)]]), den)
 
     def min_payoff(self, y: int = 0) -> Fraction:
         den, columns = self._table

@@ -1,14 +1,17 @@
-"""Exact arithmetic for the certificates: the field Q(sqrt 2), its integer sign rule, and the certificate error.
+"""Exact values for the certificates: elements of Q(sqrt 2), their integer sign rule, and the certificate error.
 
 Neither game LP is solved at run time: each stores its optimal vertex and checks it exactly on
 every call, in integers (McConnell, Mehlhorn, Näher & Schweitzer, "Certifying algorithms",
 Comput. Sci. Rev. 5, 2011).  The classical game sums integer numerators over one denominator;
 the guess game, whose order-3 outcome probabilities lie in Q(sqrt 2), sums integer pairs
 (a, b) meaning a + b sqrt 2 over one denominator and orders them with `sqrt2_sign`.  Its
-exact distributions and its value are `QSqrt2` elements.
+exact distributions and its value are `QSqrt2` values, which production only builds, reads
+and prints; the field arithmetic and ordering live in the tests' reference,
+`tests/exact_reference.py`, the oracle for `sqrt2_sign`.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -22,117 +25,15 @@ def sqrt2_sign(a: int, b: int) -> int:
     return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
 
 
+@dataclass(frozen=True)
 class QSqrt2:
-    """An element a + b*sqrt(2) with rational a, b: an exactly ordered field."""
+    """An element a + b*sqrt(2) of Q(sqrt 2) with Fraction parts: a value read as a float or printed."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = a if type(a) is Fraction else Fraction(a)  # arithmetic results are Fractions already
-        self.b = b if type(b) is Fraction else Fraction(b)
-
-    @staticmethod
-    def _coerce(value) -> "QSqrt2":
-        if isinstance(value, QSqrt2):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QSqrt2(value, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a + o.a, self.b + o.b if o.b else self.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b if o.b else self.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QSqrt2(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not o.b:  # a rational factor: no sqrt(2) cross terms
-            return QSqrt2(self.a * o.a, self.b * o.a)
-        if not self.b:
-            return QSqrt2(self.a * o.a, self.a * o.b)
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        den = o.a * o.a - 2 * o.b * o.b
-        if den == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return QSqrt2((self.a * o.a - 2 * self.b * o.b) / den, (self.b * o.a - self.a * o.b) / den)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2, the sign follows the larger part
-        big_a = a * a > 2 * b * b
-        return (1 if a > 0 else -1) if big_a else (1 if b > 0 else -1)
-
-    def __bool__(self):
-        return not (self.a == 0 and self.b == 0)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __lt__(self, other):
-        return (self - other)._sign() < 0
-
-    def __le__(self, other):
-        return (self - other)._sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other)._sign() > 0
-
-    def __ge__(self, other):
-        return (self - other)._sign() >= 0
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
 
     def __float__(self):
         return float(self.a) + float(self.b) * 2**0.5
-
-    def as_fraction(self) -> Fraction | None:
-        """The value as a Fraction when the sqrt(2) part vanishes, else None."""
-        return self.a if self.b == 0 else None
 
     def __repr__(self):
         if self.b == 0:

@@ -143,16 +143,6 @@ def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     return probs
 
 
-def observables_from_distribution(dist: OutcomeDistribution) -> tuple[float, float, float]:
-    """(O_1, O_2, O_3) with O_i = 1 - 2 sum_{m: bit_i(m)=1} p(m); bit 1 is the LSB."""
-    p = dist.probs
-    out = []
-    for i in range(3):
-        mean_bit = sum(p[m] for m in range(8) if (m >> i) & 1)
-        out.append(1.0 - 2.0 * mean_bit)
-    return tuple(out)
-
-
 def infer_order(dist: OutcomeDistribution) -> int:
     """The order whose analytic distribution is closest in L1 distance."""
     dists = {r: np.abs(dist.probs - analytic_distribution(r).probs).sum() for r in ORDERS}

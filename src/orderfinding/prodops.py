@@ -50,7 +50,10 @@ def mask_to_pattern(mask: int, n: int = N_SPINS) -> str:
 
 
 class ZTermSum(dict):
-    """Integer-coefficient sum of non-identity {I,Z}-strings on n spins, keyed by mask."""
+    """Integer-coefficient sum of non-identity {I,Z}-strings on n spins, keyed by mask.
+
+    Every stored mask is checked, and two sums are equal only on the same spin count.
+    """
 
     def __init__(self, items: Iterable[tuple[int, int]] = (), n: int = N_SPINS):
         super().__init__()
@@ -60,14 +63,22 @@ class ZTermSum(dict):
         for mask, coeff in items:
             self.add(mask, coeff)
 
-    def add(self, mask: int, coeff: int) -> None:
+    def __setitem__(self, mask: int, coeff: int) -> None:
         if not 0 < mask < 1 << self.n:
             raise ValueError(f"mask {mask!r} is not a non-identity string on {self.n} spins")
-        new = self.get(mask, 0) + coeff
-        if new:
-            self[mask] = new
-        else:
-            self.pop(mask, None)
+        dict.__setitem__(self, mask, coeff)
+
+    def __eq__(self, other):
+        if isinstance(other, ZTermSum) and other.n != self.n:
+            return False
+        return super().__eq__(other)
+
+    __ne__ = object.__ne__  # the negation of __eq__; dict's own would ignore n
+
+    def add(self, mask: int, coeff: int) -> None:
+        new = self[mask] = self.get(mask, 0) + coeff  # the store checks the mask
+        if not new:
+            del self[mask]
 
 
 PrepSequence = circuits.NativeSequence  # restricted to ControlledNot and NotGate ops

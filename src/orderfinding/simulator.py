@@ -21,9 +21,10 @@ amplitude array.  The one runner, `run_circuits`, runs circuit i on row i
 of a (k, 32) array, reading each step once per distinct circuit object: a
 step of controlled permutations is one `take_along_axis` gather, each row
 through its own op's source index; a step that holds one op on every row
-is one call on all rows; any other step is one call per distinct op.  Each
-row's norm is checked once, at the end.  `gate_unitary` applies the
-lowered op to the 32 rows of the identity.
+is one call on all rows; a mixed step, which no order-finding circuit
+has, is one call per distinct circuit on its own rows.  Each row's norm is
+checked once, at the end.  `gate_unitary` applies the lowered op to the
+32 rows of the identity.
 
 Every gate is a frozen, hashable value that checks itself exactly when
 built, and `Circuit` checks that each op is a gate.  Each op value is
@@ -251,7 +252,8 @@ def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
 
     The circuits must have equal lengths.  A step of controlled permutations
     is one gather, a step that holds one op on every row one call, and any
-    other step one call per distinct op on its rows.  Each row's norm is
+    other (mixed) step one call per distinct circuit object, on the rows that
+    run it; no order-finding circuit has a mixed step.  Each row's norm is
     checked once, at the end: a row that is not a unit vector raises
     ValueError naming it.
     """
@@ -271,12 +273,8 @@ def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
         elif step.count(step[0]) == len(step):
             rows = _apply_op(rows, step[0])
         else:
-            groups: dict[GateOp, list[int]] = {}
             for i, op in enumerate(step):
-                groups.setdefault(op, []).append(i)
-            for op, slots in groups.items():
-                members = np.isin(which, slots)
-                rows[members] = _apply_op(rows[members], op)
+                rows[which == i] = _apply_op(rows[which == i], op)
     norms = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
     if bad.size:

@@ -285,11 +285,6 @@ def readout_lines(rho: DensityOperator, spin: int, params: MoleculeParams) -> li
     return lines
 
 
-def net_area(lines: list[SpectralLine]) -> float:
-    """Sum of the real (absorptive) parts; equals O_i/2 for a normalized state."""
-    return float(sum(line.amplitude.real for line in lines))
-
-
 def render_spectrum(lines: list[SpectralLine], params: MoleculeParams, grid: FrequencyGrid) -> Spectrum:
     """Superpose one complex Lorentzian per line on a uniform frequency grid.
 

@@ -14,11 +14,12 @@ import re
 
 import numpy as np
 
+from dense_reference import net_area, observables_from_distribution, zsum_to_matrix
 from orderfinding import circuits, classical, measurement, prodops
 from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
 from orderfinding.simulator import DensityOperator, circuit_unitary, expectation_Iz
-from orderfinding.spectra import net_area, readout_lines, synthetic_molecule
+from orderfinding.spectra import readout_lines, synthetic_molecule
 
 PERMS = ALL_PERMUTATIONS
 PARAMS = synthetic_molecule()
@@ -49,7 +50,7 @@ def test_c2_observable_anchor_values():
     *observed, sim3 = expectation_Iz(amps * amps.conj()).tolist()
     for row, expected in zip(observed, cases.values()):
         checks.append(max(abs(a - b) for a, b in zip(row, expected)) <= 1e-9)
-    o123 = measurement.observables_from_distribution(measurement.analytic_distribution(3))
+    o123 = observables_from_distribution(measurement.analytic_distribution(3))
     checks.append(max(abs(a - b) for a, b in zip(o123, (0.0, 0.25, 0.3125))) <= 1e-9)
     checks.append(max(abs(a - b) for a, b in zip(sim3[:3], (0.0, 0.25, 0.3125))) <= 1e-9)
     _report("criterion 2 (O_i anchors r=1,2,3,4)", all(checks), f"{sum(checks)}/{len(checks)} anchor sets")
@@ -151,7 +152,6 @@ def test_c7_qft_identities():
 
 
 def test_c8_spectral_signatures():
-    from dense_reference import zsum_to_matrix
     from orderfinding.prodops import effective_pure_target
 
     checks = []

@@ -43,7 +43,7 @@ def test_weak_duality_certificate(one_query_report):
 
 def test_paper_x3_witness_achieves_half_for_every_permutation():
     witness = paper_one_query_witness()
-    payoffs = [witness.payoff(pi) for pi in PERMS]
+    payoffs = [reference_payoff(witness, pi, 0) for pi in PERMS]
     assert all(p == Fraction(1, 2) for p in payoffs)
 
 
@@ -229,7 +229,7 @@ def test_strategy_accepts_the_end_exponents_and_zero_weights():
     weights = {1: Fraction(1, 2), 12: Fraction(1, 2), 5: Fraction(0)}
     strategy = OneQueryStrategy(weights, {(x, z): guess_one for x in weights for z in range(4)})
     assert strategy.min_payoff() == 0
-    assert strategy.payoff(PERMS[0]) == 1
+    assert reference_payoff(strategy, PERMS[0], 0) == 1
 
 
 def test_doubled_paper_weight_raises_certificate_error():
@@ -279,7 +279,7 @@ def test_guess_rows_at_unqueried_exponents_are_not_read():
 
 
 def reference_payoff(strategy: OneQueryStrategy, pi: Permutation, y: int) -> Fraction:
-    """The Fraction loop classical used before its integer table: the reference for payoff."""
+    """The Fraction loop classical used before its integer table: the reference for one permutation's payoff."""
     total = Fraction(0)
     path, r = trajectory(pi, y), order_of(pi, y)
     for x, qx in strategy.x_weights.items():
@@ -327,7 +327,8 @@ def priors(draw) -> list[Fraction]:
 def test_integer_checks_equal_the_fraction_reference(strategy, prior):
     for y in range(4):
         payoffs = [reference_payoff(strategy, pi, y) for pi in PERMS]
-        got = [strategy.payoff(pi, y) for pi in PERMS]
+        den, columns = strategy._table
+        got = [Fraction(classical._worst_scaled_payoff(columns, [case]), den) for case in classical._cases(y)]
         assert got == payoffs and all(type(p) is Fraction for p in got)
         assert strategy.min_payoff(y) == min(payoffs)
         best = prior_best_response_value(prior, y)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dense_reference import observables_from_distribution
+from exact_reference import QSqrt2Field
 from orderfinding import measurement
 from orderfinding.circuits import run_instances
 from orderfinding.exactlp import CertificateError, QSqrt2
@@ -20,7 +22,6 @@ from orderfinding.measurement import (
     guess_success_per_r,
     infer_order,
     m_from_register_index,
-    observables_from_distribution,
     outcome_probabilities,
     solve_guess_game,
 )
@@ -182,19 +183,20 @@ def test_m_from_register_index_is_bit_reversal():
 
 def test_guess_game_value_is_60_over_109():
     sol = solve_guess_game()
-    assert sol.exact_value.as_fraction() == Fraction(60, 109)
+    assert sol.exact_value == QSqrt2(Fraction(60, 109))
     assert sol.value == pytest.approx(0.5504587155963303, abs=1e-12)
     assert all(s >= sol.value - 1e-9 for s in sol.per_order_success)
     # dual certificate: the hardest prior's best response equals the value
     dists = tuple(analytic_distribution(r) for r in ORDERS)
-    payoffs = [[dist.exact[m] for dist in dists] for m in range(8)]
-    best = sum(max(sol.prior[k] * payoffs[m][k] for k in range(4)) for m in range(8))
+    payoffs = [[QSqrt2Field(dist.exact[m].a, dist.exact[m].b) for dist in dists] for m in range(8)]
+    prior = [QSqrt2Field(p.a, p.b) for p in sol.prior]
+    best = sum(max(prior[k] * payoffs[m][k] for k in range(4)) for m in range(8))
     assert best == sol.exact_value
 
 
 def test_guess_game_hardest_prior_is_pinned():
     # guess_report.json prints this prior; another optimal dual vertex must fail here
-    assert solve_guess_game().prior == tuple(Fraction(k, 109) for k in (11, 22, 32, 44))
+    assert solve_guess_game().prior == tuple(QSqrt2(Fraction(k, 109)) for k in (11, 22, 32, 44))
 
 
 def test_solve_guess_game_strategy_and_value():
@@ -217,10 +219,23 @@ def test_certificate_transports_under_order_relabeling(relabeling):
     exact = [analytic_distribution(ORDERS[k]).exact for k in relabeling]
     strategy = [[row[k] for k in relabeling] for row in GUESS_STRATEGY]
     prior = [GUESS_PRIOR[k] for k in relabeling]
-    assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == Fraction(60, 109)
+    assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == QSqrt2(Fraction(60, 109))
     if relabeling != (0, 1, 2, 3):
         with pytest.raises(CertificateError, match="certificate failed"):
             measurement._certified_value(measurement._exact_pairs(exact), GUESS_STRATEGY, GUESS_PRIOR)
+
+
+@pytest.mark.parametrize("m, text", [
+    (1, "strategy 371/872 + 5/64*sqrt(2) != prior 60/109"),
+    (3, "strategy 371/872 + -5/64*sqrt(2) != prior 60/109"),
+], ids=["m1", "m3"])
+def test_certificate_error_prints_a_side_with_a_sqrt2_part_in_full(monkeypatch, m, text):
+    # guessing r = 2 on an odd outcome drops one of order 3's (8 -+ 5 sqrt 2)/64 from its success
+    monkeypatch.setattr(measurement, "GUESS_STRATEGY", (*GUESS_STRATEGY[:m], (0, 109, 0, 0), *GUESS_STRATEGY[m + 1:]))
+    with pytest.raises(CertificateError) as error:
+        solve_guess_game()
+    assert str(error.value) == f"guess-game certificate failed: {text}"
+
 
 
 def test_guess_pair_table_is_a_tuple_of_the_exact_distributions():
@@ -241,9 +256,10 @@ def test_certified_value_accepts_a_prior_with_zero_masses():
         assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == QSqrt2(Fraction(1))
 
 
-def _reference_certified_value(exact, strategy, prior) -> QSqrt2:
-    """The QSqrt2 sums the certificate made before it moved to integer pairs: the reference."""
-    zero, unit = QSqrt2(), Fraction(1, GUESS_DENOMINATOR)
+def _reference_certified_value(exact, strategy, prior) -> QSqrt2Field:
+    """The field sums the certificate made before it moved to integer pairs: the reference."""
+    exact = [[QSqrt2Field(e.a, e.b) for e in entries] for entries in exact]
+    zero, unit = QSqrt2Field(), Fraction(1, GUESS_DENOMINATOR)
     worst = min(sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS)))
     best = sum((max(exact[k][m] * p for k, p in enumerate(prior)) for m in range(8)), zero)
     if worst != best:

@@ -52,11 +52,7 @@ def test_test_module_level_names_are_referenced(path):
 
 
 # Public functions that no module of the package (outside `__init__`) names.
-UNCALLED_PUBLIC = {
-    "observables_from_distribution",
-    "net_area",
-    "schedule_prep",
-}
+UNCALLED_PUBLIC = {"schedule_prep"}
 
 
 def _uncalled_public() -> set[str]:
@@ -70,6 +66,36 @@ def _uncalled_public() -> set[str]:
 
 def test_public_functions_no_module_calls_do_not_grow():
     assert _uncalled_public() <= UNCALLED_PUBLIC
+
+
+# Functions, by module and qualified name, of which no CLI invocation of tools/prodcov.py runs a
+# body statement.  Pinned like UNCALLED_PUBLIC: the set may shrink but not grow.
+NEVER_RUN = {"prodops.schedule_prep", "prodops.mask_to_pattern", "spectra._parse_int"}
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, first lines of its body statements, docstring left out) for every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = child.body[1:] if ast.get_docstring(child) is not None else child.body
+            yield prefix + child.name, {stmt.lineno for top in body for stmt in ast.walk(top)
+                                        if isinstance(stmt, ast.stmt)}
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _functions(child, f"{prefix}{child.name}.")
+
+
+def test_functions_production_never_runs_do_not_grow():
+    tool = PACKAGE.parents[1] / "tools" / "prodcov.py"
+    report = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, check=True).stdout
+    never = {}
+    for row in report.splitlines():  # "<module> <never> / <total> <line> <line> ..."
+        stem, _, _, _, *lines = row.split()
+        never[stem] = {int(line) for line in lines}
+    assert {p.stem for p in MODULES} <= set(never)
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name, lines in _functions(ast.parse(path.read_text(encoding="utf-8")))
+             if lines and lines <= never[path.stem]}
+    assert found <= NEVER_RUN
 
 
 @pytest.mark.parametrize("module", ["classical", "exactlp", "prodops"])

@@ -63,11 +63,10 @@ def test_power_exponent_is_an_int_in_range(bad):
     order_of,
     lambda pi, y: verify_oracle_sequence(parse_native_sequence("C35"), pi, y),
     trajectory,
-    lambda pi, y: classical.paper_one_query_witness().payoff(pi, y),
     lambda pi, y: classical.paper_one_query_witness().min_payoff(y),
     lambda pi, y: classical.prior_best_response_value([Fraction(1, 24)] * 24, y),
     lambda pi, y: classical.two_query_witness().decide(trajectory(pi, y)),
-], ids=["order_of", "verify_oracle_sequence", "trajectory", "payoff", "min_payoff", "prior_best_response_value",
+], ids=["order_of", "verify_oracle_sequence", "trajectory", "min_payoff", "prior_best_response_value",
         "two_query_decide"])
 def test_start_element_is_an_int_in_range_where_it_is_read(read_y, y):
     with pytest.raises(ValueError, match=re.escape(repr(y))):

@@ -80,6 +80,24 @@ def test_zterm_sum_rejects_a_mask_outside_its_spins(n, mask):
         ZTermSum([(mask, 1)], n)
 
 
+def test_zterm_sums_on_different_spin_counts_are_unequal():
+    three, five = equilibrium_zsum(3), ZTermSum(equilibrium_zsum(3).items(), 5)
+    assert dict(three) == dict(five)
+    assert not three == five and three != five
+    assert three == equilibrium_zsum(3) and not three != equilibrium_zsum(3)
+
+
+@pytest.mark.parametrize("mask", [0, 32, -1])
+def test_zterm_sum_item_assignment_checks_the_mask_as_add_does(mask):
+    terms = ZTermSum()
+    with pytest.raises(ValueError, match=re.escape(f"mask {mask} is not a non-identity string on 5 spins")):
+        terms[mask] = 7
+    assert terms == ZTermSum()
+    terms[0b101] = 7
+    assert terms == ZTermSum([(0b101, 7)])
+
+
+
 def test_apply_prep_empty_sequence():
     eq = equilibrium_zsum()
     assert apply_prep((), eq) == eq

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import zsum_to_matrix
+from dense_reference import net_area, zsum_to_matrix
 from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum
@@ -17,7 +17,6 @@ from orderfinding.spectra import (
     SpectralLine,
     line_frequency,
     load_molecule,
-    net_area,
     other_spins,
     readout_lines,
     render_spectrum,
