@@ -32,7 +32,7 @@ from functools import cache, cached_property
 from math import lcm, prod
 from types import MappingProxyType
 
-from .exactlp import CertificateError
+from . import CertificateError
 from .permutations import ALL_PERMUTATIONS, MAX_EXPONENT, N_ELEMENTS, permutation_names, trajectory
 
 # The optimal vertex of the one-query LP at y = 0.  The witness maps each

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, classical, measurement, prodops, spectra
-from .exactlp import CertificateError
+from . import CertificateError, circuits, classical, measurement, prodops, spectra
 from .permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation, permutation_names
 from .simulator import DensityOperator, circuit_unitary, expectation_Iz
 
@@ -157,7 +156,7 @@ def cmd_prep_verify(out: Path) -> int:
         "total_terms": report.total_terms,
         "is_effective_pure": report.is_effective_pure,
         "canceled_pairs": report.canceled_pairs,
-        "residual": {prodops.mask_to_pattern(k): v for k, v in report.residual.items()},
+        "residual": {prodops.mask_to_pattern(k): v for k, v in enumerate(report.residual) if v},
         "dense_conjugation_agrees": dense_ok,
     })
     print(f"prep-verify: total_terms={report.total_terms} "

@@ -12,24 +12,25 @@ k checked outcome distributions, and `simulator.expectation_Iz` reads
 O_1..O_5 from the rows' a * conj(a).
 
 The exact distributions are derived in Z[zeta_8], zeta = exp(2 pi i / 8): each
-coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2.
-The guess game's optimal vertex is stored as literals and certified on every
-`solve_guess_game()` call, in integers: every exact entry is scaled to a pair
-(a, b) meaning (a + b sqrt 2) / den, and the sums are ordered by the sign of
-a + b sqrt 2.  The pairs depend on nothing stored and are built once per
-process; the literals are read on every call.  By weak duality the value is
-exactly 60/109.
+coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2,
+so Pr[m] is the pair (a, b) meaning (a + b sqrt 2) / 64.  The guess game's
+optimal vertex is stored as literals and certified on every
+`solve_guess_game()` call, in integers, on these pairs: the sums are ordered
+by the sign of a + b sqrt 2 (`sqrt2_sign`, after McConnell et al.,
+"Certifying algorithms", Comput. Sci. Rev. 5, 2011).  The pairs depend on
+nothing stored and are built once per process; the literals are read on
+every call.  By weak duality the value is exactly 60/109, a `QSqrt2` that is
+only built, read and printed.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .exactlp import CertificateError, QSqrt2, sqrt2_sign
+from . import CertificateError
 
 ORDERS = (1, 2, 3, 4)
 
@@ -40,6 +41,32 @@ GUESS_DENOMINATOR = 109
 GUESS_STRATEGY = ((60, 11, 16, 22), (0, 0, 109, 0), (0, 0, 0, 109), (0, 0, 109, 0),
                   (0, 109, 0, 0), (0, 0, 109, 0), (0, 0, 0, 109), (0, 0, 109, 0))
 GUESS_PRIOR = (11, 22, 32, 44)
+
+
+def sqrt2_sign(a: int, b: int) -> int:
+    """The sign (-1, 0 or 1) of a + b sqrt 2 for ints a, b."""
+    if a >= 0 and b >= 0:
+        return int(a > 0 or b > 0)
+    if a <= 0 and b <= 0:
+        return -1
+    # opposite signs: a + b sqrt 2 = (a^2 - 2 b^2) / (a - b sqrt 2), and a - b sqrt 2 has the sign of a
+    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+
+@dataclass(frozen=True)
+class QSqrt2:
+    """An element a + b*sqrt(2) of Q(sqrt 2) with Fraction parts: a value read as a float or printed."""
+
+    a: Fraction = Fraction(0)
+    b: Fraction = Fraction(0)
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * 2**0.5
+
+    def __repr__(self):
+        if self.b == 0:
+            return f"{self.a}"
+        return f"{self.a} + {self.b}*sqrt(2)"
 
 
 class InfeasibleInput(ValueError):
@@ -55,20 +82,15 @@ def _check_probability_rows(p: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities of m = 0..7, a read-only copy; optionally with exact field entries attached."""
+    """Probabilities of m = 0..7, a read-only copy."""
 
     probs: np.ndarray
-    exact: tuple | None = None
 
     def __post_init__(self) -> None:
         p = np.array(self.probs, dtype=float).reshape(8)
         _check_probability_rows(p[None])
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
-        if self.exact is not None:
-            if len(self.exact) != 8:
-                raise InfeasibleInput("exact entries must have length 8")
-            object.__setattr__(self, "exact", tuple(self.exact))
 
 
 @dataclass(frozen=True)
@@ -84,11 +106,13 @@ class GuessStrategy:
         object.__setattr__(self, "g", g)
 
 
-def _exact_closed_form(r: int) -> tuple[QSqrt2, ...]:
+@functools.cache
+def _exact_closed_form(r: int) -> tuple[tuple[int, int], ...]:
     """Pr[m] = sum over the cosets a of |S_a(m)|^2 / 64, with S_a(m) = sum over x = a mod r of zeta^(m x).
 
     S = c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 as ints, since zeta^4 = -1; then
-    |S|^2 = sum c_j^2 + (c0 c1 + c1 c2 + c2 c3 - c0 c3) sqrt 2.
+    |S|^2 = sum c_j^2 + (c0 c1 + c1 c2 + c2 c3 - c0 c3) sqrt 2.  Returns the eight pairs
+    (a, b) meaning Pr[m] = (a + b sqrt 2) / 64, built once per process.
     """
     probs = []
     for m in range(8):
@@ -100,7 +124,7 @@ def _exact_closed_form(r: int) -> tuple[QSqrt2, ...]:
                 c[k % 4] += 1 if k < 4 else -1
             p += sum(v * v for v in c)
             q += c[0] * c[1] + c[1] * c[2] + c[2] * c[3] - c[0] * c[3]
-        probs.append(QSqrt2(Fraction(p, 64), Fraction(q, 64)))
+        probs.append((p, q))
     return tuple(probs)
 
 
@@ -108,10 +132,11 @@ def analytic_distribution(r: int) -> OutcomeDistribution:
     """Exact outcome distribution for an 8-point function of period r.
 
     Computed by collapsing the second register and Fourier-transforming each
-    residue coset of {0..7} mod r; the attached exact entries are the same
-    coset sums taken in Z[zeta_8], which the test suite cross-checks against
-    the float sum, the closed forms once typed here, and full circuit simulation.  Each order's distribution is built once per
-    process and shared by every caller.  `r` must be an int (not a bool) in 1..4.
+    residue coset of {0..7} mod r; `_exact_closed_form(r)` takes the same coset
+    sums in Z[zeta_8], and the test suite cross-checks both against the closed
+    forms once typed here and against full circuit simulation.  Each order's
+    distribution is built once per process and shared by every caller.  `r`
+    must be an int (not a bool) in 1..4.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r not in ORDERS:
         raise ValueError(f"order {r} out of range 1..4")
@@ -125,7 +150,7 @@ def _analytic_distribution(r: int) -> OutcomeDistribution:
         xs = np.arange(a, 8, r)
         for m in range(8):
             probs[m] += abs(np.exp(2j * np.pi * m * xs / 8).sum()) ** 2
-    return OutcomeDistribution(probs / 64.0, exact=_exact_closed_form(r))
+    return OutcomeDistribution(probs / 64.0)
 
 
 def m_from_register_index(b: int) -> int:
@@ -158,27 +183,13 @@ class GuessGameSolution:
     per_order_success: tuple[float, float, float, float]
 
 
-def _exact_pairs(exact) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """(den, pairs): exact[k][m] = (a + b sqrt 2) / den for (a, b) = pairs[k][m], den the lcm of all denominators."""
-    den = lcm(*(part.denominator for entries in exact for e in entries for part in (e.a, e.b)))
-    return den, tuple(tuple((e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
-                            for e in entries) for entries in exact)
-
-
-@functools.cache
-def _guess_pairs() -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The four orders' exact outcome distributions as integer pairs over one denominator, built once per process."""
-    return _exact_pairs([analytic_distribution(r).exact for r in ORDERS])
-
-
-def _certified_value(pairs, strategy, prior) -> QSqrt2:
+def _certified_value(table, strategy, prior) -> QSqrt2:
     """The guess-game value pinned by a strategy and a prior, or CertificateError naming the failed check.
 
-    pairs = (den, table) from `_exact_pairs`: Pr[m | order ORDERS[k]] = (a + b sqrt 2) / den for
-    (a, b) = table[k][m]; strategy and prior count units of 1/GUESS_DENOMINATOR.  The strategy's
-    worst success bounds the value from below, the prior's best-response value
-    sum_m max_k prior[k] Pr[m | ORDERS[k]] from above.  Both are integer pairs (a, b) meaning
-    (a + b sqrt 2) / (den * GUESS_DENOMINATOR).
+    Pr[m | order ORDERS[k]] = (a + b sqrt 2) / 64 for (a, b) = table[k][m], as `_exact_closed_form`
+    gives it; strategy and prior count units of 1/GUESS_DENOMINATOR.  The strategy's worst success
+    bounds the value from below, the prior's best-response value sum_m max_k prior[k] Pr[m | ORDERS[k]]
+    from above.  Both are integer pairs (a, b) meaning (a + b sqrt 2) / (64 * GUESS_DENOMINATOR).
     """
     if len(strategy) != 8:
         raise CertificateError(f"guess strategy has {len(strategy)} rows, expected one per outcome m = 0..7")
@@ -187,7 +198,6 @@ def _certified_value(pairs, strategy, prior) -> QSqrt2:
             raise CertificateError(f"guess strategy row m={m} is not a distribution over the orders")
     if len(prior) != len(ORDERS) or min(prior) < 0 or sum(prior) != GUESS_DENOMINATOR:
         raise CertificateError("hardest guess prior is not a distribution over the orders")
-    den, table = pairs
     by_value = functools.cmp_to_key(lambda u, v: sqrt2_sign(u[0] - v[0], u[1] - v[1]))
     worst = min(((sum(table[k][m][0] * row[k] for m, row in enumerate(strategy)),
                   sum(table[k][m][1] * row[k] for m, row in enumerate(strategy))) for k in range(len(ORDERS))),
@@ -195,7 +205,7 @@ def _certified_value(pairs, strategy, prior) -> QSqrt2:
     tops = [max(((table[k][m][0] * p, table[k][m][1] * p) for k, p in enumerate(prior)), key=by_value)
             for m in range(8)]
     best = (sum(a for a, _ in tops), sum(b for _, b in tops))
-    scale = den * GUESS_DENOMINATOR
+    scale = 64 * GUESS_DENOMINATOR
 
     def value(pair: tuple[int, int]) -> QSqrt2:
         return QSqrt2(Fraction(pair[0], scale), Fraction(pair[1], scale))
@@ -207,7 +217,7 @@ def _certified_value(pairs, strategy, prior) -> QSqrt2:
 
 def solve_guess_game() -> GuessGameSolution:
     """The maximin guess strategy and the hardest prior over r: the stored vertex, certified on every call."""
-    value = _certified_value(_guess_pairs(), GUESS_STRATEGY, GUESS_PRIOR)
+    value = _certified_value([_exact_closed_form(r) for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
     strategy = GuessStrategy(np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR)
     return GuessGameSolution(
         strategy=strategy,

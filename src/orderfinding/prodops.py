@@ -16,27 +16,28 @@ An experiment (one preparation sequence applied to thermal equilibrium)
 therefore yields the image of the n unit vectors under an invertible linear
 map over GF(2), with freely choosable signs.  Each experiment thus
 contributes n signed terms, which bounds every schedule from below (see
-schedule_prep).  Pattern text like "IZIZZ" is only for reports
-(mask_to_pattern).
+schedule_prep).  A sum on n spins is a coefficient vector, a tuple of 2^n
+ints whose entry mask is the coefficient of that string; its length carries
+n, and its identity entry 0 is left unchanged by every op.  Pattern text
+like "IZIZZ" is only for reports (mask_to_pattern).
 
 Ops in a preparation sequence are applied in listed (time) order, the same
 convention as module circuits.
 
-apply_prep_dense cross-checks apply_prep exactly without these rules.  A sum
-with Z-string coefficients c is the diagonal d = WHT(c), an integer
+apply_prep_dense cross-checks apply_prep exactly without these rules.  A
+5-spin coefficient vector c is the diagonal d = WHT(c), an integer
 Walsh-Hadamard transform: d[a] = sum_b (-1)^popcount(a & b) c[b].  C and N ops
 send basis state a to one basis state, read from `circuits.native_image` as in
 the oracle check (its phase cancels on a diagonal), and d[a] moves there.  WHT
-of the moved diagonal is 32 times the new coefficients, so each entry must
-divide by 32 exactly.
+of the moved diagonal is 32 times the new vector, so each entry must divide
+by 32 exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import circuits
-from .exactlp import CertificateError
+from . import CertificateError, circuits
 from .simulator import DIM, N_SPINS, ControlledNot, NotGate
 
 
@@ -49,36 +50,20 @@ def mask_to_pattern(mask: int, n: int = N_SPINS) -> str:
     return "".join("Z" if (mask >> (n - 1 - k)) & 1 else "I" for k in range(n))
 
 
-class ZTermSum(dict):
-    """Integer-coefficient sum of non-identity {I,Z}-strings on n spins, keyed by mask.
+ZTermSum = tuple[int, ...]  # entry mask is the coefficient of that Z-string; 2^n entries on n spins
 
-    Every stored mask is checked, and two sums are equal only on the same spin count.
-    """
 
-    def __init__(self, items: Iterable[tuple[int, int]] = (), n: int = N_SPINS):
-        super().__init__()
-        if not 1 <= n <= N_SPINS:
-            raise ValueError(f"spin count {n!r} is not in 1..{N_SPINS}")
-        self.n = n
-        for mask, coeff in items:
-            self.add(mask, coeff)
+def _check_spin_count(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= N_SPINS:
+        raise ValueError(f"spin count {n!r} is not an int in 1..{N_SPINS}")
 
-    def __setitem__(self, mask: int, coeff: int) -> None:
-        if not 0 < mask < 1 << self.n:
-            raise ValueError(f"mask {mask!r} is not a non-identity string on {self.n} spins")
-        dict.__setitem__(self, mask, coeff)
 
-    def __eq__(self, other):
-        if isinstance(other, ZTermSum) and other.n != self.n:
-            return False
-        return super().__eq__(other)
-
-    __ne__ = object.__ne__  # the negation of __eq__; dict's own would ignore n
-
-    def add(self, mask: int, coeff: int) -> None:
-        new = self[mask] = self.get(mask, 0) + coeff  # the store checks the mask
-        if not new:
-            del self[mask]
+def _spin_count(terms: ZTermSum) -> int:
+    """n for a sum of 2^n entries, or ValueError naming the length."""
+    n = len(terms).bit_length() - 1
+    if not 1 <= n <= N_SPINS or len(terms) != 1 << n:
+        raise ValueError(f"a Z-string sum has 2^n entries for n in 1..{N_SPINS}, got {len(terms)}")
+    return n
 
 
 PrepSequence = circuits.NativeSequence  # restricted to ControlledNot and NotGate ops
@@ -86,7 +71,8 @@ PrepSequence = circuits.NativeSequence  # restricted to ControlledNot and NotGat
 
 def apply_prep(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
     """Conjugate every term by each op of the sequence, in time order."""
-    n, top = terms.n, 1 << terms.n
+    n = _spin_count(terms)
+    top = 1 << n
     rules = []  # (bit tested, bit flipped, sign factor) per op; spin i is bit top >> i
     for op in seq:
         if isinstance(op, ControlledNot):
@@ -98,24 +84,27 @@ def apply_prep(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
         if max(spins) > n:
             raise ValueError(f"{op!r} acts on a spin above n={n}")
         rules.append(rule)
-    out = ZTermSum(n=n)
-    for mask, coeff in terms.items():
-        for tested, flipped, sign in rules:
-            if mask & tested:
-                mask ^= flipped
-                coeff *= sign
-        out.add(mask, coeff)
-    return out
+    out = [0] * top
+    for mask, coeff in enumerate(terms):
+        if coeff:
+            for tested, flipped, sign in rules:
+                if mask & tested:
+                    mask ^= flipped
+                    coeff *= sign
+            out[mask] += coeff
+    return tuple(out)
 
 
 def equilibrium_zsum(n: int = N_SPINS) -> ZTermSum:
     """Thermal equilibrium deviation: the n single-Z strings, coefficient +1."""
-    return ZTermSum(((1 << k, 1) for k in range(n)), n)
+    _check_spin_count(n)
+    return tuple(int(mask.bit_count() == 1) for mask in range(1 << n))
 
 
 def effective_pure_target(n: int = N_SPINS) -> ZTermSum:
     """All 2^n - 1 non-identity strings with coefficient +1."""
-    return ZTermSum(((mask, 1) for mask in range(1, 2**n)), n)
+    _check_spin_count(n)
+    return (0,) + (1,) * ((1 << n) - 1)
 
 
 # The nine production preparation sequences (time order left to right).
@@ -149,11 +138,11 @@ def verify_prep_set(seqs: Sequence[PrepSequence], n: int = N_SPINS) -> PrepRepor
     target = effective_pure_target(n)
     eq = equilibrium_zsum(n)
     images = tuple(apply_prep(seq, eq) for seq in seqs)
-    total_terms = sum(abs(c) for out in images for c in out.values())
-    total = ZTermSum((term for out in images for term in out.items()), n)
-    residual = ZTermSum([*total.items(), *((mask, -c) for mask, c in target.items())], n)
-    is_pure = not residual
-    canceled = (total_terms - len(target)) // 2 if is_pure else 0
+    total_terms = sum(abs(c) for image in images for c in image)
+    total = tuple(map(sum, zip((0,) * len(target), *images)))  # entrywise, all zero for no images
+    residual = tuple(c - t for c, t in zip(total, target))
+    is_pure = not any(residual)
+    canceled = (total_terms - sum(target)) // 2 if is_pure else 0
     return PrepReport(total_terms, total, is_pure, residual, canceled, images)
 
 
@@ -161,7 +150,7 @@ def standard_prep_sequences() -> list[PrepSequence]:
     return [circuits.parse_native_sequence(text) for text in PREP_SET_5SPIN]
 
 
-def _walsh_hadamard(values: list[int]) -> list[int]:
+def _walsh_hadamard(values: Sequence[int]) -> list[int]:
     """out[a] = sum_b (-1)^popcount(a & b) values[b] over the DIM basis states, in N_SPINS butterfly passes."""
     out = list(values)
     for half in (1 << k for k in range(N_SPINS)):
@@ -173,21 +162,17 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
 
 def apply_prep_dense(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
     """Conjugate 5-spin terms by the sequence through its basis map, independently of apply_prep's rules."""
-    if terms.n != N_SPINS:
-        raise ValueError(f"dense conjugation takes {N_SPINS}-spin sums, got n={terms.n}")
-    coeffs = [0] * DIM
-    for mask, coeff in terms.items():
-        coeffs[mask] = coeff
+    n = _spin_count(terms)
+    if n != N_SPINS:
+        raise ValueError(f"dense conjugation takes {N_SPINS}-spin sums, got n={n}")
     moved = [0] * DIM
-    for index, value in enumerate(_walsh_hadamard(coeffs)):
+    for index, value in enumerate(_walsh_hadamard(terms)):
         moved[circuits.native_image(seq, index)[0]] = value
-    out = ZTermSum()
-    for mask, value in enumerate(_walsh_hadamard(moved)):
+    out = _walsh_hadamard(moved)
+    for mask, value in enumerate(out):
         if value % DIM:
             raise ValueError(f"coefficient {value}/{DIM} of mask {mask} is not an integer")
-        if value:
-            out.add(mask, value // DIM)
-    return out
+    return tuple(value // DIM for value in out)
 
 
 # Minimal temporal-labeling plans (time order left to right), one per odd
@@ -224,8 +209,7 @@ def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequen
     number, but the target's coefficients sum to the odd 2^n - 1.
     `n` must be an int (not a bool) in 1..5, and `max_experiments` an int >= 1.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= N_SPINS:
-        raise ValueError(f"spin count {n!r} is not an int in 1..{N_SPINS}")
+    _check_spin_count(n)
     if type(max_experiments) is not int or max_experiments < 1:
         raise ValueError(f"experiment budget {max_experiments!r} is not an int >= 1")
     if n % 2 == 0:

@@ -15,9 +15,7 @@ PARITY = np.array([[-1.0 if bin(a & b).count("1") & 1 else 1.0 for b in range(DI
 
 
 def zsum_to_matrix(terms: ZTermSum) -> np.ndarray:
-    coeffs = np.zeros(DIM)
-    for mask, coeff in terms.items():
-        coeffs[mask] += coeff
+    coeffs = np.array(terms, float)
     return np.diag(coeffs @ PARITY).astype(complex)
 
 

@@ -1,13 +1,13 @@
 """Exact references for the tests: the field Q(sqrt 2) with its arithmetic and ordering.
 
-Production keeps `exactlp.QSqrt2` as a plain two-Fraction value: the guess-game certificate
-sums integer pairs and orders them with `exactlp.sqrt2_sign`.  `QSqrt2Field` is the full
+Production keeps `measurement.QSqrt2` as a plain two-Fraction value: the guess-game certificate
+sums integer pairs and orders them with `measurement.sqrt2_sign`.  `QSqrt2Field` is the full
 field that value once carried, kept here as the independent oracle for `sqrt2_sign` and for
 the certified value.
 """
 from fractions import Fraction
 
-from orderfinding.exactlp import QSqrt2
+from orderfinding.measurement import QSqrt2
 
 
 class QSqrt2Field:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderfinding import classical, permutations
+from orderfinding import CertificateError, classical, permutations
 from orderfinding.classical import (
     HARDEST_PRIOR,
     MAX_EXPONENT,
@@ -17,7 +17,6 @@ from orderfinding.classical import (
     two_query_certainty,
     two_query_witness,
 )
-from orderfinding.exactlp import CertificateError
 from orderfinding.permutations import ALL_PERMUTATIONS, Permutation, order_of, power, trajectory
 
 PERMS = ALL_PERMUTATIONS

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 
 from dense_reference import observables_from_distribution
 from exact_reference import QSqrt2Field
-from orderfinding import measurement
+from orderfinding import CertificateError, measurement
 from orderfinding.circuits import run_instances
-from orderfinding.exactlp import CertificateError, QSqrt2
 from orderfinding.measurement import (
     GUESS_DENOMINATOR,
     GUESS_PRIOR,
@@ -18,6 +17,7 @@ from orderfinding.measurement import (
     GuessStrategy,
     InfeasibleInput,
     OutcomeDistribution,
+    QSqrt2,
     analytic_distribution,
     guess_success_per_r,
     infer_order,
@@ -43,7 +43,7 @@ CLOSED_FORMS = {
 
 
 # the exact closed forms as they were typed before they were derived in Z[zeta_8]: the reference
-# for the derived `.exact` entries, as (numerator of a, numerator of b) over 64 for a + b sqrt 2
+# for the derived pairs of `_exact_closed_form`, (a, b) meaning (a + b sqrt 2) / 64
 TYPED_EXACT = {
     1: [(64, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
     2: [(32, 0), (0, 0), (0, 0), (0, 0), (32, 0), (0, 0), (0, 0), (0, 0)],
@@ -54,16 +54,18 @@ TYPED_EXACT = {
 
 @pytest.mark.parametrize("r", ORDERS)
 def test_derived_exact_entries_equal_the_typed_closed_forms(r):
-    exact = analytic_distribution(r).exact
-    assert exact == tuple(QSqrt2(Fraction(a, 64), Fraction(b, 64)) for a, b in TYPED_EXACT[r])
-    assert all(type(e.a) is Fraction and type(e.b) is Fraction for e in exact)
+    exact = measurement._exact_closed_form(r)
+    assert exact == tuple(TYPED_EXACT[r])
+    assert type(exact) is tuple and all(type(a) is int and type(b) is int for a, b in exact)
+    assert measurement._exact_closed_form(r) is exact  # built once per process
 
 
 @pytest.mark.parametrize("r", ORDERS)
 def test_analytic_distribution_matches_closed_forms(r):
     dist = analytic_distribution(r)
     assert dist.probs == pytest.approx(CLOSED_FORMS[r], abs=1e-14)
-    assert [float(e) for e in dist.exact] == pytest.approx(CLOSED_FORMS[r], abs=1e-14)
+    assert [(a + b * SQRT2) / 64 for a, b in measurement._exact_closed_form(r)] == pytest.approx(CLOSED_FORMS[r],
+                                                                                                   abs=1e-14)
 
 
 def test_analytic_distribution_rejects_bad_order():
@@ -187,8 +189,8 @@ def test_guess_game_value_is_60_over_109():
     assert sol.value == pytest.approx(0.5504587155963303, abs=1e-12)
     assert all(s >= sol.value - 1e-9 for s in sol.per_order_success)
     # dual certificate: the hardest prior's best response equals the value
-    dists = tuple(analytic_distribution(r) for r in ORDERS)
-    payoffs = [[QSqrt2Field(dist.exact[m].a, dist.exact[m].b) for dist in dists] for m in range(8)]
+    exact = [measurement._exact_closed_form(r) for r in ORDERS]
+    payoffs = [[QSqrt2Field(Fraction(a, 64), Fraction(b, 64)) for a, b in (row[m] for row in exact)] for m in range(8)]
     prior = [QSqrt2Field(p.a, p.b) for p in sol.prior]
     best = sum(max(prior[k] * payoffs[m][k] for k in range(4)) for m in range(8))
     assert best == sol.exact_value
@@ -216,13 +218,13 @@ def test_guess_game_vertex_is_pinned():
 def test_certificate_transports_under_order_relabeling(relabeling):
     # relabeling the orders consistently in the payoffs, the strategy and the prior keeps the value;
     # relabeling the payoffs alone breaks the certificate
-    exact = [analytic_distribution(ORDERS[k]).exact for k in relabeling]
+    exact = [measurement._exact_closed_form(ORDERS[k]) for k in relabeling]
     strategy = [[row[k] for k in relabeling] for row in GUESS_STRATEGY]
     prior = [GUESS_PRIOR[k] for k in relabeling]
-    assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == QSqrt2(Fraction(60, 109))
+    assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(60, 109))
     if relabeling != (0, 1, 2, 3):
         with pytest.raises(CertificateError, match="certificate failed"):
-            measurement._certified_value(measurement._exact_pairs(exact), GUESS_STRATEGY, GUESS_PRIOR)
+            measurement._certified_value(exact, GUESS_STRATEGY, GUESS_PRIOR)
 
 
 @pytest.mark.parametrize("m, text", [
@@ -238,27 +240,20 @@ def test_certificate_error_prints_a_side_with_a_sqrt2_part_in_full(monkeypatch, 
 
 
 
-def test_guess_pair_table_is_a_tuple_of_the_exact_distributions():
-    den, table = measurement._guess_pairs()
-    assert type(table) is tuple and all(type(row) is tuple for row in table)
-    for row, r in zip(table, ORDERS, strict=True):
-        assert [QSqrt2(Fraction(a, den), Fraction(b, den)) for a, b in row] == list(analytic_distribution(r).exact)
-
 
 def test_certified_value_accepts_a_prior_with_zero_masses():
     # four orders told apart by outcomes m = 0..3: guessing r = m + 1 always wins, so the value is 1,
     # and a prior on any one order alone, zero on the other three, pins it from above
-    one, zero = QSqrt2(Fraction(1)), QSqrt2()
-    exact = [[one if m == k else zero for m in range(8)] for k in range(len(ORDERS))]
+    exact = [[(64, 0) if m == k else (0, 0) for m in range(8)] for k in range(len(ORDERS))]
     strategy = [tuple(GUESS_DENOMINATOR * (k == (m if m < 4 else 0)) for k in range(4)) for m in range(8)]
     for k in range(4):
         prior = tuple(GUESS_DENOMINATOR * (j == k) for j in range(4))
-        assert measurement._certified_value(measurement._exact_pairs(exact), strategy, prior) == QSqrt2(Fraction(1))
+        assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(1))
 
 
 def _reference_certified_value(exact, strategy, prior) -> QSqrt2Field:
     """The field sums the certificate made before it moved to integer pairs: the reference."""
-    exact = [[QSqrt2Field(e.a, e.b) for e in entries] for entries in exact]
+    exact = [[QSqrt2Field(Fraction(a, 64), Fraction(b, 64)) for a, b in entries] for entries in exact]
     zero, unit = QSqrt2Field(), Fraction(1, GUESS_DENOMINATOR)
     worst = min(sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS)))
     best = sum((max(exact[k][m] * p for k, p in enumerate(prior)) for m in range(8)), zero)
@@ -277,7 +272,7 @@ def _split(draw, total: int, size: int) -> tuple[int, ...]:
 def guess_vertices(draw):
     """A strategy and a prior over 109 near the stored vertex, and the exact rows under a relabeling."""
     relabeling = draw(st.permutations(range(4)))
-    exact = [analytic_distribution(ORDERS[k]).exact for k in relabeling]
+    exact = [measurement._exact_closed_form(ORDERS[k]) for k in relabeling]
     if draw(st.booleans()):
         strategy = [draw(st.sampled_from([row, _split(draw, GUESS_DENOMINATOR, 4)])) for row in GUESS_STRATEGY]
         prior = draw(st.sampled_from([GUESS_PRIOR, _split(draw, GUESS_DENOMINATOR, 4)]))
@@ -295,10 +290,10 @@ def test_integer_certificate_equals_the_qsqrt2_reference(vertex):
         expected = _reference_certified_value(exact, strategy, prior)
     except CertificateError as error:
         with pytest.raises(CertificateError) as got:
-            measurement._certified_value(measurement._exact_pairs(exact), strategy, prior)
+            measurement._certified_value(exact, strategy, prior)
         assert str(got.value) == str(error)
     else:
-        got = measurement._certified_value(measurement._exact_pairs(exact), strategy, prior)
+        got = measurement._certified_value(exact, strategy, prior)
         assert got == expected and repr(got) == repr(expected)
 
 

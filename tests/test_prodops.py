@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import zsum_to_matrix
-from orderfinding import circuits
+from orderfinding import CertificateError, circuits
 from orderfinding.circuits import parse_native_sequence
-from orderfinding.exactlp import CertificateError
 from orderfinding.prodops import (
     OPTIMAL_SCHEDULES,
     SearchExhausted,
-    ZTermSum,
     apply_prep,
     apply_prep_dense,
     effective_pure_target,
@@ -29,9 +27,19 @@ C_OPS = [ControlledNot(i, j) for i in range(1, 6) for j in range(1, 6) if i != j
 N_OPS = [NotGate(i) for i in range(1, 6)]
 
 
+def _terms(vector):
+    """The nonzero entries of a coefficient vector, {mask: coefficient}."""
+    return {mask: coeff for mask, coeff in enumerate(vector) if coeff}
+
+
+def _vector(terms, n=5):
+    """The coefficient vector on n spins with the given {mask: coefficient} entries."""
+    return tuple(terms.get(mask, 0) for mask in range(1 << n))
+
+
 def _conjugated(op, mask, sign=1):
     """The one signed term that conjugating the term (mask, sign) by op gives."""
-    (term,) = apply_prep((op,), ZTermSum([(mask, sign)])).items()
+    (term,) = _terms(apply_prep((op,), _vector({mask: sign}))).items()
     return term
 
 
@@ -60,42 +68,27 @@ def test_conjugation_involution():
 
 
 def test_equilibrium_and_target_contents():
-    eq = equilibrium_zsum()
+    eq = _terms(equilibrium_zsum())
     assert len(eq) == 5
     assert all(eq[m] == 1 and bin(m).count("1") == 1 for m in eq)
-    target = effective_pure_target()
+    target = _terms(effective_pure_target())
     assert len(target) == 31
     assert target[0b11111] == 1
     assert all(c == 1 for c in target.values())
 
 
-def test_zterm_sum_rejects_identity_pattern():
-    with pytest.raises(ValueError):
-        ZTermSum([(0, 1)])
-
-
-@pytest.mark.parametrize("n, mask", [(5, 32), (3, 8), (5, -1)])
-def test_zterm_sum_rejects_a_mask_outside_its_spins(n, mask):
-    with pytest.raises(ValueError, match=re.escape(f"mask {mask} is not a non-identity string on {n} spins")):
-        ZTermSum([(mask, 1)], n)
-
-
 def test_zterm_sums_on_different_spin_counts_are_unequal():
-    three, five = equilibrium_zsum(3), ZTermSum(equilibrium_zsum(3).items(), 5)
-    assert dict(three) == dict(five)
+    three, five = equilibrium_zsum(3), _vector(_terms(equilibrium_zsum(3)), 5)
+    assert _terms(three) == _terms(five)
     assert not three == five and three != five
     assert three == equilibrium_zsum(3) and not three != equilibrium_zsum(3)
 
 
-@pytest.mark.parametrize("mask", [0, 32, -1])
-def test_zterm_sum_item_assignment_checks_the_mask_as_add_does(mask):
-    terms = ZTermSum()
-    with pytest.raises(ValueError, match=re.escape(f"mask {mask} is not a non-identity string on 5 spins")):
-        terms[mask] = 7
-    assert terms == ZTermSum()
-    terms[0b101] = 7
-    assert terms == ZTermSum([(0b101, 7)])
-
+@pytest.mark.parametrize("length", [31, 33, 64])
+@pytest.mark.parametrize("conjugate", [apply_prep, apply_prep_dense])
+def test_conjugations_reject_a_vector_of_the_wrong_length(conjugate, length):
+    with pytest.raises(ValueError, match=re.escape(f"a Z-string sum has 2^n entries for n in 1..5, got {length}")):
+        conjugate((), (0, 1) + (0,) * (length - 2))
 
 
 def test_apply_prep_empty_sequence():
@@ -106,7 +99,7 @@ def test_apply_prep_empty_sequence():
 def test_apply_prep_first_production_sequence():
     seq = parse_native_sequence("C51 C45 C24 N3")
     out = apply_prep(seq, equilibrium_zsum())
-    assert sum(abs(c) for c in out.values()) == 5
+    assert sum(abs(c) for c in out) == 5
     assert out == apply_prep_dense(seq, equilibrium_zsum())
 
 
@@ -116,9 +109,10 @@ def prep_sequence_strategy(draw):
     return tuple(draw(st.sampled_from(C_OPS + N_OPS)) for _ in range(n_ops))
 
 
-zterm_sums = st.one_of(
+zterm_sums = st.one_of(  # full 32-entry vectors, the identity entry nonzero
     st.just(equilibrium_zsum()),
-    st.dictionaries(st.sampled_from(ALL_MASKS), st.integers(-9, 9)).map(lambda d: ZTermSum(d.items())),
+    st.builds(lambda identity, rest: (identity, *rest), st.integers(-9, 9).filter(bool),
+              st.lists(st.integers(-9, 9), min_size=31, max_size=31)),
 )
 
 
@@ -127,13 +121,14 @@ zterm_sums = st.one_of(
 def test_apply_prep_matches_dense_conjugation(seq, terms):
     out = apply_prep_dense(seq, terms)
     assert apply_prep(seq, terms) == out
+    assert out[0] == terms[0]  # the identity commutes with every op
     u = circuit_unitary(Circuit(seq))
     assert np.allclose(zsum_to_matrix(out), u @ zsum_to_matrix(terms) @ u.conj().T, atol=1e-9)
 
 
 @given(prep_sequence_strategy())
 def test_experiments_always_give_five_distinct_signed_strings(seq):
-    out = apply_prep(seq, equilibrium_zsum())
+    out = _terms(apply_prep(seq, equilibrium_zsum()))
     assert len(out) == 5
     assert all(c in (1, -1) for c in out.values())
 
@@ -143,8 +138,16 @@ def test_production_prep_set_sums_to_effective_pure_target():
     assert report.total_terms == 45
     assert report.is_effective_pure
     assert report.canceled_pairs == 7
-    assert not report.residual
+    assert not any(report.residual)
     assert report.summed == effective_pure_target()
+
+
+def test_prep_report_images_are_tuples():
+    # a sum is an immutable coefficient vector: no setter can store an unchecked mask
+    report = verify_prep_set(standard_prep_sequences())
+    assert len(report.images) == 9
+    assert all(type(image) is tuple and len(image) == 32 for image in report.images)
+    assert type(report.summed) is tuple and type(report.residual) is tuple
 
 
 def test_production_prep_set_dense_cross_check():
@@ -244,18 +247,23 @@ def _verify_on_three_spins(text):
     (lambda: _verify_on_three_spins("C45"), "ControlledNot(control=4, target=5) acts on a spin above n=3"),
     (lambda: _verify_on_three_spins("N4"), "NotGate(spin=4) acts on a spin above n=3"),
     (lambda: apply_prep((NotGate(3),), equilibrium_zsum(2)), "NotGate(spin=3) acts on a spin above n=2"),
-    (lambda: apply_prep((ControlledNot(1, 3),), ZTermSum([(0b11, 1)], 2)),
+    (lambda: apply_prep((ControlledNot(1, 3),), (0, 0, 0, 1)),
      "ControlledNot(control=1, target=3) acts on a spin above n=2"),
     (lambda: apply_prep_dense(parse_native_sequence("C12"), equilibrium_zsum(3)),
      "dense conjugation takes 5-spin sums, got n=3"),
-    (lambda: verify_prep_set([], 6), "spin count 6 is not in 1..5"),
-    (lambda: equilibrium_zsum(0), "spin count 0 is not in 1..5"),
+    (lambda: verify_prep_set([], 6), "spin count 6 is not an int in 1..5"),
+    (lambda: equilibrium_zsum(0), "spin count 0 is not an int in 1..5"),
+    *((lambda n=n, call=call: call(n), f"spin count {n!r} is not an int in 1..5")
+      for n in (3.0, True, "3")
+      for call in (equilibrium_zsum, effective_pure_target, lambda n: verify_prep_set([], n),
+                   lambda n: schedule_prep(n, 9))),
     (lambda: schedule_prep(3, 3.5), "experiment budget 3.5 is not an int >= 1"),
     (lambda: schedule_prep(3, True), "experiment budget True is not an int >= 1"),
     (lambda: schedule_prep(3, "9"), "experiment budget '9' is not an int >= 1"),
     (lambda: schedule_prep(3, None), "experiment budget None is not an int >= 1"),
     (lambda: schedule_prep(3, 0), "experiment budget 0 is not an int >= 1"),
 ], ids=["verify_C45", "verify_N4", "apply_prep", "conjugate", "apply_prep_dense", "verify_n6", "equilibrium_n0",
+        *(f"{name}_{n!r}" for n in (3.0, True, "3") for name in ("equilibrium", "target", "verify", "schedule")),
         "budget_3.5", "budget_True", "budget_str", "budget_None", "budget_0"])
 def test_prep_input_errors_name_the_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

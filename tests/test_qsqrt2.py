@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from exact_reference import QSqrt2Field
 from orderfinding import cli
-from orderfinding.exactlp import QSqrt2, sqrt2_sign
+from orderfinding.measurement import QSqrt2, sqrt2_sign
 
 
 def q(a, b=0):
