@@ -15,8 +15,10 @@ Two listing conventions are in use, resolved empirically during bring-up:
   implement their oracles (the order-4 listing fails for every permutation
   and start element when read chronologically).
 
-Functions here take ops in time order (first op acts first);
-parse_readout_listing applies the operator-product reversal.
+Every builder and parser here returns a `simulator.Circuit`, a plain tuple
+of gate ops in time order (first op acts first); parse_readout_listing
+applies the operator-product reversal.  A token that names one spin twice,
+such as C11, is rejected with the token named.
 
 The second register holds the permuted element y = y1 y0, y1 on spin 4 and
 y0 on spin 5; the exponent register holds x = x2 x1 x0, x2 on spin 1 (most
@@ -62,31 +64,26 @@ from .simulator import (
     run_circuits,
 )
 
-NativeSequence = tuple[GateOp, ...]
-
 _TOKEN_RE = re.compile(r"([CPN])([1-5])([1-5]?)('?)")
 
 
-def parse_native_sequence(text: str) -> NativeSequence:
+def parse_native_sequence(text: str) -> Circuit:
     """Parse a native pulse-sequence listing into gate ops, in time order."""
     ops: list[GateOp] = []
     for token in text.split():
         m = _TOKEN_RE.fullmatch(token)
-        if m is None:
+        kind, i, j, dagger = m.groups() if m else ("", "", "", "")
+        if not kind or (kind == "N") == bool(j) or (dagger and kind != "P"):  # N names one spin; only P is primed
             raise ValueError(f"bad sequence token {token!r}")
-        kind, i, j, dagger = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-        if kind == "N":
-            if j or dagger:
-                raise ValueError(f"bad sequence token {token!r}")
-            ops.append(NotGate(i))
-        elif kind == "C":
-            if not j or dagger:
-                raise ValueError(f"bad sequence token {token!r}")
-            ops.append(ControlledNot(control=i, target=int(j)))
-        else:
-            if not j:
-                raise ValueError(f"bad sequence token {token!r}")
-            ops.append(ConditionalZRotation(control=i, target=int(j), angle_deg=90.0, dagger=bool(dagger)))
+        try:
+            if kind == "N":
+                ops.append(NotGate(int(i)))
+            elif kind == "C":
+                ops.append(ControlledNot(control=int(i), target=int(j)))
+            else:
+                ops.append(ConditionalZRotation(control=int(i), target=int(j), angle_deg=90.0, dagger=bool(dagger)))
+        except ValueError as err:  # one spin twice, as in C11
+            raise ValueError(f"bad sequence token {token!r}: {err}") from None
     return tuple(ops)
 
 
@@ -107,7 +104,7 @@ def build_qft3(include_final_swap: bool) -> Circuit:
     ]
     if include_final_swap:
         ops += [ControlledNot(1, 3), ControlledNot(3, 1), ControlledNot(1, 3)]
-    return Circuit(tuple(ops))
+    return tuple(ops)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -125,28 +122,28 @@ def oracle_stages(pi: Permutation) -> Circuit:
     images, read from the trajectory of each element.
     """
     powers = list(zip(*(trajectory(pi, y) for y in range(N_ELEMENTS))))  # powers[k] = the images of pi^k
-    return Circuit(tuple(ControlledPermutation(control, (4, 5), powers[exponent])
-                         for control, exponent in ((3, 1), (2, 2), (1, 4))))
+    return tuple(ControlledPermutation(control, (4, 5), powers[exponent])
+                 for control, exponent in ((3, 1), (2, 2), (1, 4)))
 
 
 # The instance-independent parts of the order-finding circuit.
-_HADAMARD_FRONT = Circuit((Hadamard(1), Hadamard(2), Hadamard(3)))
+_HADAMARD_FRONT = (Hadamard(1), Hadamard(2), Hadamard(3))
 _QFT_NO_SWAP = build_qft3(include_final_swap=False)
 
 
-def build_orderfinding(spec: OracleSpec) -> Circuit:
-    """The full order-finding circuit, assuming input |000>|y1 y0>.
+def build_orderfinding(pi: Permutation) -> Circuit:
+    """The full order-finding circuit for pi, on any input |000>|y1 y0>.
 
     Hadamards on spins 1-3, the three controlled permutation stages, then
     the QFT without final swap (bit-reversed output).
     """
-    return Circuit(_HADAMARD_FRONT.ops + oracle_stages(spec.pi).ops + _QFT_NO_SWAP.ops)
+    return _HADAMARD_FRONT + oracle_stages(pi) + _QFT_NO_SWAP
 
 
 @functools.cache
 def _orderfinding_circuit(pi: Permutation) -> Circuit:
-    """`build_orderfinding`'s circuit for pi, built once per process; it does not depend on y."""
-    return build_orderfinding(OracleSpec(pi, 0))
+    """`build_orderfinding(pi)`, built once per process and shared by every instance of pi."""
+    return build_orderfinding(pi)
 
 
 def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
@@ -159,7 +156,7 @@ def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     return run_circuits([_orderfinding_circuit(spec.pi) for spec in specs], inputs)
 
 
-def native_image(seq: NativeSequence, index: int) -> tuple[int, int]:
+def native_image(seq: Circuit, index: int) -> tuple[int, int]:
     """(index', k): the native ops of `seq` send basis state `index` to i^k |index'>, k in 0..3."""
     k = 0
     for op in seq:
@@ -174,7 +171,7 @@ def native_image(seq: NativeSequence, index: int) -> tuple[int, int]:
     return index, k % 4
 
 
-def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int) -> bool:
+def verify_oracle_sequence(seq: Circuit, pi: Permutation, y: int) -> bool:
     """Check that a native sequence implements the oracle on the physical input.
 
     The sequence must send (H H H |000>) (x) |y> = (1/sqrt(8)) sum_x |x>|y>
@@ -191,7 +188,7 @@ def verify_oracle_sequence(seq: NativeSequence, pi: Permutation, y: int) -> bool
             and len({k for _, k in images}) == 1)
 
 
-def parse_readout_listing(text: str) -> NativeSequence:
+def parse_readout_listing(text: str) -> Circuit:
     """Parse an operator-product listing (rightmost token acts first) into time order."""
     return tuple(reversed(parse_native_sequence(text)))
 

@@ -83,8 +83,8 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.Fr
     out.mkdir(parents=True, exist_ok=True)
 
     amps = circuits.run_instances([spec])
-    dist = measurement.OutcomeDistribution(measurement.outcome_probabilities(amps)[0])
-    _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), dist.probs.tolist()])
+    probs = measurement.outcome_probabilities(amps)[0]
+    _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), probs.tolist()])
 
     observables = expectation_Iz(amps * amps.conj())[0].tolist()
     _write_json(out / "observables.json", {"O": observables})
@@ -98,14 +98,14 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.Fr
                [spectrum.frequencies_hz.tolist(), spectrum.trace.real.tolist(), spectrum.trace.imag.tolist()])
 
     r_true = order_of(pi, y)
-    r_inferred = measurement.infer_order(dist)
+    r_inferred = measurement.infer_order(probs)
     game = _guess_game()
     _write_json(out / "report.json", {
         "perm": format_cycles(pi),
         "y": y,
         "r_inferred": r_inferred,
         "r_true": r_true,
-        "distribution_error": float(np.abs(dist.probs - measurement.analytic_distribution(r_true).probs).max()),
+        "distribution_error": float(np.abs(probs - measurement.analytic_distribution(r_true)).max()),
         "guess_value": game.value,
         "guess_success_per_order": list(game.per_order_success),
     })
@@ -124,7 +124,7 @@ def _sweep_table() -> tuple[tuple[OracleSpec, ...], tuple[tuple[str, int, int], 
     specs = tuple(OracleSpec(pi, y) for pi in ALL_PERMUTATIONS for y in range(4))
     names = dict(zip(ALL_PERMUTATIONS, permutation_names()))
     labels = tuple((names[spec.pi], spec.y, order_of(spec.pi, spec.y)) for spec in specs)
-    analytic = np.array([measurement.analytic_distribution(r).probs for _, _, r in labels])
+    analytic = np.array([measurement.analytic_distribution(r) for _, _, r in labels])
     analytic.flags.writeable = False
     return specs, labels, analytic
 
@@ -167,12 +167,11 @@ def cmd_prep_verify(out: Path) -> int:
 
 def cmd_guess_table(out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    dists = tuple(measurement.analytic_distribution(r) for r in measurement.ORDERS)
     _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"],
-               [list(range(8))] + [d.probs.tolist() for d in dists])
+               [list(range(8))] + [measurement.analytic_distribution(r).tolist() for r in measurement.ORDERS])
     sol = measurement.solve_guess_game()
     _write_csv(out / "guess_strategy.csv", ["m", "g_r1", "g_r2", "g_r3", "g_r4"],
-               [list(range(8))] + sol.strategy.g.T.tolist())
+               [list(range(8))] + sol.strategy.T.tolist())
     _write_json(out / "guess_report.json", {
         "value": sol.value,
         "value_exact": repr(sol.exact_value),

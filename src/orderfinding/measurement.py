@@ -8,8 +8,11 @@ observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
 Simulated states arrive in one form, a (k, 32) array of final amplitudes
 such as `circuits.run_instances(specs)`, one instance per row, and a single
 instance is the one-row case.  `outcome_probabilities` turns the rows into
-k checked outcome distributions, and `simulator.expectation_Iz` reads
-O_1..O_5 from the rows' a * conj(a).
+a (k, 8) array, each row checked to be a probability vector, and
+`simulator.expectation_Iz` reads O_1..O_5 from the rows' a * conj(a).  An
+outcome distribution is an (8,) float array of Pr[m], m = 0..7, and a guess
+strategy an (8, 4) array of Pr[guess ORDERS[k] | m]; the ones built here are
+read-only.
 
 The exact distributions are derived in Z[zeta_8], zeta = exp(2 pi i / 8): each
 coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2,
@@ -80,32 +83,6 @@ def _check_probability_rows(p: np.ndarray) -> None:
             raise InfeasibleInput(f"row {row} is not a probability vector: {p[row]}")
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities of m = 0..7, a read-only copy."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float).reshape(8)
-        _check_probability_rows(p[None])
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True)
-class GuessStrategy:
-    """g[m][k] = probability of guessing order ORDERS[k] on outcome m; g is a read-only copy."""
-
-    g: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.array(self.g, dtype=float).reshape(8, 4)
-        _check_probability_rows(g)
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
-
-
 @functools.cache
 def _exact_closed_form(r: int) -> tuple[tuple[int, int], ...]:
     """Pr[m] = sum over the cosets a of |S_a(m)|^2 / 64, with S_a(m) = sum over x = a mod r of zeta^(m x).
@@ -128,8 +105,8 @@ def _exact_closed_form(r: int) -> tuple[tuple[int, int], ...]:
     return tuple(probs)
 
 
-def analytic_distribution(r: int) -> OutcomeDistribution:
-    """Exact outcome distribution for an 8-point function of period r.
+def analytic_distribution(r: int) -> np.ndarray:
+    """Exact outcome distribution for an 8-point function of period r, a read-only (8,) array.
 
     Computed by collapsing the second register and Fourier-transforming each
     residue coset of {0..7} mod r; `_exact_closed_form(r)` takes the same coset
@@ -144,13 +121,15 @@ def analytic_distribution(r: int) -> OutcomeDistribution:
 
 
 @functools.cache
-def _analytic_distribution(r: int) -> OutcomeDistribution:
+def _analytic_distribution(r: int) -> np.ndarray:
     probs = np.zeros(8)
     for a in range(r):
         xs = np.arange(a, 8, r)
         for m in range(8):
             probs[m] += abs(np.exp(2j * np.pi * m * xs / 8).sum()) ** 2
-    return OutcomeDistribution(probs / 64.0)
+    probs /= 64.0
+    probs.flags.writeable = False
+    return probs
 
 
 def m_from_register_index(b: int) -> int:
@@ -168,15 +147,17 @@ def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     return probs
 
 
-def infer_order(dist: OutcomeDistribution) -> int:
-    """The order whose analytic distribution is closest in L1 distance."""
-    dists = {r: np.abs(dist.probs - analytic_distribution(r).probs).sum() for r in ORDERS}
+def infer_order(probs: np.ndarray) -> int:
+    """The order whose analytic distribution is closest in L1 distance to `probs`, Pr[m] for m = 0..7."""
+    dists = {r: np.abs(probs - analytic_distribution(r)).sum() for r in ORDERS}
     return min(dists, key=dists.get)
 
 
 @dataclass(frozen=True)
 class GuessGameSolution:
-    strategy: GuessStrategy
+    """strategy[m, k] = Pr[guess ORDERS[k] | m], a read-only (8, 4) array; the value is its worst success."""
+
+    strategy: np.ndarray
     value: float
     exact_value: QSqrt2
     prior: tuple[QSqrt2, ...]
@@ -218,7 +199,8 @@ def _certified_value(table, strategy, prior) -> QSqrt2:
 def solve_guess_game() -> GuessGameSolution:
     """The maximin guess strategy and the hardest prior over r: the stored vertex, certified on every call."""
     value = _certified_value([_exact_closed_form(r) for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
-    strategy = GuessStrategy(np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR)
+    strategy = np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR
+    strategy.flags.writeable = False  # shared: the CLI keeps one solution per process
     return GuessGameSolution(
         strategy=strategy,
         value=float(value),
@@ -228,6 +210,6 @@ def solve_guess_game() -> GuessGameSolution:
     )
 
 
-def guess_success_per_r(strategy: GuessStrategy) -> tuple[float, float, float, float]:
-    """Pr[r' = r | r] for each order r under the given strategy, on the analytic distributions."""
-    return tuple(float(np.dot(analytic_distribution(r).probs, strategy.g[:, k])) for k, r in enumerate(ORDERS))
+def guess_success_per_r(strategy: np.ndarray) -> tuple[float, float, float, float]:
+    """Pr[r' = r | r] for each order r under strategy (8, 4), on the analytic distributions."""
+    return tuple(float(np.dot(analytic_distribution(r), strategy[:, k])) for k, r in enumerate(ORDERS))

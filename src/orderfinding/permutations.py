@@ -118,7 +118,7 @@ def parse_permutation(text: str) -> Permutation:
     text = text.strip()
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) != N_ELEMENTS or not all(p.isdigit() for p in parts):
+        if len(parts) != N_ELEMENTS or not all(p.isdecimal() for p in parts):  # int() rejects the '²' isdigit passes
             raise ValueError(f"bad image list: {text!r}")
         return Permutation(tuple(int(p) for p in parts))
     if text == "()":

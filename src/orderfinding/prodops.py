@@ -21,8 +21,8 @@ ints whose entry mask is the coefficient of that string; its length carries
 n, and its identity entry 0 is left unchanged by every op.  Pattern text
 like "IZIZZ" is only for reports (mask_to_pattern).
 
-Ops in a preparation sequence are applied in listed (time) order, the same
-convention as module circuits.
+A preparation sequence is a `simulator.Circuit` of ControlledNot and NotGate
+ops, applied in listed (time) order, the same convention as module circuits.
 
 apply_prep_dense cross-checks apply_prep exactly without these rules.  A
 5-spin coefficient vector c is the diagonal d = WHT(c), an integer
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import CertificateError, circuits
-from .simulator import DIM, N_SPINS, ControlledNot, NotGate
+from .simulator import DIM, N_SPINS, Circuit, ControlledNot, NotGate
 
 
 class SearchExhausted(RuntimeError):
@@ -66,10 +66,7 @@ def _spin_count(terms: ZTermSum) -> int:
     return n
 
 
-PrepSequence = circuits.NativeSequence  # restricted to ControlledNot and NotGate ops
-
-
-def apply_prep(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
+def apply_prep(seq: Circuit, terms: ZTermSum) -> ZTermSum:
     """Conjugate every term by each op of the sequence, in time order."""
     n = _spin_count(terms)
     top = 1 << n
@@ -133,7 +130,7 @@ class PrepReport:
     images: tuple[ZTermSum, ...]
 
 
-def verify_prep_set(seqs: Sequence[PrepSequence], n: int = N_SPINS) -> PrepReport:
+def verify_prep_set(seqs: Sequence[Circuit], n: int = N_SPINS) -> PrepReport:
     """Sum the experiments over the given sequences and compare with the target."""
     target = effective_pure_target(n)
     eq = equilibrium_zsum(n)
@@ -146,7 +143,7 @@ def verify_prep_set(seqs: Sequence[PrepSequence], n: int = N_SPINS) -> PrepRepor
     return PrepReport(total_terms, total, is_pure, residual, canceled, images)
 
 
-def standard_prep_sequences() -> list[PrepSequence]:
+def standard_prep_sequences() -> list[Circuit]:
     return [circuits.parse_native_sequence(text) for text in PREP_SET_5SPIN]
 
 
@@ -160,7 +157,7 @@ def _walsh_hadamard(values: Sequence[int]) -> list[int]:
     return out
 
 
-def apply_prep_dense(seq: PrepSequence, terms: ZTermSum) -> ZTermSum:
+def apply_prep_dense(seq: Circuit, terms: ZTermSum) -> ZTermSum:
     """Conjugate 5-spin terms by the sequence through its basis map, independently of apply_prep's rules."""
     n = _spin_count(terms)
     if n != N_SPINS:
@@ -196,7 +193,7 @@ OPTIMAL_SCHEDULES: dict[int, tuple[str, ...]] = {
 }
 
 
-def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[PrepSequence]:
+def schedule_prep(n: int = N_SPINS, max_experiments: int = 9) -> list[Circuit]:
     """A minimal temporal-labeling schedule on an n-spin system.
 
     Returns the stored plan for n, whose summed experiments equal the n-spin

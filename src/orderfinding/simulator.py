@@ -27,7 +27,8 @@ checked once, at the end.  `gate_unitary` applies the lowered op to the
 32 rows of the identity.
 
 Every gate is a frozen, hashable value that checks itself exactly when
-built, and `Circuit` checks that each op is a gate.  Each op value is
+built.  A circuit is a plain tuple of gate ops, the first acting first in
+time; lowering rejects anything that is not a gate.  Each op value is
 lowered once, when first applied: `_memo_operands` is an LRU memo of at
 most `_MEMO_SIZE` entries keyed by op value.  The kernel is a gather, one
 matmul and a scatter: a flat index per (spins, rows), memoized in a memo of
@@ -139,19 +140,7 @@ class ControlledPermutation:
 
 
 GateOp = Hadamard | NotGate | ConditionalZRotation | ControlledNot | ControlledPermutation
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """Ordered gate list; the first op acts first in time."""
-
-    ops: tuple[GateOp, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:  # the ops checked their fields when built
-            if not isinstance(op, GateOp):
-                raise TypeError(f"not a gate op: {op!r}")
+Circuit = tuple[GateOp, ...]  # the first op acts first in time
 
 
 def _phase(angle_deg: float, dagger: bool) -> complex:
@@ -260,13 +249,13 @@ def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
     rows = np.array(amps, dtype=complex)
     if rows.shape != (len(circuits), DIM):
         raise ValueError(f"{len(circuits)} circuits need amplitudes of shape ({len(circuits)}, {DIM}), got {rows.shape}")
-    lengths = sorted({len(c.ops) for c in circuits})
+    lengths = sorted({len(c) for c in circuits})
     if len(lengths) > 1:
         raise ValueError(f"circuits of unequal lengths {lengths}")
     distinct = list({id(c): c for c in circuits}.values())  # rows that share a circuit object share its ops
     slot = {id(c): i for i, c in enumerate(distinct)}
     which = np.array([slot[id(c)] for c in circuits], dtype=np.intp)  # row i runs distinct[which[i]]
-    for step in zip(*(c.ops for c in distinct)):
+    for step in zip(*distinct):
         if all(isinstance(op, ControlledPermutation) for op in step):
             sources = np.array([_memo_operands(op) for op in step])
             rows = np.take_along_axis(rows, sources[which], axis=1)
@@ -290,7 +279,7 @@ def gate_unitary(op: GateOp) -> np.ndarray:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries in time order (first op rightmost)."""
     u = np.eye(DIM, dtype=complex)
-    for op in circuit.ops:
+    for op in circuit:
         u = gate_unitary(op) @ u
     return u
 

@@ -5,7 +5,6 @@ read from an outcome distribution, and the net area of a readout line list.
 """
 import numpy as np
 
-from orderfinding.measurement import OutcomeDistribution
 from orderfinding.prodops import ZTermSum
 from orderfinding.simulator import DIM
 from orderfinding.spectra import SpectralLine
@@ -19,9 +18,8 @@ def zsum_to_matrix(terms: ZTermSum) -> np.ndarray:
     return np.diag(coeffs @ PARITY).astype(complex)
 
 
-def observables_from_distribution(dist: OutcomeDistribution) -> tuple[float, float, float]:
-    """(O_1, O_2, O_3) with O_i = 1 - 2 sum_{m: bit_i(m)=1} p(m); bit 1 is the LSB."""
-    p = dist.probs
+def observables_from_distribution(p: np.ndarray) -> tuple[float, float, float]:
+    """(O_1, O_2, O_3) with O_i = 1 - 2 sum_{m: bit_i(m)=1} p(m), p of shape (8,); bit 1 is the LSB."""
     out = []
     for i in range(3):
         mean_bit = sum(p[m] for m in range(8) if (m >> i) & 1)

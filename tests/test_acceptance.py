@@ -35,7 +35,7 @@ def test_c1_exhaustive_distribution_sweep():
     specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4)]
     for spec, sim in zip(specs, measurement.outcome_probabilities(run_instances(specs))):
         ref = measurement.analytic_distribution(order_of(spec.pi, spec.y))
-        worst = max(worst, float(np.max(np.abs(sim - ref.probs))))
+        worst = max(worst, float(np.max(np.abs(sim - ref))))
     _report("criterion 1 (96-case sweep vs analytic, 1e-10)", worst <= 1e-10, f"worst error {worst:.3e}")
 
 

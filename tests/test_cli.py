@@ -132,6 +132,18 @@ def test_run_bad_permutation_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--perm", "\u00b2,0,1,3", "--y", "0"], "bad image list: '\u00b2,0,1,3'"),
+    (["verify-sequence", "--perm", "()", "--y", "0", "--seq", "C35 C11"],
+     "bad sequence token 'C11': spin indices must be distinct, got (1, 1)"),
+], ids=["superscript-image", "same-spin"])
+def test_bad_text_exits_2_with_one_error_line_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(argv + (["--out", str(out)] if argv[0] == "run" else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_missing_molecule_key_exits_2(tmp_path, capsys):
     config = tmp_path / "mol.json"
     config.write_text(json.dumps({"shifts": [0, 1, 2, 3, 4]}))
@@ -415,9 +427,9 @@ def test_sweep_builds_each_circuit_once_per_process(tmp_path, monkeypatch, cold_
     built = []
     build = circuits.build_orderfinding
 
-    def counted(spec):
-        built.append(spec.pi)
-        return build(spec)
+    def counted(pi):
+        built.append(pi)
+        return build(pi)
 
     monkeypatch.setattr(circuits, "build_orderfinding", counted)
     assert main(["sweep", "--out", str(tmp_path / "a")]) == 0

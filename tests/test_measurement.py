@@ -14,9 +14,7 @@ from orderfinding.measurement import (
     GUESS_PRIOR,
     GUESS_STRATEGY,
     ORDERS,
-    GuessStrategy,
     InfeasibleInput,
-    OutcomeDistribution,
     QSqrt2,
     analytic_distribution,
     guess_success_per_r,
@@ -26,7 +24,7 @@ from orderfinding.measurement import (
     solve_guess_game,
 )
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation
-from orderfinding.simulator import DIM, Circuit, DensityOperator, expectation_Iz, run_circuits
+from orderfinding.simulator import DIM, DensityOperator, expectation_Iz, run_circuits
 
 SQRT2 = math.sqrt(2.0)
 PERMS = ALL_PERMUTATIONS
@@ -63,7 +61,7 @@ def test_derived_exact_entries_equal_the_typed_closed_forms(r):
 @pytest.mark.parametrize("r", ORDERS)
 def test_analytic_distribution_matches_closed_forms(r):
     dist = analytic_distribution(r)
-    assert dist.probs == pytest.approx(CLOSED_FORMS[r], abs=1e-14)
+    assert dist == pytest.approx(CLOSED_FORMS[r], abs=1e-14)
     assert [(a + b * SQRT2) / 64 for a, b in measurement._exact_closed_form(r)] == pytest.approx(CLOSED_FORMS[r],
                                                                                                    abs=1e-14)
 
@@ -79,33 +77,26 @@ def test_analytic_distribution_rejects_non_int_or_out_of_range_order(r):
         analytic_distribution(r)
 
 
-def test_distribution_and_strategy_keep_a_read_only_copy():
-    p = np.zeros(8)
-    p[0] = 1.0
-    dist = OutcomeDistribution(p)
-    g = np.full((8, 4), 0.25)
-    strategy = GuessStrategy(g)
-    p[0] = -7.0
-    g[0, 0] = 9.0
-    assert dist.probs[0] == 1.0 and strategy.g[0, 0] == 0.25
+def test_guess_solution_strategy_is_read_only():
+    # the CLI shares one solution across calls, so no caller may write its strategy
+    strategy = solve_guess_game().strategy
+    assert strategy.tobytes() == (np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR).tobytes()
     with pytest.raises(ValueError):
-        dist.probs[0] = 0.5
-    with pytest.raises(ValueError):
-        strategy.g[0, 0] = 0.5
+        strategy[0, 0] = 0.5
 
 
 @pytest.mark.parametrize("r", ORDERS)
 def test_analytic_distribution_is_built_once_and_read_only(r):
     dist = analytic_distribution(r)
     assert analytic_distribution(r) is dist
-    assert np.array_equal(dist.probs, measurement._analytic_distribution.__wrapped__(r).probs)
+    assert np.array_equal(dist, measurement._analytic_distribution.__wrapped__(r))
     with pytest.raises(ValueError):
-        dist.probs[0] = 0.5
+        dist[0] = 0.5
 
 
 @pytest.mark.parametrize("r", [1, 2, 4])
 def test_supports_on_multiples_of_eight_over_r(r):
-    probs = analytic_distribution(r).probs
+    probs = analytic_distribution(r)
     step = 8 // r
     for m in range(8):
         if m % step == 0:
@@ -114,9 +105,9 @@ def test_supports_on_multiples_of_eight_over_r(r):
             assert probs[m] == pytest.approx(0.0, abs=1e-12)
 
 
-def simulated(specs: list[OracleSpec]) -> list[OutcomeDistribution]:
-    """Each instance's outcome distribution, as `run` builds it, from one batch."""
-    return [OutcomeDistribution(row) for row in outcome_probabilities(run_instances(specs))]
+def simulated(specs: list[OracleSpec]) -> np.ndarray:
+    """Each instance's outcome distribution, one row each, as `run` builds it, from one batch."""
+    return outcome_probabilities(run_instances(specs))
 
 
 def observables_of(specs: list[OracleSpec]) -> np.ndarray:
@@ -127,19 +118,19 @@ def observables_of(specs: list[OracleSpec]) -> np.ndarray:
 
 def test_simulated_identity_is_delta_at_zero():
     (dist,) = simulated([OracleSpec(IDENTITY, 0)])
-    assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
+    assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulated_matches_analytic_for_order_two():
     (dist,) = simulated([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)])
-    assert np.max(np.abs(dist.probs - analytic_distribution(2).probs)) < 1e-12
+    assert np.max(np.abs(dist - analytic_distribution(2))) < 1e-12
 
 
 def test_simulated_matches_analytic_exhaustively():
     specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4)]
     for spec, dist in zip(specs, simulated(specs)):
         r = order_of(spec.pi, spec.y)
-        assert np.max(np.abs(dist.probs - analytic_distribution(r).probs)) < 1e-10
+        assert np.max(np.abs(dist - analytic_distribution(r))) < 1e-10
 
 
 def test_observable_anchors_per_order():
@@ -204,7 +195,7 @@ def test_guess_game_hardest_prior_is_pinned():
 def test_solve_guess_game_strategy_and_value():
     sol = solve_guess_game()
     assert 0.545 <= sol.value <= 0.560
-    assert sol.strategy.g.shape == (8, 4)
+    assert sol.strategy.shape == (8, 4)
 
 
 def test_guess_game_vertex_is_pinned():
@@ -342,9 +333,9 @@ def test_broken_stored_literal_names_the_failed_check(monkeypatch, name, stored,
 
 
 def test_guess_success_per_r_examples():
-    always_one = GuessStrategy(np.column_stack([np.ones(8), np.zeros(8), np.zeros(8), np.zeros(8)]))
+    always_one = np.column_stack([np.ones(8), np.zeros(8), np.zeros(8), np.zeros(8)])
     assert guess_success_per_r(always_one) == pytest.approx((1, 0, 0, 0), abs=1e-12)
-    uniform = GuessStrategy(np.full((8, 4), 0.25))
+    uniform = np.full((8, 4), 0.25)
     assert guess_success_per_r(uniform) == pytest.approx((0.25,) * 4, abs=1e-12)
 
 
@@ -356,18 +347,18 @@ def test_infer_order_from_distributions():
 
 def test_invalid_distribution_rejected():
     with pytest.raises(InfeasibleInput):
-        OutcomeDistribution(np.full(8, 0.2))
+        outcome_probabilities(np.full((1, DIM), np.sqrt(0.2 / 4)))  # Pr[m] = 0.2 each
+    heavy = np.zeros(DIM, dtype=complex)
+    heavy[0], heavy[4] = np.sqrt(1.5), 1j * np.sqrt(0.5)  # 1.5 on m = 0, 0.5 on m = 4
     with pytest.raises(InfeasibleInput):
-        OutcomeDistribution(np.array([1.5, -0.5, 0, 0, 0, 0, 0, 0]))
-    with pytest.raises(InfeasibleInput):
-        GuessStrategy(np.full((8, 4), 0.3))
+        outcome_probabilities(heavy[None])
 
 
 @given(st.integers(0, 23), st.integers(0, 3))
 def test_distribution_normalization_property(k, y):
     (dist,) = simulated([OracleSpec(PERMS[k], y)])
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.probs.min() >= -1e-12
+    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    assert dist.min() >= -1e-12
 
 
 def test_outcome_probabilities_rows_equal_the_one_row_distributions():
@@ -375,7 +366,7 @@ def test_outcome_probabilities_rows_equal_the_one_row_distributions():
     probs = outcome_probabilities(run_instances(specs))
     assert probs.shape == (len(specs), 8)
     for spec, row in zip(specs, probs):
-        assert row.tobytes() == simulated([spec])[0].probs.tobytes()
+        assert row.tobytes() == simulated([spec])[0].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.zeros(DIM), np.full(DIM, np.nan), np.full(DIM, 1.0)], ids=["zero", "nan", "heavy"])
@@ -393,16 +384,13 @@ def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("make", [  # a state is checked where it enters the runner
-    lambda v: run_circuits([Circuit()], np.full((1, DIM), v)),
-    lambda v: run_circuits([Circuit()], _with_entry(np.eye(DIM, dtype=complex)[:1], v)),
-    lambda v: OutcomeDistribution(np.full(8, v)),
-    lambda v: OutcomeDistribution(_with_entry(np.full(8, 1 / 8), v)),
-    lambda v: GuessStrategy(np.full((8, 4), v)),
-    lambda v: GuessStrategy(_with_entry(np.full((8, 4), 0.25), v)),
+    lambda v: run_circuits([()], np.full((1, DIM), v)),
+    lambda v: run_circuits([()], _with_entry(np.eye(DIM, dtype=complex)[:1], v)),
+    lambda v: outcome_probabilities(np.full((1, DIM), v)),
+    lambda v: outcome_probabilities(_with_entry(np.eye(DIM, dtype=complex)[:1], v)),
     lambda v: DensityOperator(np.full((DIM, DIM), v)),
     lambda v: DensityOperator(_with_entry(np.eye(DIM, dtype=complex) / DIM, v)),
-], ids=["state", "state-entry", "distribution", "distribution-entry", "strategy", "strategy-entry", "density",
-        "density-entry"])
+], ids=["state", "state-entry", "distribution", "distribution-entry", "density", "density-entry"])
 def test_validated_types_reject_non_finite_entries(make, value):
     with pytest.raises(ValueError):
         make(value)

@@ -122,7 +122,7 @@ def test_trajectory_and_oracle_stages_equal_the_power_reference():
     for pi in PERMS:
         for y in range(4):
             assert trajectory(pi, y) == tuple(power(pi, x)(y) for x in range(13))
-        assert [op.images for op in oracle_stages(pi).ops] == [power(pi, k).images for k in (1, 2, 4)]
+        assert [op.images for op in oracle_stages(pi)] == [power(pi, k).images for k in (1, 2, 4)]
 
 
 def test_oracle_identity_is_identity():
@@ -198,3 +198,14 @@ def test_parse_image_list_and_errors():
     for bad in ("(0 1", "(0 5)", "(0 1)(1 2)", "0,1,2", "(0 0)"):
         with pytest.raises(ValueError):
             parse_permutation(bad)
+
+
+@pytest.mark.parametrize("text", ["\u00b2,0,1,3", "1,0,3,\u00b9", "0,1,2,\u2463"])
+def test_image_list_digits_int_cannot_read_are_a_bad_image_list(text):
+    # str.isdigit passes superscripts and circled digits, but int() rejects them
+    with pytest.raises(ValueError, match=f"^bad image list: {re.escape(repr(text))}$"):
+        parse_permutation(text)
+
+
+def test_image_list_accepts_the_decimal_digits_int_reads():
+    assert parse_permutation("\u0661,\u0660,\u0663,\u0662") == parse_permutation("1,0,3,2")  # Arabic-Indic

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from orderfinding import simulator
 from orderfinding.simulator import (
     DIM,
-    Circuit,
     ConditionalZRotation,
     ControlledNot,
     ControlledPermutation,
@@ -31,7 +30,7 @@ def idx(bits: str) -> int:
 
 def run_gate(amps: np.ndarray, op) -> np.ndarray:
     """One gate on one state: the runner on a one-row batch of a one-op circuit."""
-    return run_circuits([Circuit((op,))], amps[None])[0]
+    return run_circuits([(op,)], amps[None])[0]
 
 
 def test_hadamard_on_ground_state():
@@ -54,11 +53,11 @@ def test_conditional_z_phase_convention():
 
 
 def test_empty_circuit_is_identity():
-    assert np.allclose(circuit_unitary(Circuit()), np.eye(DIM), atol=1e-15)
+    assert np.allclose(circuit_unitary(()), np.eye(DIM), atol=1e-15)
 
 
 def test_cnot_involution():
-    c = Circuit((ControlledNot(1, 2), ControlledNot(1, 2)))
+    c = (ControlledNot(1, 2), ControlledNot(1, 2))
     assert np.allclose(circuit_unitary(c), np.eye(DIM), atol=1e-12)
 
 
@@ -127,13 +126,13 @@ def test_norm_preserved_by_every_gate(state, op):
 
 @given(st.lists(gate_strategy(), max_size=100))
 def test_circuit_unitary_is_unitary(ops):
-    u = circuit_unitary(Circuit(tuple(ops)))
+    u = circuit_unitary(tuple(ops))
     assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-10
 
 
 @given(state_strategy(), st.lists(gate_strategy(), max_size=12))
 def test_gate_sequencing_matches_unitary_product(state, ops):
-    c = Circuit(tuple(ops))
+    c = tuple(ops)
     (stepped,) = run_circuits([c], state[None])
     assert np.max(np.abs(stepped - circuit_unitary(c) @ state)) < 1e-10
 
@@ -141,7 +140,7 @@ def test_gate_sequencing_matches_unitary_product(state, ops):
 @given(state_strategy(), st.lists(gate_strategy(), max_size=8))
 def test_density_conjugation_preserves_hermiticity_and_trace(state, ops):
     rho = np.outer(state, state.conj())
-    u = circuit_unitary(Circuit(tuple(ops)))
+    u = circuit_unitary(tuple(ops))
     evolved = DensityOperator(u @ rho @ u.conj().T, kind="normalized")  # validates hermiticity and unit trace
     assert evolved.kind == "normalized"
 
@@ -225,7 +224,7 @@ def test_apply_unitary_batch_equals_row_by_row(seed, k, n_spins):
 def test_run_circuits_batch_is_byte_equal_to_one_row_runs(cases):
     # rows that share an op value share one kernel call; that must not change a row's bytes
     shared = cases[0][1][2]  # the third op of every even row
-    circuits = [Circuit((*ops[:2], shared if i % 2 == 0 else ops[2], ops[3])) for i, (_, ops) in enumerate(cases)]
+    circuits = [(*ops[:2], shared if i % 2 == 0 else ops[2], ops[3]) for i, (_, ops) in enumerate(cases)]
     amps = np.array([state for state, _ in cases])
     batch = run_circuits(circuits, amps)
     assert batch.shape == amps.shape
@@ -238,7 +237,7 @@ def test_run_circuits_batch_is_byte_equal_to_one_row_runs(cases):
        st.lists(st.tuples(st.integers(0, 3), state_strategy()), min_size=1, max_size=8))
 def test_rows_sharing_a_circuit_object_are_byte_equal_to_one_row_runs(op_lists, rows):
     # the runner looks at each distinct circuit object once per step and maps its rows to it
-    circuits = [Circuit(tuple(ops)) for ops in op_lists]
+    circuits = [tuple(ops) for ops in op_lists]
     batch_circuits = [circuits[i % len(circuits)] for i, _ in rows]
     amps = np.array([state for _, state in rows])
     batch = run_circuits(batch_circuits, amps)
@@ -249,16 +248,16 @@ def test_rows_sharing_a_circuit_object_are_byte_equal_to_one_row_runs(op_lists, 
 def test_run_circuits_rejects_circuits_of_unequal_length():
     amps = BASIS[:2]
     with pytest.raises(ValueError, match="unequal lengths"):
-        run_circuits([Circuit((Hadamard(1),)), Circuit((Hadamard(1), Hadamard(2)))], amps)
+        run_circuits([(Hadamard(1),), (Hadamard(1), Hadamard(2))], amps)
     with pytest.raises(ValueError, match="unequal lengths"):
-        run_circuits([Circuit((Hadamard(1),)), Circuit()], amps)
+        run_circuits([(Hadamard(1),), ()], amps)
 
 
 def test_run_circuits_rejects_a_row_count_or_width_that_does_not_match():
     with pytest.raises(ValueError, match="shape"):
-        run_circuits([Circuit(), Circuit()], BASIS[:1])
+        run_circuits([(), ()], BASIS[:1])
     with pytest.raises(ValueError, match="shape"):
-        run_circuits([Circuit()], np.ones((1, 16)) / 4.0)
+        run_circuits([()], np.ones((1, 16)) / 4.0)
 
 
 _H_CX = (Hadamard(1), ControlledNot(1, 4))
@@ -270,7 +269,7 @@ _H_CX = (Hadamard(1), ControlledNot(1, 4))
 ], ids=["zero", "norm-two", "nan", "inf", "-inf"])
 def test_run_circuits_names_the_row_that_is_not_a_unit_vector(bad, ops):
     amps = np.array([BASIS[0], BASIS[1], bad, BASIS[2]])
-    circuits = [Circuit(ops)] * len(amps)
+    circuits = [ops] * len(amps)
     with pytest.raises(ValueError, match=r"^row 2: state norm"):
         run_circuits(circuits, amps)
 
@@ -332,10 +331,10 @@ def test_controlled_permutation_gather_is_byte_equal_to_the_matrix_kernel(contro
     amps /= np.linalg.norm(amps, axis=1)[:, None]
     ops = [ControlledPermutation(control, targets, images) for images in itertools.permutations(range(4))]
     expected = np.array([_matrix_controlled_permutation(row, op) for row, op in zip(amps, ops)])
-    gathered = run_circuits([Circuit((op,)) for op in ops], amps)  # one step of 24 distinct permutations
+    gathered = run_circuits([(op,) for op in ops], amps)  # one step of 24 distinct permutations
     assert gathered.tobytes() == expected.tobytes()
     for row, op, out in zip(amps, ops, expected):
-        assert run_circuits([Circuit((op,))], row[None])[0].tobytes() == out.tobytes()
+        assert run_circuits([(op,)], row[None])[0].tobytes() == out.tobytes()
         assert gate_unitary(op).tobytes() == _matrix_controlled_permutation(np.eye(DIM), op).T.tobytes()
 
 
@@ -353,17 +352,26 @@ def test_invalid_spin_indices_rejected():
     with pytest.raises(ValueError):
         run_gate(BASIS[0], ControlledNot(2, 2))
     with pytest.raises(ValueError):
-        Circuit((Hadamard(0),))
+        Hadamard(0)
     # equal to Hadamard(1) as a value, so a memoized lowering must never see them
     for spin in (1.0, True):
         with pytest.raises(ValueError):
-            Circuit((Hadamard(spin),))
+            Hadamard(spin)
+
+
+@pytest.mark.parametrize("circuit", [(object(),), (Hadamard(1), object())], ids=["alone", "after-a-gate"])
+def test_a_circuit_holding_a_non_gate_is_rejected_when_run(circuit):
+    # a circuit is a plain tuple, so the check is the lowering's, on the first use of each op
+    with pytest.raises(TypeError, match="not a gate op"):
+        run_circuits([circuit], BASIS[:1])
+    with pytest.raises(TypeError, match="not a gate op"):
+        circuit_unitary(circuit)
 
 
 def test_quantum_state_norm_validated():
     # a state that is not a unit vector is refused by the runner, its one way in
     with pytest.raises(ValueError, match="state norm"):
-        run_circuits([Circuit()], np.ones((1, DIM)))
+        run_circuits([()], np.ones((1, DIM)))
 
 
 def test_density_operator_validation():

@@ -1,10 +1,11 @@
 """Production coverage: which function-body statements of `orderfinding` no CLI input runs.
 
-Runs 15 CLI invocations in one process under a stdlib `sys.settrace` line
+Runs 17 CLI invocations in one process under a stdlib `sys.settrace` line
 tracer: every subcommand on its defaults, `run` also with the molecule
 file and `verify-sequence` also on a listing with P tokens, plus a bad
-sequence token, a bad permutation, a bad molecule, a missing molecule file
-and two bad grids.  A statement inside a function body counts as run when
+sequence token, a token naming one spin twice, a bad permutation, an image
+list with a digit int() cannot read, a bad molecule, a missing molecule
+file and two bad grids.  A statement inside a function body counts as run when
 its first line was reached; module-level statements run on import and are
 not counted.  Prints, per module, the never-run statements over the total
 and their line numbers.
@@ -39,7 +40,9 @@ def invocations(tmp: Path) -> list[list[str]]:
         vseq + ["--seq", "C35"],
         vseq + ["--seq", "C24 P34 P54 C35 P54", "--time-order", "listed"],
         vseq + ["--seq", "C35 X9"],
+        vseq + ["--seq", "C11"],
         ["run", "--perm", "(0 1", "--y", "0", "--out", str(tmp / "bad_perm")],
+        ["run", "--perm", "\u00b2,0,1,3", "--y", "0", "--out", str(tmp / "bad_image")],
         run + ["--molecule", str(bad_molecule)],
         run + ["--molecule", str(tmp / "missing.json")],
         run + ["--grid", "1,2"],
