@@ -65,21 +65,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-@functools.cache
-def _guess_game() -> measurement.GuessGameSolution:
-    """The guess game's stored optimum, certified once per process.
-
-    It does not depend on the instance.  `measurement.solve_guess_game` is
-    looked up on each call, and a failed certificate is not cached.
-    """
-    return measurement.solve_guess_game()
-
-
 def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.FrequencyGrid) -> int:
     """One instance end to end: `cmd_sweep`'s simulation and reductions on a one-row batch."""
     pi = parse_permutation(perm)
     spec = OracleSpec(pi, y)
-    params = spectra.load_molecule(molecule) if molecule else spectra.synthetic_molecule()
+    params = spectra.load_molecule(molecule) if molecule is not None else spectra.synthetic_molecule()
     out.mkdir(parents=True, exist_ok=True)
 
     amps = circuits.run_instances([spec])
@@ -99,7 +89,7 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.Fr
 
     r_true = order_of(pi, y)
     r_inferred = measurement.infer_order(probs)
-    game = _guess_game()
+    game = measurement.solve_guess_game()
     _write_json(out / "report.json", {
         "perm": format_cycles(pi),
         "y": y,
@@ -178,7 +168,7 @@ def cmd_guess_table(out: Path) -> int:
         "success_per_order": list(sol.per_order_success),
         "hardest_prior": [repr(p) for p in sol.prior],
     })
-    ok = all(s >= sol.value - 1e-6 for s in sol.per_order_success)
+    ok = all(s == sol.value for s in sol.per_order_success)
     print(f"guess-table: value = {sol.value:.6f} (exact {sol.exact_value!r}), "
           f"per-order success {'equalized' if ok else 'NOT equalized'}")
     return 0 if ok else 1

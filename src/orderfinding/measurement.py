@@ -14,16 +14,18 @@ outcome distribution is an (8,) float array of Pr[m], m = 0..7, and a guess
 strategy an (8, 4) array of Pr[guess ORDERS[k] | m]; the ones built here are
 read-only.
 
-The exact distributions are derived in Z[zeta_8], zeta = exp(2 pi i / 8): each
-coset sum S_a(m) is four ints, and |S_a(m)|^2 is an integer pair p + q sqrt 2,
-so Pr[m] is the pair (a, b) meaning (a + b sqrt 2) / 64.  The guess game's
-optimal vertex is stored as literals and certified on every
-`solve_guess_game()` call, in integers, on these pairs: the sums are ordered
-by the sign of a + b sqrt 2 (`sqrt2_sign`, after McConnell et al.,
-"Certifying algorithms", Comput. Sci. Rev. 5, 2011).  The pairs depend on
-nothing stored and are built once per process; the literals are read on
-every call.  By weak duality the value is exactly 60/109, a `QSqrt2` that is
-only built, read and printed.
+The outcome distributions exist once, exactly, in Z[zeta_8], zeta =
+exp(2 pi i / 8): each coset sum S_a(m) is four ints, and |S_a(m)|^2 is an
+integer pair p + q sqrt 2, so Pr[m] is the pair (a, b) meaning
+(a + b sqrt 2) / 64.  `analytic_distribution` is the floats of these pairs.
+The guess game's optimal vertex is stored as literals and certified on every
+`solve_guess_game()` call, in integers, on the same pairs: the sums are
+ordered by the sign of a + b sqrt 2 (`sqrt2_sign`, after McConnell et al.,
+"Certifying algorithms", Comput. Sci. Rev. 5, 2011), and the per-order
+successes it reports are the floats of the certificate's own sums.  The
+pairs depend on nothing stored and are built once per process; the literals
+are read on every call.  By weak duality the value is exactly 60/109, a
+`QSqrt2` that is only built, read and printed.
 """
 from __future__ import annotations
 
@@ -108,12 +110,11 @@ def _exact_closed_form(r: int) -> tuple[tuple[int, int], ...]:
 def analytic_distribution(r: int) -> np.ndarray:
     """Exact outcome distribution for an 8-point function of period r, a read-only (8,) array.
 
-    Computed by collapsing the second register and Fourier-transforming each
-    residue coset of {0..7} mod r; `_exact_closed_form(r)` takes the same coset
-    sums in Z[zeta_8], and the test suite cross-checks both against the closed
-    forms once typed here and against full circuit simulation.  Each order's
-    distribution is built once per process and shared by every caller.  `r`
-    must be an int (not a bool) in 1..4.
+    The floats of `_exact_closed_form(r)`'s pairs, (a + b sqrt 2) / 64; the
+    test suite checks those pairs against the closed forms once typed there
+    and against an exact evaluation of the circuit in Z[zeta_8].  Each
+    order's distribution is built once per process and shared by every
+    caller.  `r` must be an int (not a bool) in 1..4.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r not in ORDERS:
         raise ValueError(f"order {r} out of range 1..4")
@@ -122,12 +123,8 @@ def analytic_distribution(r: int) -> np.ndarray:
 
 @functools.cache
 def _analytic_distribution(r: int) -> np.ndarray:
-    probs = np.zeros(8)
-    for a in range(r):
-        xs = np.arange(a, 8, r)
-        for m in range(8):
-            probs[m] += abs(np.exp(2j * np.pi * m * xs / 8).sum()) ** 2
-    probs /= 64.0
+    a, b = np.array(_exact_closed_form(r)).T
+    probs = (a + b * np.sqrt(2.0)) / 64.0
     probs.flags.writeable = False
     return probs
 
@@ -164,13 +161,14 @@ class GuessGameSolution:
     per_order_success: tuple[float, float, float, float]
 
 
-def _certified_value(table, strategy, prior) -> QSqrt2:
-    """The guess-game value pinned by a strategy and a prior, or CertificateError naming the failed check.
+def _certified_value(table, strategy, prior) -> tuple[QSqrt2, tuple[QSqrt2, ...]]:
+    """The guess-game value pinned by a strategy and a prior, with the strategy's success on each order.
 
     Pr[m | order ORDERS[k]] = (a + b sqrt 2) / 64 for (a, b) = table[k][m], as `_exact_closed_form`
     gives it; strategy and prior count units of 1/GUESS_DENOMINATOR.  The strategy's worst success
     bounds the value from below, the prior's best-response value sum_m max_k prior[k] Pr[m | ORDERS[k]]
     from above.  Both are integer pairs (a, b) meaning (a + b sqrt 2) / (64 * GUESS_DENOMINATOR).
+    A failed check raises CertificateError naming it.
     """
     if len(strategy) != 8:
         raise CertificateError(f"guess strategy has {len(strategy)} rows, expected one per outcome m = 0..7")
@@ -180,9 +178,9 @@ def _certified_value(table, strategy, prior) -> QSqrt2:
     if len(prior) != len(ORDERS) or min(prior) < 0 or sum(prior) != GUESS_DENOMINATOR:
         raise CertificateError("hardest guess prior is not a distribution over the orders")
     by_value = functools.cmp_to_key(lambda u, v: sqrt2_sign(u[0] - v[0], u[1] - v[1]))
-    worst = min(((sum(table[k][m][0] * row[k] for m, row in enumerate(strategy)),
-                  sum(table[k][m][1] * row[k] for m, row in enumerate(strategy))) for k in range(len(ORDERS))),
-                key=by_value)
+    successes = [(sum(table[k][m][0] * row[k] for m, row in enumerate(strategy)),
+                  sum(table[k][m][1] * row[k] for m, row in enumerate(strategy))) for k in range(len(ORDERS))]
+    worst = min(successes, key=by_value)
     tops = [max(((table[k][m][0] * p, table[k][m][1] * p) for k, p in enumerate(prior)), key=by_value)
             for m in range(8)]
     best = (sum(a for a, _ in tops), sum(b for _, b in tops))
@@ -193,23 +191,18 @@ def _certified_value(table, strategy, prior) -> QSqrt2:
 
     if worst != best:
         raise CertificateError(f"guess-game certificate failed: strategy {value(worst)!r} != prior {value(best)!r}")
-    return value(worst)
+    return value(worst), tuple(map(value, successes))
 
 
 def solve_guess_game() -> GuessGameSolution:
     """The maximin guess strategy and the hardest prior over r: the stored vertex, certified on every call."""
-    value = _certified_value([_exact_closed_form(r) for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
+    value, successes = _certified_value([_exact_closed_form(r) for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
     strategy = np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR
-    strategy.flags.writeable = False  # shared: the CLI keeps one solution per process
+    strategy.flags.writeable = False
     return GuessGameSolution(
         strategy=strategy,
         value=float(value),
         exact_value=value,
         prior=tuple(QSqrt2(Fraction(p, GUESS_DENOMINATOR)) for p in GUESS_PRIOR),
-        per_order_success=guess_success_per_r(strategy),
+        per_order_success=tuple(map(float, successes)),
     )
-
-
-def guess_success_per_r(strategy: np.ndarray) -> tuple[float, float, float, float]:
-    """Pr[r' = r | r] for each order r under strategy (8, 4), on the analytic distributions."""
-    return tuple(float(np.dot(analytic_distribution(r), strategy[:, k])) for k, r in enumerate(ORDERS))

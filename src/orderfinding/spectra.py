@@ -289,12 +289,16 @@ def render_spectrum(lines: list[SpectralLine], params: MoleculeParams, grid: Fre
     """Superpose one complex Lorentzian per line on a uniform frequency grid.
 
     Each unit line integrates to 1 in its real part and peaks at
-    2/(pi*linewidth): amplitude * (1/pi) / (hwhm - i(f - f_line)).
+    2/(pi*linewidth): amplitude * (1/pi) / (hwhm - i(f - f_line)).  A
+    linewidth so narrow that a peak overflows raises ValueError naming it.
     """
     freqs = np.linspace(grid.f_min, grid.f_max, grid.points)
     hwhm = params.linewidth_hz / 2.0
     trace = np.zeros(grid.points, dtype=complex)
-    for line in lines:
-        if line.amplitude != 0:
-            trace += line.amplitude / np.pi / (hwhm - 1j * (freqs - line.frequency_hz))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        for line in lines:
+            if line.amplitude != 0:
+                trace += line.amplitude / np.pi / (hwhm - 1j * (freqs - line.frequency_hz))
+    if not np.isfinite(trace).all():
+        raise ValueError(f"linewidth_hz {params.linewidth_hz!r} is too narrow: the rendered spectrum is not finite")
     return Spectrum(tuple(lines), freqs, trace)

@@ -127,6 +127,28 @@ def test_run_with_molecule_config(tmp_path):
     assert freqs == {0.0}  # no couplings: all lines at the spin-1 shift
 
 
+@pytest.mark.parametrize("linewidth", ["5e-324", "1e-308"])
+def test_run_too_narrow_linewidth_exits_2_without_a_non_finite_spectrum(tmp_path, capsys, linewidth):
+    # no couplings put all 16 lines of spin 1 on the grid point 0.0, where a peak 2/(pi*linewidth) overflows
+    config = tmp_path / "mol.json"
+    config.write_text('{"shifts": [0, 10, 20, 30, 40], "J": ' + json.dumps([[0] * 5] * 5)
+                      + f', "linewidth_hz": {linewidth}}}')
+    out = tmp_path / "run"
+    assert main(["run", "--perm", "(0 1 2 3)", "--y", "0", "--molecule", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: linewidth_hz {linewidth} is too narrow: "
+                                       "the rendered spectrum is not finite\n")
+    assert not (out / "spectrum_spin1.csv").exists()
+
+
+def test_run_empty_molecule_path_is_read_not_ignored(tmp_path, capsys, monkeypatch):
+    # an empty path names the working directory, as "." does; it must not fall back to the synthetic molecule
+    monkeypatch.chdir(tmp_path)
+    for molecule in ("", "."):
+        assert main(["run", "--perm", "()", "--y", "0", "--molecule", molecule, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '.'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_bad_permutation_exits_2(tmp_path, capsys):
     assert main(["run", "--perm", "(0 9)", "--y", "0", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -312,7 +334,6 @@ def test_run_grid_text_runs_or_exits_2_without_a_traceback(grid):
 ], ids=["classical", "guess-table", "run"])
 def test_certificate_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, module, name, replacement,
                                                          argv, message):
-    cli._guess_game.cache_clear()  # a fresh CLI process starts without a solved guess game
     monkeypatch.setattr(module, name, replacement)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -383,29 +404,7 @@ def test_cli_csv_files_equal_their_csv_module_reserialization(tmp_path):
         assert text == _reference_csv(header, parsed), name
 
 
-@pytest.fixture
-def cold_guess_memo():
-    cli._guess_game.cache_clear()
-    yield
-    cli._guess_game.cache_clear()
-
-
-def test_guess_game_is_solved_once_per_process(tmp_path, monkeypatch, cold_guess_memo):
-    calls = []
-    solve = measurement.solve_guess_game
-
-    def counted():
-        calls.append(None)
-        return solve()
-
-    monkeypatch.setattr(measurement, "solve_guess_game", counted)
-    for out in ("a", "b"):
-        assert main(["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path / out)]) == 0
-    assert len(calls) == 1
-    assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
-
-
-def test_failed_guess_game_solve_is_not_cached(tmp_path, capsys, monkeypatch, cold_guess_memo):
+def test_failed_guess_game_solve_is_not_cached(tmp_path, capsys, monkeypatch):
     argv = ["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp_path)]
     with monkeypatch.context() as patch:
         patch.setattr(measurement, "GUESS_PRIOR", (12, 21, 32, 44))

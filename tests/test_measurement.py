@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense_reference import observables_from_distribution
-from exact_reference import QSqrt2Field
+from exact_reference import QSqrt2Field, as_complex, exact_distribution, exact_state
 from orderfinding import CertificateError, measurement
-from orderfinding.circuits import run_instances
+from orderfinding.circuits import build_orderfinding, run_instances
 from orderfinding.measurement import (
     GUESS_DENOMINATOR,
     GUESS_PRIOR,
@@ -17,7 +17,6 @@ from orderfinding.measurement import (
     InfeasibleInput,
     QSqrt2,
     analytic_distribution,
-    guess_success_per_r,
     infer_order,
     m_from_register_index,
     outcome_probabilities,
@@ -30,8 +29,8 @@ SQRT2 = math.sqrt(2.0)
 PERMS = ALL_PERMUTATIONS
 
 # frozen closed forms; the r=3 row was re-derived by Fourier-transforming the
-# cosets {0,3,6}, {1,4,7}, {2,5} by hand and is cross-checked against both
-# the coset sum and full circuit simulation below
+# cosets {0,3,6}, {1,4,7}, {2,5} by hand and is cross-checked against the
+# exact coset sums and full circuit simulation below
 CLOSED_FORMS = {
     1: [1, 0, 0, 0, 0, 0, 0, 0],
     2: [0.5, 0, 0, 0, 0.5, 0, 0, 0],
@@ -58,12 +57,28 @@ def test_derived_exact_entries_equal_the_typed_closed_forms(r):
     assert measurement._exact_closed_form(r) is exact  # built once per process
 
 
+def test_exact_circuit_distributions_equal_the_exact_closed_forms():
+    # the link from the circuit to the distribution, with no tolerance: each instance's circuit run in
+    # Z[zeta_8] gives Pr[m] as pairs over 64 equal to its order's pairs, and the float runner is within
+    # 1e-15 of the exact amplitudes
+    specs = [OracleSpec(pi, y) for pi in PERMS for y in range(4)]
+    for spec, amps in zip(specs, run_instances(specs)):
+        state, hadamards = exact_state(build_orderfinding(spec.pi), spec.y)
+        assert exact_distribution(state, hadamards) == (measurement._exact_closed_form(order_of(spec.pi, spec.y)), 64)
+        assert max(abs(as_complex(c, hadamards) - a) for c, a in zip(state, amps.tolist())) <= 1e-15, spec
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_analytic_distribution_is_the_floats_of_the_exact_pairs(r):
+    exact = measurement._exact_closed_form(r)
+    assert analytic_distribution(r).tolist() == [(a + b * SQRT2) / 64 for a, b in exact]
+    assert [analytic_distribution(r)[m] for m in range(1, 8)] == [analytic_distribution(r)[8 - m] for m in range(1, 8)]
+
+
 @pytest.mark.parametrize("r", ORDERS)
 def test_analytic_distribution_matches_closed_forms(r):
     dist = analytic_distribution(r)
     assert dist == pytest.approx(CLOSED_FORMS[r], abs=1e-14)
-    assert [(a + b * SQRT2) / 64 for a, b in measurement._exact_closed_form(r)] == pytest.approx(CLOSED_FORMS[r],
-                                                                                                   abs=1e-14)
 
 
 def test_analytic_distribution_rejects_bad_order():
@@ -78,7 +93,6 @@ def test_analytic_distribution_rejects_non_int_or_out_of_range_order(r):
 
 
 def test_guess_solution_strategy_is_read_only():
-    # the CLI shares one solution across calls, so no caller may write its strategy
     strategy = solve_guess_game().strategy
     assert strategy.tobytes() == (np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR).tobytes()
     with pytest.raises(ValueError):
@@ -178,7 +192,7 @@ def test_guess_game_value_is_60_over_109():
     sol = solve_guess_game()
     assert sol.exact_value == QSqrt2(Fraction(60, 109))
     assert sol.value == pytest.approx(0.5504587155963303, abs=1e-12)
-    assert all(s >= sol.value - 1e-9 for s in sol.per_order_success)
+    assert sol.per_order_success == (sol.value,) * 4
     # dual certificate: the hardest prior's best response equals the value
     exact = [measurement._exact_closed_form(r) for r in ORDERS]
     payoffs = [[QSqrt2Field(Fraction(a, 64), Fraction(b, 64)) for a, b in (row[m] for row in exact)] for m in range(8)]
@@ -212,7 +226,7 @@ def test_certificate_transports_under_order_relabeling(relabeling):
     exact = [measurement._exact_closed_form(ORDERS[k]) for k in relabeling]
     strategy = [[row[k] for k in relabeling] for row in GUESS_STRATEGY]
     prior = [GUESS_PRIOR[k] for k in relabeling]
-    assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(60, 109))
+    assert measurement._certified_value(exact, strategy, prior)[0] == QSqrt2(Fraction(60, 109))
     if relabeling != (0, 1, 2, 3):
         with pytest.raises(CertificateError, match="certificate failed"):
             measurement._certified_value(exact, GUESS_STRATEGY, GUESS_PRIOR)
@@ -239,18 +253,19 @@ def test_certified_value_accepts_a_prior_with_zero_masses():
     strategy = [tuple(GUESS_DENOMINATOR * (k == (m if m < 4 else 0)) for k in range(4)) for m in range(8)]
     for k in range(4):
         prior = tuple(GUESS_DENOMINATOR * (j == k) for j in range(4))
-        assert measurement._certified_value(exact, strategy, prior) == QSqrt2(Fraction(1))
+        assert measurement._certified_value(exact, strategy, prior)[0] == QSqrt2(Fraction(1))
 
 
-def _reference_certified_value(exact, strategy, prior) -> QSqrt2Field:
+def _reference_certified_value(exact, strategy, prior) -> tuple[QSqrt2Field, tuple[QSqrt2Field, ...]]:
     """The field sums the certificate made before it moved to integer pairs: the reference."""
     exact = [[QSqrt2Field(Fraction(a, 64), Fraction(b, 64)) for a, b in entries] for entries in exact]
     zero, unit = QSqrt2Field(), Fraction(1, GUESS_DENOMINATOR)
-    worst = min(sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS)))
+    successes = [sum((exact[k][m] * row[k] for m, row in enumerate(strategy)), zero) for k in range(len(ORDERS))]
+    worst = min(successes)
     best = sum((max(exact[k][m] * p for k, p in enumerate(prior)) for m in range(8)), zero)
     if worst != best:
         raise CertificateError(f"guess-game certificate failed: strategy {worst * unit!r} != prior {best * unit!r}")
-    return worst * unit
+    return worst * unit, tuple(s * unit for s in successes)
 
 
 def _split(draw, total: int, size: int) -> tuple[int, ...]:
@@ -284,8 +299,9 @@ def test_integer_certificate_equals_the_qsqrt2_reference(vertex):
             measurement._certified_value(exact, strategy, prior)
         assert str(got.value) == str(error)
     else:
-        got = measurement._certified_value(exact, strategy, prior)
-        assert got == expected and repr(got) == repr(expected)
+        value, successes = measurement._certified_value(exact, strategy, prior)
+        assert value == expected[0] and repr(value) == repr(expected[0])
+        assert successes == expected[1]
 
 
 def _moved(cells, source, target):
@@ -332,11 +348,14 @@ def test_broken_stored_literal_names_the_failed_check(monkeypatch, name, stored,
         solve_guess_game()
 
 
-def test_guess_success_per_r_examples():
-    always_one = np.column_stack([np.ones(8), np.zeros(8), np.zeros(8), np.zeros(8)])
-    assert guess_success_per_r(always_one) == pytest.approx((1, 0, 0, 0), abs=1e-12)
-    uniform = np.full((8, 4), 0.25)
-    assert guess_success_per_r(uniform) == pytest.approx((0.25,) * 4, abs=1e-12)
+def test_per_order_success_is_the_floats_of_the_exact_sums():
+    # Pr[guess r | r] = sum_m Pr[m | r] strategy[m][r], summed in Q(sqrt 2) and only then read as a float
+    exact = [[QSqrt2Field(Fraction(a, 64), Fraction(b, 64)) for a, b in measurement._exact_closed_form(r)]
+             for r in ORDERS]
+    sums = [sum((exact[k][m] * Fraction(row[k], GUESS_DENOMINATOR) for m, row in enumerate(GUESS_STRATEGY)),
+                QSqrt2Field()) for k in range(len(ORDERS))]
+    assert sums == [QSqrt2Field(Fraction(60, 109))] * 4
+    assert solve_guess_game().per_order_success == tuple(map(float, sums)) == (0.5504587155963303,) * 4
 
 
 def test_infer_order_from_distributions():

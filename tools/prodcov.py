@@ -1,11 +1,12 @@
 """Production coverage: which function-body statements of `orderfinding` no CLI input runs.
 
-Runs 17 CLI invocations in one process under a stdlib `sys.settrace` line
+Runs 19 CLI invocations in one process under a stdlib `sys.settrace` line
 tracer: every subcommand on its defaults, `run` also with the molecule
 file and `verify-sequence` also on a listing with P tokens, plus a bad
 sequence token, a token naming one spin twice, a bad permutation, an image
-list with a digit int() cannot read, a bad molecule, a missing molecule
-file and two bad grids.  A statement inside a function body counts as run when
+list with a digit int() cannot read, a bad molecule, a molecule whose
+linewidth is too narrow to render, an empty and a missing molecule path,
+and two bad grids.  A statement inside a function body counts as run when
 its first line was reached; module-level statements run on import and are
 not counted.  Prints, per module, the never-run statements over the total
 and their line numbers.
@@ -30,6 +31,9 @@ MOLECULE = ROOT / "configs" / "molecule_synthetic.json"
 def invocations(tmp: Path) -> list[list[str]]:
     bad_molecule = tmp / "bad_molecule.json"
     bad_molecule.write_text('{"shifts": [0.0, 1.0], "J": [], "linewidth_hz": 1.0}\n')
+    narrow_molecule = tmp / "narrow_molecule.json"  # no couplings: spin 1's lines peak on one grid point
+    narrow_molecule.write_text('{"shifts": [0, 10, 20, 30, 40], "J": ' + str([[0] * 5] * 5)
+                               + ', "linewidth_hz": 5e-324}\n')
     run = ["run", "--perm", "(0 1 2 3)", "--y", "0", "--out", str(tmp / "run")]
     vseq = ["verify-sequence", "--perm", "(0 1)(2 3)", "--y", "0"]
     return [
@@ -44,6 +48,8 @@ def invocations(tmp: Path) -> list[list[str]]:
         ["run", "--perm", "(0 1", "--y", "0", "--out", str(tmp / "bad_perm")],
         ["run", "--perm", "\u00b2,0,1,3", "--y", "0", "--out", str(tmp / "bad_image")],
         run + ["--molecule", str(bad_molecule)],
+        run + ["--molecule", str(narrow_molecule)],
+        run + ["--molecule", ""],
         run + ["--molecule", str(tmp / "missing.json")],
         run + ["--grid", "1,2"],
         run + ["--grid", "60,-60,4001"],

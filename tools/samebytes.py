@@ -5,9 +5,10 @@ Runs every invocation of `tools/prodcov.py` (`invocations`) plus `-h`,
 NEW_TREE, each as its own `python -m orderfinding.cli` process with
 `PYTHONPATH=<tree>/src`.  Every process starts in the same working
 directory, emptied before each run, so paths in messages and output
-files match.  Prints one line per invocation, "same" or the first
-difference (exit code, stdout, stderr, or the first file that differs,
-each with its first differing line), then a count, and exits 1 if any
+files match.  Prints one line per invocation, "same" or the number of
+fields and files that differ, and under it one indented line per differing
+field (exit code, stdout, stderr) or file, with its first differing line
+and its number of differing lines.  Ends with a count, and exits 1 if any
 invocation differs.
 
 Usage: python3 tools/samebytes.py OLD_TREE NEW_TREE
@@ -41,15 +42,19 @@ def run(tree: Path, work: Path, index: int) -> tuple[list[str], dict[str, bytes]
     return argv, outcome
 
 
-def first_difference(old: dict[str, bytes], new: dict[str, bytes]) -> str | None:
+def differences(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """One line per field or file that differs: its first differing line and how many lines differ."""
+    found = []
     for key in [*old, *(k for k in new if k not in old)]:
         if key not in new or key not in old:
-            return f"{key} only in {'old' if key in old else 'new'}"
-        if old[key] != new[key]:
+            found.append(f"{key} only in {'old' if key in old else 'new'}")
+        elif old[key] != new[key]:
             pairs = itertools.zip_longest(old[key].splitlines(True), new[key].splitlines(True), fillvalue=b"")
-            line, (a, b) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
-            return f"{key} line {line}: old {a.decode(errors='replace')!r}, new {b.decode(errors='replace')!r}"
-    return None
+            differing = [(n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b]
+            line, a, b = differing[0]
+            found.append(f"{key} line {line} ({len(differing)} lines differ): "
+                         f"old {a.decode(errors='replace')!r}, new {b.decode(errors='replace')!r}")
+    return found
 
 
 def main() -> int:
@@ -64,10 +69,12 @@ def main() -> int:
         for index in range(count):
             argv, old = run(old_tree, work, index)
             _, new = run(new_tree, work, index)
-            difference = first_difference(old, new)
-            differ += difference is not None
+            found = differences(old, new)
+            differ += bool(found)
             shown = shlex.join(argv).replace(str(work), "WORK").replace(str(ROOT), "REPO") or "(no arguments)"
-            print(f"{shown}: {difference or 'same'}")
+            print(f"{shown}: {f'{len(found)} differ' if found else 'same'}")
+            for line in found:
+                print(f"  {line}")
     print(f"{count} invocations, {differ} differ")
     return 1 if differ else 0
 
