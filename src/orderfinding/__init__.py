@@ -1,6 +1,7 @@
 """Simulator and verification suite for the five-spin order-finding experiment.
 
-Submodules: simulator (dense five-spin state/operator algebra), permutations
+Submodules: gates (the basis convention and the frozen gate values, without
+numpy), simulator (dense five-spin state/operator algebra), permutations
 (the oracle's permutations, their powers and trajectories), circuits (QFT,
 order-finding circuit with its controlled permutation stages, native
 pulse-sequence verification), prodops (product-operator temporal labeling),

@@ -15,7 +15,7 @@ Two listing conventions are in use, resolved empirically during bring-up:
   implement their oracles (the order-4 listing fails for every permutation
   and start element when read chronologically).
 
-Every builder and parser here returns a `simulator.Circuit`, a plain tuple
+Every builder and parser here returns a `gates.Circuit`, a plain tuple
 of gate ops in time order (first op acts first); parse_readout_listing
 applies the operator-product reversal.  A token that names one spin twice,
 such as C11, is rejected with the token named.
@@ -24,16 +24,10 @@ The second register holds the permuted element y = y1 y0, y1 on spin 4 and
 y0 on spin 5; the exponent register holds x = x2 x1 x0, x2 on spin 1 (most
 significant), x1 on spin 2 and x0 on spin 3.
 
-`run_instances` simulates order-finding instances, one or many, as one
-(k, 32) amplitude array through `simulator.run_circuits`: row i starts as
-the basis state |000>|y_i> and ends as instance i's final state.  The
-circuit depends only on the permutation, so each permutation's circuit is
-built once per process and kept, a cache of at most 24 circuits.  The
-Hadamard front and the QFT hold the same op on every row, so each of their
-steps is one kernel call on the whole batch.  The oracle's three stages
-(`oracle_stages`, read from the permutation's trajectories) are controlled
-permutations, so each stage is one exact index gather, every row through
-its own permutation's source index.
+The order-finding circuit (`build_orderfinding`) is the Hadamard front,
+the oracle's three controlled permutation stages (`oracle_stages`, read
+from the permutation's trajectories) and the QFT; `simulator.run_instances`
+runs it.  This module imports neither numpy nor `simulator`.
 
 Oracle checks are exact: each native op sends a basis state to one basis
 state times a power of i, so a listing is followed branch by branch as a
@@ -43,15 +37,9 @@ and the preparation cross-check (`prodops.apply_prep_dense`).
 """
 from __future__ import annotations
 
-import functools
 import re
-from collections.abc import Sequence
 
-import numpy as np
-
-from .permutations import N_ELEMENTS, OracleSpec, Permutation, power, trajectory
-from .simulator import (
-    DIM,
+from .gates import (
     N_SPINS,
     Circuit,
     ConditionalZRotation,
@@ -61,8 +49,8 @@ from .simulator import (
     Hadamard,
     NotGate,
     bit_of,
-    run_circuits,
 )
+from .permutations import N_ELEMENTS, Permutation, power, trajectory
 
 _TOKEN_RE = re.compile(r"([CPN])([1-5])([1-5]?)('?)")
 
@@ -107,12 +95,6 @@ def build_qft3(include_final_swap: bool) -> Circuit:
     return tuple(ops)
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """n-point DFT with entries omega^{jk}/sqrt(n), omega = exp(2*pi*i/n)."""
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
-
-
 def oracle_stages(pi: Permutation) -> Circuit:
     """The oracle |x>|y> -> |x>|pi^x(y)> as three controlled permutation stages.
 
@@ -138,22 +120,6 @@ def build_orderfinding(pi: Permutation) -> Circuit:
     the QFT without final swap (bit-reversed output).
     """
     return _HADAMARD_FRONT + oracle_stages(pi) + _QFT_NO_SWAP
-
-
-@functools.cache
-def _orderfinding_circuit(pi: Permutation) -> Circuit:
-    """`build_orderfinding(pi)`, built once per process and shared by every instance of pi."""
-    return build_orderfinding(pi)
-
-
-def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
-    """Final amplitudes of the order-finding circuit, one (32,) row per instance, as one batch.
-
-    The circuit depends only on the permutation, so each permutation's
-    circuit is built once per process, a cache of at most 24 circuits.
-    """
-    inputs = np.eye(DIM, dtype=complex)[[spec.y for spec in specs]]  # row i is |000>|y1 y0> of spec i
-    return run_circuits([_orderfinding_circuit(spec.pi) for spec in specs], inputs)
 
 
 def native_image(seq: Circuit, index: int) -> tuple[int, int]:

@@ -4,6 +4,10 @@ Subcommands: run, sweep, prep-verify, guess-table, classical, qft-check,
 verify-sequence.  All outputs are plain CSV/JSON with stable key and column
 order, so identical inputs produce byte-identical files.  Exit status is 0
 only if every verification invoked by the subcommand passes.
+
+Each subcommand imports only the modules it runs, inside its `cmd_*`
+function, so importing this module loads no other submodule and no numpy,
+and `classical`, `prep-verify` and `verify-sequence` run without numpy.
 """
 from __future__ import annotations
 
@@ -13,23 +17,28 @@ import json
 import sys
 from collections.abc import Iterable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import CertificateError
 
-from . import CertificateError, circuits, classical, measurement, prodops, spectra
-from .permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation, permutation_names
-from .simulator import DensityOperator, circuit_unitary, expectation_Iz
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .permutations import OracleSpec
+    from .spectra import FrequencyGrid
 
 SWEEP_TOL = 1e-10
 _QUOTED = frozenset(',"\r\n')  # csv.writer would quote a cell holding one, or csv.reader split it
 
 
-def _parse_grid(text: str) -> spectra.FrequencyGrid:
+def _parse_grid(text: str) -> FrequencyGrid:
+    from .spectra import FrequencyGrid
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be fmin,fmax,points")
     try:
-        return spectra.FrequencyGrid(float(parts[0]), float(parts[1]), int(parts[2]))
+        return FrequencyGrid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from err
 
@@ -65,32 +74,31 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.FrequencyGrid) -> int:
-    """One instance end to end: `cmd_sweep`'s simulation and reductions on a one-row batch."""
+def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: FrequencyGrid) -> int:
+    """One instance end to end: `cmd_sweep`'s simulation and reductions on a one-row batch.
+
+    Every output is computed before the first file is written, so a failure
+    leaves `out` as it was.
+    """
+    import numpy as np
+
+    from . import measurement, spectra
+    from .permutations import OracleSpec, format_cycles, order_of, parse_permutation
+    from .simulator import DensityOperator, expectation_Iz, run_instances
+
     pi = parse_permutation(perm)
     spec = OracleSpec(pi, y)
     params = spectra.load_molecule(molecule) if molecule is not None else spectra.synthetic_molecule()
-    out.mkdir(parents=True, exist_ok=True)
 
-    amps = circuits.run_instances([spec])
+    amps = run_instances([spec])
     probs = measurement.outcome_probabilities(amps)[0]
-    _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), probs.tolist()])
-
     observables = expectation_Iz(amps * amps.conj())[0].tolist()
-    _write_json(out / "observables.json", {"O": observables})
-
     lines = spectra.readout_lines(DensityOperator(np.outer(amps[0], amps[0].conj())), 1, params)
-    _write_csv(out / "lines_spin1.csv", ["spin", "label", "frequency_hz", "amp_real", "amp_imag"],
-               [[l.spin for l in lines], [l.label for l in lines], [l.frequency_hz for l in lines],
-                [l.amplitude.real for l in lines], [l.amplitude.imag for l in lines]])
     spectrum = spectra.render_spectrum(lines, params, grid)
-    _write_csv(out / "spectrum_spin1.csv", ["frequency_hz", "real", "imag"],
-               [spectrum.frequencies_hz.tolist(), spectrum.trace.real.tolist(), spectrum.trace.imag.tolist()])
-
     r_true = order_of(pi, y)
     r_inferred = measurement.infer_order(probs)
     game = measurement.solve_guess_game()
-    _write_json(out / "report.json", {
+    report = {
         "perm": format_cycles(pi),
         "y": y,
         "r_inferred": r_inferred,
@@ -98,7 +106,17 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: spectra.Fr
         "distribution_error": float(np.abs(probs - measurement.analytic_distribution(r_true)).max()),
         "guess_value": game.value,
         "guess_success_per_order": list(game.per_order_success),
-    })
+    }
+
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "distribution.csv", ["m", "probability"], [list(range(8)), probs.tolist()])
+    _write_json(out / "observables.json", {"O": observables})
+    _write_csv(out / "lines_spin1.csv", ["spin", "label", "frequency_hz", "amp_real", "amp_imag"],
+               [[l.spin for l in lines], [l.label for l in lines], [l.frequency_hz for l in lines],
+                [l.amplitude.real for l in lines], [l.amplitude.imag for l in lines]])
+    _write_csv(out / "spectrum_spin1.csv", ["frequency_hz", "real", "imag"],
+               [spectrum.frequencies_hz.tolist(), spectrum.trace.real.tolist(), spectrum.trace.imag.tolist()])
+    _write_json(out / "report.json", report)
     print(f"perm={format_cycles(pi)} y={y}: r={r_inferred}  O=" +
           "(" + ", ".join(f"{v:.6g}" for v in observables) + ")")
     return 0 if r_inferred == r_true else 1
@@ -111,19 +129,29 @@ def _sweep_table() -> tuple[tuple[OracleSpec, ...], tuple[tuple[str, int, int], 
     Built once per process: the distributions are a read-only (96, 8)
     array.  The simulation and its checks still run on every sweep.
     """
+    import numpy as np
+
+    from .measurement import analytic_distribution
+    from .permutations import ALL_PERMUTATIONS, OracleSpec, order_of, permutation_names
+
     specs = tuple(OracleSpec(pi, y) for pi in ALL_PERMUTATIONS for y in range(4))
     names = dict(zip(ALL_PERMUTATIONS, permutation_names()))
     labels = tuple((names[spec.pi], spec.y, order_of(spec.pi, spec.y)) for spec in specs)
-    analytic = np.array([measurement.analytic_distribution(r) for _, _, r in labels])
+    analytic = np.array([analytic_distribution(r) for _, _, r in labels])
     analytic.flags.writeable = False
     return specs, labels, analytic
 
 
 def cmd_sweep(out: Path) -> int:
+    import numpy as np
+
+    from .measurement import outcome_probabilities
+    from .simulator import expectation_Iz, run_instances
+
     out.mkdir(parents=True, exist_ok=True)
     specs, labels, analytic = _sweep_table()
-    amps = circuits.run_instances(specs)
-    errors = np.abs(measurement.outcome_probabilities(amps) - analytic).max(axis=1)
+    amps = run_instances(specs)
+    errors = np.abs(outcome_probabilities(amps) - analytic).max(axis=1)
     observables = expectation_Iz(amps * amps.conj())
     rows = [(*label, err, *o) for label, err, o in zip(labels, errors.tolist(), observables.tolist())]
     _write_csv(out / "sweep.csv",
@@ -136,6 +164,8 @@ def cmd_sweep(out: Path) -> int:
 
 
 def cmd_prep_verify(out: Path) -> int:
+    from . import prodops
+
     out.mkdir(parents=True, exist_ok=True)
     seqs = prodops.standard_prep_sequences()
     report = prodops.verify_prep_set(seqs)
@@ -156,6 +186,8 @@ def cmd_prep_verify(out: Path) -> int:
 
 
 def cmd_guess_table(out: Path) -> int:
+    from . import measurement
+
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"],
                [list(range(8))] + [measurement.analytic_distribution(r).tolist() for r in measurement.ORDERS])
@@ -175,6 +207,8 @@ def cmd_guess_table(out: Path) -> int:
 
 
 def cmd_classical(out: Path) -> int:
+    from . import classical
+
     out.mkdir(parents=True, exist_ok=True)
     one = classical.one_query_value()
     two = classical.two_query_certainty()
@@ -214,12 +248,19 @@ def cmd_classical(out: Path) -> int:
 
 
 def cmd_qft_check() -> int:
-    dft = circuits.dft_matrix(8)
+    import numpy as np
+
+    from .circuits import build_qft3
+    from .measurement import m_from_register_index
+    from .simulator import circuit_unitary
+
+    j, k = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    dft = np.exp(2j * np.pi * j * k / 8) / np.sqrt(8)  # entries omega^{jk}/sqrt(8), omega = exp(2 pi i/8)
     eye4 = np.eye(4)
-    u_swap = circuit_unitary(circuits.build_qft3(True))
+    u_swap = circuit_unitary(build_qft3(True))
     err_swap = float(np.max(np.abs(u_swap - np.kron(dft, eye4))))
-    perm = np.eye(8)[[measurement.m_from_register_index(b) for b in range(8)]]
-    u_noswap = circuit_unitary(circuits.build_qft3(False))
+    perm = np.eye(8)[[m_from_register_index(b) for b in range(8)]]
+    u_noswap = circuit_unitary(build_qft3(False))
     err_noswap = float(np.max(np.abs(u_noswap - np.kron(perm @ dft, eye4))))
     ok = err_swap <= 1e-12 and err_noswap <= 1e-12
     print(f"qft-check: |QFT(swap) - DFT8| = {err_swap:.3e}, "
@@ -229,6 +270,9 @@ def cmd_qft_check() -> int:
 
 
 def cmd_verify_sequence(seq_text: str, perm_text: str, y: int, time_order: str) -> int:
+    from . import circuits
+    from .permutations import format_cycles, parse_permutation
+
     if time_order == "listed":
         seq = circuits.parse_native_sequence(seq_text)
     else:
@@ -252,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--y", type=int, required=True, choices=range(4), help="start element")
     run.add_argument("--molecule", default=None, help="molecule JSON config (default: synthetic parameters)")
     run.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    run.add_argument("--grid", type=_parse_grid, default=spectra.FrequencyGrid(-60.0, 60.0, 4001),
+    run.add_argument("--grid", type=_parse_grid, default="-60.0,60.0,4001",
                      help="spectrum grid fmin,fmax,points (Hz)")
 
     sweep = sub.add_parser("sweep", help="run all 24 permutations x 4 start elements")

@@ -6,7 +6,7 @@ spin 1 ends up holding the least significant bit of m.  The ensemble
 observables are O_i = 1 - 2<m_i> = 2 Tr(rho I_zi).
 
 Simulated states arrive in one form, a (k, 32) array of final amplitudes
-such as `circuits.run_instances(specs)`, one instance per row, and a single
+such as `simulator.run_instances(specs)`, one instance per row, and a single
 instance is the one-row case.  `outcome_probabilities` turns the rows into
 a (k, 8) array, each row checked to be a probability vector, and
 `simulator.expectation_Iz` reads O_1..O_5 from the rows' a * conj(a).  An

@@ -3,7 +3,7 @@
 A deviation density operator that is diagonal in the computational basis
 decomposes over tensor strings of I and Z.  A string on n spins is the bit
 mask of its Z positions: spin i is bit n - i, so spin 1 is the most
-significant bit, as in module simulator.  Conjugation by controlled-NOT and
+significant bit, as in module gates.  Conjugation by controlled-NOT and
 NOT gates maps each signed string to exactly one signed string, so a
 preparation experiment can be tracked exactly with integer coefficients:
 
@@ -21,7 +21,7 @@ ints whose entry mask is the coefficient of that string; its length carries
 n, and its identity entry 0 is left unchanged by every op.  Pattern text
 like "IZIZZ" is only for reports (mask_to_pattern).
 
-A preparation sequence is a `simulator.Circuit` of ControlledNot and NotGate
+A preparation sequence is a `gates.Circuit` of ControlledNot and NotGate
 ops, applied in listed (time) order, the same convention as module circuits.
 
 apply_prep_dense cross-checks apply_prep exactly without these rules.  A
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import CertificateError, circuits
-from .simulator import DIM, N_SPINS, Circuit, ControlledNot, NotGate
+from .gates import DIM, N_SPINS, Circuit, ControlledNot, NotGate
 
 
 class SearchExhausted(RuntimeError):

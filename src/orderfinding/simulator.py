@@ -1,12 +1,7 @@
 """Dense state-vector simulation of the five-spin register.
 
-Basis convention, used everywhere in this package: a basis state is labeled
-b1 b2 b3 b4 b5 with spin 1 the most significant bit, i.e. |b1..b5> lives at
-index 16*b1 + 8*b2 + 4*b3 + 2*b4 + b5.  Gate angles are in degrees.  A
-conditional z-rotation puts the phase on the |11> component of the
-control/target pair, so it is symmetric in control and target.
-
-A state has one form: a complex amplitude array of shape (32,) or (k, 32),
+The basis convention and the gate values are those of module `gates`.  A
+state has one form: a complex amplitude array of shape (32,) or (k, 32),
 one state per row; |b> is row b of the identity.  `DensityOperator`, the
 readout spectra's input, is the one checked matrix type.
 
@@ -26,13 +21,21 @@ has, is one call per distinct circuit on its own rows.  Each row's norm is
 checked once, at the end.  `gate_unitary` applies the lowered op to the
 32 rows of the identity.
 
-Every gate is a frozen, hashable value that checks itself exactly when
-built.  A circuit is a plain tuple of gate ops, the first acting first in
-time; lowering rejects anything that is not a gate.  Each op value is
-lowered once, when first applied: `_memo_operands` is an LRU memo of at
-most `_MEMO_SIZE` entries keyed by op value.  The kernel is a gather, one
-matmul and a scatter: a flat index per (spins, rows), memoized in a memo of
-the same size, brings the listed spins' amplitudes to the rows of one
+`run_instances` simulates order-finding instances, one or many, as one
+(k, 32) amplitude array through `run_circuits`: row i starts as the basis
+state |000>|y_i> and ends as instance i's final state.  The circuit
+(`circuits.build_orderfinding`) depends only on the permutation, so each
+permutation's circuit is built once per process and kept, a cache of at
+most 24 circuits.  The Hadamard front and the QFT hold the same op on every
+row, so each of their steps is one kernel call on the whole batch.  The
+oracle's three stages are controlled permutations, so each stage is one
+exact index gather, every row through its own permutation's source index.
+
+Lowering rejects anything that is not a gate.  Each op value is lowered
+once, when first applied: `_memo_operands` is an LRU memo of at most
+`_MEMO_SIZE` entries keyed by op value.  The kernel is a gather, one matmul
+and a scatter: a flat index per (spins, rows), memoized in a memo of the
+same size, brings the listed spins' amplitudes to the rows of one
 contiguous matrix and puts the product back; a source index is built from
 the same flat index.  The memoized arrays are read-only.
 
@@ -43,104 +46,35 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-N_SPINS = 5
-DIM = 2**N_SPINS
+from .circuits import build_orderfinding
+from .gates import (
+    DIM,
+    N_SPINS,
+    Circuit,
+    ConditionalZRotation,
+    ControlledNot,
+    ControlledPermutation,
+    GateOp,
+    Hadamard,
+    NotGate,
+    _check_distinct,
+    bit_of,
+)
+from .permutations import OracleSpec, Permutation
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _MEMO_SIZE = 256
 
 
-def bit_of(index: int, spin: int) -> int:
-    """Bit of basis label `index` carried by `spin` (1 = most significant)."""
-    return (index >> (N_SPINS - spin)) & 1
-
-
-def _check_spin(q: int) -> None:
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= N_SPINS:
-        raise ValueError(f"spin index {q!r} is not an integer in 1..{N_SPINS}")
-
-
 def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     """np.allclose(a, b, rtol=1e-5, atol) for finite entries; any NaN or infinite entry fails."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the comparison
         return bool(np.all(np.abs(a - b) <= atol + 1e-5 * np.abs(b)))
-
-
-def _check_distinct(*qs: int) -> None:
-    for q in qs:
-        _check_spin(q)
-    if len(set(qs)) != len(qs):
-        raise ValueError(f"spin indices must be distinct, got {qs}")
-
-
-# Each gate checks its fields when built: the lowering memo treats equal ops
-# (e.g. Hadamard(1) and Hadamard(1.0)) as one, so equal ops must be equally valid.
-
-@dataclass(frozen=True)
-class Hadamard:
-    spin: int
-
-    def __post_init__(self) -> None:
-        _check_distinct(self.spin)
-
-
-@dataclass(frozen=True)
-class NotGate:
-    spin: int
-
-    def __post_init__(self) -> None:
-        _check_distinct(self.spin)
-
-
-@dataclass(frozen=True)
-class ConditionalZRotation:
-    """Phase diag(1, e^{i*angle}) on `target`, applied only when `control` is |1>."""
-
-    control: int
-    target: int
-    angle_deg: float
-    dagger: bool = False
-
-    def __post_init__(self) -> None:
-        _check_distinct(self.control, self.target)
-
-
-@dataclass(frozen=True)
-class ControlledNot:
-    control: int
-    target: int
-
-    def __post_init__(self) -> None:
-        _check_distinct(self.control, self.target)
-
-
-@dataclass(frozen=True)
-class ControlledPermutation:
-    """|y> -> |images[y]> on a pair of target spins, applied when `control` is |1>."""
-
-    control: int
-    targets: tuple[int, int]
-    images: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        targets = tuple(self.targets)
-        if len(targets) != 2:
-            raise ValueError(f"controlled permutation needs two target spins, got {targets}")
-        _check_distinct(self.control, *targets)
-        object.__setattr__(self, "targets", targets)
-        images = self.images
-        if not (isinstance(images, tuple) and all(type(v) is int for v in images)
-                and sorted(images) == [0, 1, 2, 3]):
-            raise ValueError(f"images must be a tuple of ints forming a bijection of 0..3, got {images!r}")
-
-
-GateOp = Hadamard | NotGate | ConditionalZRotation | ControlledNot | ControlledPermutation
-Circuit = tuple[GateOp, ...]  # the first op acts first in time
 
 
 def _phase(angle_deg: float, dagger: bool) -> complex:
@@ -269,6 +203,22 @@ def run_circuits(circuits: Sequence[Circuit], amps: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"row {bad[0]}: state norm {norms[bad[0]]} is not 1")
     return rows
+
+
+@cache
+def _orderfinding_circuit(pi: Permutation) -> Circuit:
+    """`build_orderfinding(pi)`, built once per process and shared by every instance of pi."""
+    return build_orderfinding(pi)
+
+
+def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
+    """Final amplitudes of the order-finding circuit, one (32,) row per instance, as one batch.
+
+    The circuit depends only on the permutation, so each permutation's
+    circuit is built once per process, a cache of at most 24 circuits.
+    """
+    inputs = np.eye(DIM, dtype=complex)[[spec.y for spec in specs]]  # row i is |000>|y1 y0> of spec i
+    return run_circuits([_orderfinding_circuit(spec.pi) for spec in specs], inputs)
 
 
 def gate_unitary(op: GateOp) -> np.ndarray:

@@ -77,8 +77,9 @@ class MoleculeParams:
 
     Every value is validated on construction: shifts, couplings and
     linewidth must be finite numbers, couplings a symmetric 5x5 array with
-    zero diagonal, and linewidth positive.  A bad value raises MoleculeError
-    naming it.
+    zero diagonal, every line frequency |shift_i| + sum_j |J_ij|/2 finite,
+    and linewidth positive.  A bad value raises MoleculeError naming it
+    (a shift, for an overflowing line frequency).
     """
 
     shifts: tuple[float, float, float, float, float]
@@ -99,6 +100,12 @@ class MoleculeParams:
         faulty = np.argwhere((np.abs(j - j.T) > 1e-12) | (np.eye(N_SPINS, dtype=bool) & (np.abs(j) > 1e-12)))
         if len(faulty):
             raise MoleculeError("couplings must be symmetric with zero diagonal", "couplings", *map(int, faulty[0]))
+        for i, row in enumerate(j.tolist()):
+            reach = abs(shifts[i])  # bounds |line_frequency| of spin i + 1, summed in the same order
+            for coupling in row:
+                reach += abs(coupling) / 2.0
+            if not math.isfinite(reach):
+                raise MoleculeError("line frequencies overflow: |shift| + sum of |J|/2 is not finite", "shifts", i)
         linewidth = _finite(self.linewidth_hz, "linewidth_hz")
         if not linewidth > 0:
             raise MoleculeError("linewidth must be positive", "linewidth_hz")

@@ -5,8 +5,8 @@ read from an outcome distribution, and the net area of a readout line list.
 """
 import numpy as np
 
+from orderfinding.gates import DIM
 from orderfinding.prodops import ZTermSum
-from orderfinding.simulator import DIM
 from orderfinding.spectra import SpectralLine
 
 # PARITY[a, b] = (-1)^popcount(a & b): the sign of Z-string b on basis state a.

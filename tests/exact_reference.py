@@ -17,7 +17,7 @@ import cmath
 from fractions import Fraction
 
 from orderfinding.measurement import QSqrt2, m_from_register_index
-from orderfinding.simulator import ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
+from orderfinding.gates import ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
 
 N_SPINS = 5
 DIM = 2**N_SPINS

@@ -16,9 +16,8 @@ import numpy as np
 
 from dense_reference import net_area, observables_from_distribution, zsum_to_matrix
 from orderfinding import circuits, classical, measurement, prodops
-from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
-from orderfinding.simulator import DensityOperator, circuit_unitary, expectation_Iz
+from orderfinding.simulator import DensityOperator, circuit_unitary, expectation_Iz, run_instances
 from orderfinding.spectra import readout_lines, synthetic_molecule
 
 PERMS = ALL_PERMUTATIONS

@@ -13,21 +13,12 @@ from orderfinding.circuits import (
     build_qft3,
     parse_native_sequence,
     parse_readout_listing,
-    run_instances,
     verify_oracle_sequence,
 )
 from orderfinding import cli
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, format_cycles, order_of, parse_permutation, power
-from orderfinding.simulator import (
-    DIM,
-    ConditionalZRotation,
-    ControlledNot,
-    ControlledPermutation,
-    Hadamard,
-    NotGate,
-    circuit_unitary,
-    run_circuits,
-)
+from orderfinding.gates import DIM, ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
+from orderfinding.simulator import circuit_unitary, run_circuits, run_instances
 
 PERMS = ALL_PERMUTATIONS
 BASIS = np.eye(DIM, dtype=complex)  # row b is the basis state |b>

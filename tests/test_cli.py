@@ -31,17 +31,16 @@ def test_run_identity_instance(tmp_path, capsys):
 
 
 def test_each_instance_is_simulated_once(tmp_path, monkeypatch):
-    # every module binding of the batch entry run_instances is counted, wherever a command reaches it from
+    # the commands import the batch entry run_instances from simulator when they run, its one binding
     batches = []
-    simulate = circuits.run_instances
+    simulate = simulator.run_instances
 
     def counted(specs):
         batches.append(list(specs))
         return simulate(specs)
 
-    for module in (circuits, cli, measurement):
-        if hasattr(module, "run_instances"):
-            monkeypatch.setattr(module, "run_instances", counted)
+    assert not any(hasattr(module, "run_instances") for module in (circuits, cli, measurement))
+    monkeypatch.setattr(simulator, "run_instances", counted)
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
     assert len(batches) == 1 and len(batches[0]) == 96
     assert len({(s.pi.images, s.y) for s in batches[0]}) == 96
@@ -138,6 +137,35 @@ def test_run_too_narrow_linewidth_exits_2_without_a_non_finite_spectrum(tmp_path
     assert capsys.readouterr().err == (f"error: linewidth_hz {linewidth} is too narrow: "
                                        "the rendered spectrum is not finite\n")
     assert not (out / "spectrum_spin1.csv").exists()
+
+
+def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys):
+    # every file of a run is computed before the first is written, so a spectrum that overflows writes none
+    out = tmp_path / "run"
+    assert main(["run", "--perm", "(0 1)", "--y", "0", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(before) == 5
+    config = tmp_path / "mol.json"
+    config.write_text('{"shifts": [0, 10, 20, 30, 40], "J": ' + json.dumps([[0] * 5] * 5) + ', "linewidth_hz": 5e-324}')
+    capsys.readouterr()
+    assert main(["run", "--perm", "(0 1 2 3)", "--y", "0", "--molecule", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("j12", [1e308, -1e308])
+def test_run_molecule_whose_line_frequencies_overflow_exits_2_naming_the_shift(tmp_path, capsys, j12):
+    # spin 1's lines sit at shifts[0] +/- J12/2, and one of them is past the float range for either sign
+    couplings = [[0.0] * 5 for _ in range(5)]
+    couplings[0][1] = couplings[1][0] = j12
+    config = tmp_path / "mol.json"
+    config.write_text(json.dumps({"shifts": [1.7e308, 10, 20, 30, 40], "J": couplings, "linewidth_hz": 1.0}))
+    out = tmp_path / "run"
+    assert main(["run", "--perm", "(0 1 2 3)", "--y", "0", "--molecule", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {config}:1:13: shifts[0]: line frequencies overflow: "
+                                       "|shift| + sum of |J|/2 is not finite\n")
+    assert not out.exists()
 
 
 def test_run_empty_molecule_path_is_read_not_ignored(tmp_path, capsys, monkeypatch):
@@ -415,22 +443,22 @@ def test_failed_guess_game_solve_is_not_cached(tmp_path, capsys, monkeypatch):
 
 @pytest.fixture
 def cold_sweep_caches():
-    circuits._orderfinding_circuit.cache_clear()
+    simulator._orderfinding_circuit.cache_clear()
     cli._sweep_table.cache_clear()
     yield
-    circuits._orderfinding_circuit.cache_clear()
+    simulator._orderfinding_circuit.cache_clear()
     cli._sweep_table.cache_clear()
 
 
 def test_sweep_builds_each_circuit_once_per_process(tmp_path, monkeypatch, cold_sweep_caches):
     built = []
-    build = circuits.build_orderfinding
+    build = simulator.build_orderfinding
 
     def counted(pi):
         built.append(pi)
         return build(pi)
 
-    monkeypatch.setattr(circuits, "build_orderfinding", counted)
+    monkeypatch.setattr(simulator, "build_orderfinding", counted)
     assert main(["sweep", "--out", str(tmp_path / "a")]) == 0
     assert len(built) == 24 and len(set(built)) == 24
     built.clear()
@@ -441,13 +469,13 @@ def test_sweep_builds_each_circuit_once_per_process(tmp_path, monkeypatch, cold_
 
 def test_run_gets_the_circuit_the_sweep_used(tmp_path, monkeypatch, cold_sweep_caches):
     batches = []
-    run_circuits = circuits.run_circuits
+    run_circuits = simulator.run_circuits
 
     def recorded(batch, amps):
         batches.append(list(batch))
         return run_circuits(batch, amps)
 
-    monkeypatch.setattr(circuits, "run_circuits", recorded)
+    monkeypatch.setattr(simulator, "run_circuits", recorded)
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
     assert main(["run", "--perm", "(0 1 2)", "--y", "3", "--out", str(tmp_path / "run")]) == 0
     specs = cli._sweep_table()[0]

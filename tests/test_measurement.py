@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from dense_reference import observables_from_distribution
 from exact_reference import QSqrt2Field, as_complex, exact_distribution, exact_state
 from orderfinding import CertificateError, measurement
-from orderfinding.circuits import build_orderfinding, run_instances
+from orderfinding.circuits import build_orderfinding
+from orderfinding.gates import DIM
 from orderfinding.measurement import (
     GUESS_DENOMINATOR,
     GUESS_PRIOR,
@@ -23,7 +24,7 @@ from orderfinding.measurement import (
     solve_guess_game,
 )
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation
-from orderfinding.simulator import DIM, DensityOperator, expectation_Iz, run_circuits
+from orderfinding.simulator import DensityOperator, expectation_Iz, run_circuits, run_instances
 
 SQRT2 = math.sqrt(2.0)
 PERMS = ALL_PERMUTATIONS

@@ -106,20 +106,43 @@ def test_functions_production_never_runs_do_not_grow():
     assert found <= NEVER_RUN
 
 
-@pytest.mark.parametrize("module", ["classical", "prodops"])
+@pytest.mark.parametrize("module", ["classical", "prodops", "circuits", "gates"])
 def test_classical_imports_no_numpy(module):
-    # the certificates and the preparation algebra are exact integer, Fraction and
-    # Q(sqrt 2) work; the test below checks that nothing the certificates import
-    # loads numpy either (prodops still does, through the gate types in simulator)
+    # the certificates, the preparation algebra and the native-sequence checks are exact
+    # integer, Fraction and Q(sqrt 2) work; the tests below check that nothing they
+    # import loads numpy either
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {name for name in modules if name.partition(".")[0] == "numpy"}
 
 
-@pytest.mark.parametrize("module", ["orderfinding", "orderfinding.permutations", "orderfinding.classical"])
-def test_importing_the_package_loads_no_numpy(module):
+def _run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports the package from this tree; fail if it fails."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    code = f"import sys, {module}; assert 'numpy' not in sys.modules, sorted(sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+@pytest.mark.parametrize("module", ["orderfinding", "orderfinding.permutations", "orderfinding.classical",
+                                    "orderfinding.gates", "orderfinding.circuits", "orderfinding.prodops"])
+def test_importing_the_package_loads_no_numpy(module):
+    _run_fresh(f"import sys, {module}; assert 'numpy' not in sys.modules, sorted(sys.modules)")
+
+
+def test_importing_the_cli_loads_no_other_submodule_and_no_numpy():
+    # each subcommand imports what it runs, so the import itself is the package and the front end
+    _run_fresh("import sys, orderfinding.cli\n"
+               "loaded = sorted(name for name in sys.modules if name.partition('.')[0] in ('orderfinding', 'numpy'))\n"
+               "assert loaded == ['orderfinding', 'orderfinding.cli'], loaded")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "--out", "{tmp}/classical"],
+    ["prep-verify", "--out", "{tmp}/prep"],
+    ["verify-sequence", "--seq", "C24 P34 P54 C35 P54", "--perm", "(0 1 2 3)", "--y", "0"],
+], ids=lambda argv: argv[0])
+def test_exact_subcommands_run_without_numpy(tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    _run_fresh("import sys\nfrom orderfinding.cli import main\n"
+               f"assert main({argv!r}) == 0\n"
+               "assert 'numpy' not in sys.modules, sorted(sys.modules)")

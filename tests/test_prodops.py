@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dense_reference import zsum_to_matrix
 from orderfinding import CertificateError, circuits
 from orderfinding.circuits import parse_native_sequence
+from orderfinding.gates import ControlledNot, NotGate
 from orderfinding.prodops import (
     OPTIMAL_SCHEDULES,
     SearchExhausted,
@@ -20,7 +21,7 @@ from orderfinding.prodops import (
     standard_prep_sequences,
     verify_prep_set,
 )
-from orderfinding.simulator import ControlledNot, NotGate, circuit_unitary
+from orderfinding.simulator import circuit_unitary
 
 ALL_MASKS = range(1, 32)  # the non-identity 5-spin strings; spin 1 is the most significant bit
 C_OPS = [ControlledNot(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
@@ -304,7 +305,7 @@ def test_two_spin_schedules_are_impossible_for_any_experiment_count():
 
 
 def test_prep_sequence_rejects_non_cn_ops():
-    from orderfinding.simulator import Hadamard
+    from orderfinding.gates import Hadamard
 
     with pytest.raises(ValueError):
         apply_prep((Hadamard(1),), equilibrium_zsum())

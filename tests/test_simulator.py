@@ -5,19 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderfinding import simulator
+from orderfinding.gates import DIM, ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
 from orderfinding.simulator import (
-    DIM,
-    ConditionalZRotation,
-    ControlledNot,
-    ControlledPermutation,
     DensityOperator,
-    Hadamard,
-    NotGate,
     apply_unitary,
     circuit_unitary,
     expectation_Iz,
     gate_unitary,
     run_circuits,
+    run_instances,
 )
 
 
@@ -83,7 +79,6 @@ def test_expectation_iz_ground_and_mixed():
 
 def test_expectation_iz_order_two_final_state():
     # O_i anchor for an order-2 instance started at y=0: 1, 1, 0, 1, 0
-    from orderfinding.circuits import run_instances
     from orderfinding.permutations import OracleSpec, parse_permutation
 
     amps = run_instances([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)])
@@ -356,6 +351,17 @@ def test_invalid_spin_indices_rejected():
     # equal to Hadamard(1) as a value, so a memoized lowering must never see them
     for spin in (1.0, True):
         with pytest.raises(ValueError):
+            Hadamard(spin)
+
+
+def test_numpy_integer_spins_are_accepted_like_ints():
+    # the spin check reads numbers.Integral, so numpy's integers pass without the gates importing numpy
+    op = Hadamard(np.int64(1))
+    assert op == Hadamard(1) and hash(op) == hash(Hadamard(1))
+    assert ControlledNot(np.int32(2), np.int64(3)) == ControlledNot(2, 3)
+    assert gate_unitary(op).tobytes() == gate_unitary(Hadamard(1)).tobytes()
+    for spin in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="is not an integer in 1..5"):
             Hadamard(spin)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import net_area, zsum_to_matrix
-from orderfinding.circuits import run_instances
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum
-from orderfinding.simulator import DIM, DensityOperator, bit_of, expectation_Iz
+from orderfinding.gates import DIM, bit_of
+from orderfinding.simulator import DensityOperator, expectation_Iz, run_instances
 from orderfinding.spectra import (
     FrequencyGrid,
+    MoleculeError,
     MoleculeParams,
     SpectralLine,
     line_frequency,
@@ -241,6 +243,21 @@ def test_molecule_validation():
         MoleculeParams((0, 0, 0, 0, 0), np.zeros((5, 5)), float("inf"))  # non-finite linewidth
     with pytest.raises(ValueError):
         MoleculeParams((0, 0, 0, 0, 0), np.where(np.eye(5) > 0, 0.0, np.nan), 1.0)  # NaN couplings
+
+
+@pytest.mark.parametrize("j12", [1e308, -1e308])
+def test_molecule_whose_line_frequencies_overflow_names_the_shift(j12):
+    j = np.zeros((5, 5))
+    j[0, 1] = j[1, 0] = j12
+    with pytest.raises(MoleculeError) as err:
+        MoleculeParams((1.7e308, 0, 0, 0, 0), j, 1.0)
+    assert err.value.where == ("shifts", 0)
+    # spin 2's lines reach only 0.5e308 from its shift, and halving each coupling first keeps a
+    # spin with two couplings of 1e308 in range: every line frequency of these is finite
+    j[0, 2] = j[2, 0] = j12
+    params = MoleculeParams((0, 1.2e308, 0, 0, 0), j, 1.0)
+    assert all(math.isfinite(line_frequency(spin, format(config, "04b"), params))
+               for spin in range(1, 6) for config in range(16))
 
 
 _ZERO_J = "[[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]"
