@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import DIM, N_SPINS, DensityOperator, apply_unitary
+from .gates import DIM, N_SPINS
+from .simulator import DensityOperator, apply_unitary
 
 AMPLITUDE_SNAP = 1e-12
 MAX_GRID_POINTS = 1_000_000

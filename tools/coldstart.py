@@ -12,7 +12,7 @@ multiple of the floor's median.  Exits 1 if a subcommand exits with a
 nonzero status, since its time would not be a run's.  Uses the standard
 library only.
 
-Usage: python3 tools/coldstart.py [--rounds N] [--src DIR]
+Usage: python3 tools/coldstart.py [--src DIR]
 """
 import argparse
 import os
@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from prodcov import ROOT, invocations  # noqa: E402
 
 FLOOR = "python3 -c pass"
+ROUNDS = 9
 
 
 def subcommands(work: Path) -> dict[str, list[str]]:
@@ -52,7 +53,6 @@ def wall_ms(argv: list[str], work: Path, env: dict[str, str]) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=9, help="timed rounds (default 9)")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding orderfinding")
     args = parser.parse_args()
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
@@ -64,7 +64,7 @@ def main() -> int:
                          for name, argv in subcommands(work).items()})
         times: dict[str, list[float]] = {name: [] for name in commands}
         try:
-            for round_ in range(args.rounds + 1):
+            for round_ in range(ROUNDS + 1):
                 for name, argv in commands.items():
                     ms = wall_ms(argv, work, env)
                     if round_:
@@ -73,7 +73,7 @@ def main() -> int:
             print(f"error: {err}", file=sys.stderr)
             return 1
     floor = statistics.median(times[FLOOR])
-    print(f"{'command':<17} {'median ms':>9} {'min ms':>8} {'x floor':>8}   ({args.rounds} rounds)")
+    print(f"{'command':<17} {'median ms':>9} {'min ms':>8} {'x floor':>8}   ({ROUNDS} rounds)")
     for name, values in times.items():
         median = statistics.median(values)
         print(f"{name:<17} {median:>9.1f} {min(values):>8.1f} {median / floor:>8.2f}")
