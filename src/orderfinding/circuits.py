@@ -50,7 +50,7 @@ from .gates import (
     NotGate,
     bit_of,
 )
-from .permutations import N_ELEMENTS, Permutation, power, trajectory
+from .permutations import N_ELEMENTS, Permutation, _check_start, power, trajectory
 
 _TOKEN_RE = re.compile(r"([CPN])([1-5])([1-5]?)('?)")
 
@@ -147,8 +147,7 @@ def verify_oracle_sequence(seq: Circuit, pi: Permutation, y: int) -> bool:
     Full-unitary equality is deliberately not required: the readout
     sequences only have to be correct on this subspace.  y is an int in 0..3.
     """
-    if type(y) is not int or not 0 <= y < 4:
-        raise ValueError(f"start element {y!r} is not an int in 0..3")
+    _check_start(y)
     images = [native_image(seq, 4 * x + y) for x in range(8)]
     return ({index for index, _ in images} == {4 * x + power(pi, x)(y) for x in range(8)}
             and len({k for _, k in images}) == 1)

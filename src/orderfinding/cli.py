@@ -251,16 +251,18 @@ def cmd_qft_check() -> int:
     import numpy as np
 
     from .circuits import build_qft3
+    from .gates import DIM
     from .measurement import m_from_register_index
-    from .simulator import circuit_unitary
+    from .simulator import run_circuits
 
     j, k = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     dft = np.exp(2j * np.pi * j * k / 8) / np.sqrt(8)  # entries omega^{jk}/sqrt(8), omega = exp(2 pi i/8)
     eye4 = np.eye(4)
-    u_swap = circuit_unitary(build_qft3(True))
+    # row b of the identity is |b>, so the runner's rows are the unitary's columns
+    u_swap, u_noswap = (run_circuits([build_qft3(swap)] * DIM, np.eye(DIM, dtype=complex)).T
+                        for swap in (True, False))
     err_swap = float(np.max(np.abs(u_swap - np.kron(dft, eye4))))
     perm = np.eye(8)[[m_from_register_index(b) for b in range(8)]]
-    u_noswap = circuit_unitary(build_qft3(False))
     err_noswap = float(np.max(np.abs(u_noswap - np.kron(perm @ dft, eye4))))
     ok = err_swap <= 1e-12 and err_noswap <= 1e-12
     print(f"qft-check: |QFT(swap) - DFT8| = {err_swap:.3e}, "

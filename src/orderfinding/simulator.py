@@ -18,8 +18,9 @@ step of controlled permutations is one `take_along_axis` gather, each row
 through its own op's source index; a step that holds one op on every row
 is one call on all rows; a mixed step, which no order-finding circuit
 has, is one call per distinct circuit on its own rows.  Each row's norm is
-checked once, at the end.  `gate_unitary` applies the lowered op to the
-32 rows of the identity.
+checked once, at the end.  A circuit's unitary is its 32 basis-state runs:
+row b of the identity is |b>, so `run_circuits([c] * 32, identity)` holds
+the unitary's columns as its rows.
 
 `run_instances` simulates order-finding instances, one or many, as one
 (k, 32) amplitude array through `run_circuits`: row i starts as the basis
@@ -219,19 +220,6 @@ def run_instances(specs: Sequence[OracleSpec]) -> np.ndarray:
     """
     inputs = np.eye(DIM, dtype=complex)[[spec.y for spec in specs]]  # row i is |000>|y1 y0> of spec i
     return run_circuits([_orderfinding_circuit(spec.pi) for spec in specs], inputs)
-
-
-def gate_unitary(op: GateOp) -> np.ndarray:
-    """Full 32x32 unitary of one gate: the kernel applied to the identity's rows (basis states)."""
-    return _apply_op(np.eye(DIM, dtype=complex), op).T
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Product of the gate unitaries in time order (first op rightmost)."""
-    u = np.eye(DIM, dtype=complex)
-    for op in circuit:
-        u = gate_unitary(op) @ u
-    return u
 
 
 # _IZ_SIGNS[i - 1, b] = +1 if spin i of basis label b is |0>, else -1.

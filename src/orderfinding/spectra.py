@@ -146,9 +146,8 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Spectrum:
-    lines: tuple[SpectralLine, ...]
-    frequencies_hz: np.ndarray | None = None
-    trace: np.ndarray | None = None
+    frequencies_hz: np.ndarray
+    trace: np.ndarray
 
 
 def synthetic_molecule() -> MoleculeParams:
@@ -297,8 +296,10 @@ def render_spectrum(lines: list[SpectralLine], params: MoleculeParams, grid: Fre
     """Superpose one complex Lorentzian per line on a uniform frequency grid.
 
     Each unit line integrates to 1 in its real part and peaks at
-    2/(pi*linewidth): amplitude * (1/pi) / (hwhm - i(f - f_line)).  A
-    linewidth so narrow that a peak overflows raises ValueError naming it.
+    2/(pi*linewidth): amplitude * (1/pi) / (hwhm - i(f - f_line)).  A grid
+    so far from a line that an offset f - f_line overflows raises ValueError
+    naming the grid and the line's frequency; a linewidth so narrow that a
+    peak overflows raises ValueError naming it.
     """
     freqs = np.linspace(grid.f_min, grid.f_max, grid.points)
     hwhm = params.linewidth_hz / 2.0
@@ -306,7 +307,11 @@ def render_spectrum(lines: list[SpectralLine], params: MoleculeParams, grid: Fre
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         for line in lines:
             if line.amplitude != 0:
-                trace += line.amplitude / np.pi / (hwhm - 1j * (freqs - line.frequency_hz))
+                f = line.frequency_hz  # the offsets from f are monotone in the grid point, so the ends bound them
+                if not (math.isfinite(grid.f_min - f) and math.isfinite(grid.f_max - f)):
+                    raise ValueError(f"grid {grid.f_min!r},{grid.f_max!r} Hz is too far from the line at {f!r} Hz: "
+                                     "the frequency offsets are not finite")
+                trace += line.amplitude / np.pi / (hwhm - 1j * (freqs - f))
     if not np.isfinite(trace).all():
         raise ValueError(f"linewidth_hz {params.linewidth_hz!r} is too narrow: the rendered spectrum is not finite")
-    return Spectrum(tuple(lines), freqs, trace)
+    return Spectrum(freqs, trace)

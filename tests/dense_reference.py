@@ -2,15 +2,23 @@
 
 They are the 32x32 diagonal matrix a Z-string sum stands for, the observables
 read from an outcome distribution, and the net area of a readout line list.
+`unitary(circuit)` is a circuit's 32x32 unitary, read from the simulator's
+one runner: its 32 basis-state runs.
 """
 import numpy as np
 
-from orderfinding.gates import DIM
+from orderfinding.gates import DIM, Circuit
 from orderfinding.prodops import ZTermSum
+from orderfinding.simulator import run_circuits
 from orderfinding.spectra import SpectralLine
 
 # PARITY[a, b] = (-1)^popcount(a & b): the sign of Z-string b on basis state a.
 PARITY = np.array([[-1.0 if bin(a & b).count("1") & 1 else 1.0 for b in range(DIM)] for a in range(DIM)])
+
+
+def unitary(circuit: Circuit) -> np.ndarray:
+    """32x32 unitary of `circuit`: row b of the identity is |b>, so the runner's rows are its columns."""
+    return run_circuits([circuit] * DIM, np.eye(DIM, dtype=complex)).T
 
 
 def zsum_to_matrix(terms: ZTermSum) -> np.ndarray:

@@ -14,10 +14,10 @@ import re
 
 import numpy as np
 
-from dense_reference import net_area, observables_from_distribution, zsum_to_matrix
+from dense_reference import net_area, observables_from_distribution, unitary, zsum_to_matrix
 from orderfinding import circuits, classical, measurement, prodops
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
-from orderfinding.simulator import DensityOperator, circuit_unitary, expectation_Iz, run_instances
+from orderfinding.simulator import DensityOperator, expectation_Iz, run_instances
 from orderfinding.spectra import readout_lines, synthetic_molecule
 
 PERMS = ALL_PERMUTATIONS
@@ -136,13 +136,13 @@ def test_c6_classical_bounds(one_query_report):
 def test_c7_qft_identities():
     omega = np.exp(2j * np.pi / 8)
     dft = np.array([[omega ** (j * k) for k in range(8)] for j in range(8)]) / np.sqrt(8)
-    err_swap = float(np.max(np.abs(circuit_unitary(circuits.build_qft3(True)) - np.kron(dft, np.eye(4)))))
+    err_swap = float(np.max(np.abs(unitary(circuits.build_qft3(True)) - np.kron(dft, np.eye(4)))))
     rev = [int(format(b, "03b")[::-1], 2) for b in range(8)]
     perm = np.zeros((8, 8))
     for b in range(8):
         perm[b, rev[b]] = 1.0
     err_noswap = float(
-        np.max(np.abs(circuit_unitary(circuits.build_qft3(False)) - np.kron(perm @ dft, np.eye(4))))
+        np.max(np.abs(unitary(circuits.build_qft3(False)) - np.kron(perm @ dft, np.eye(4))))
     )
     ok = err_swap <= 1e-12 and err_noswap <= 1e-12
     _report("criterion 7 (QFT = DFT_8 / bit-reversed DFT_8, 1e-12)", ok,

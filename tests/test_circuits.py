@@ -7,6 +7,8 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from dense_reference import unitary
+from exact_reference import exact_state, zeta_times
 from orderfinding.circuits import (
     READOUT_SEQUENCES,
     build_orderfinding,
@@ -18,7 +20,8 @@ from orderfinding.circuits import (
 from orderfinding import cli
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, format_cycles, order_of, parse_permutation, power
 from orderfinding.gates import DIM, ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
-from orderfinding.simulator import circuit_unitary, run_circuits, run_instances
+from orderfinding.measurement import m_from_register_index
+from orderfinding.simulator import run_circuits, run_instances
 
 PERMS = ALL_PERMUTATIONS
 BASIS = np.eye(DIM, dtype=complex)  # row b is the basis state |b>
@@ -31,7 +34,7 @@ def _dft8() -> np.ndarray:
 
 def test_qft_with_swap_is_dft():
     expected = np.kron(_dft8(), np.eye(4))
-    assert np.max(np.abs(circuit_unitary(build_qft3(True)) - expected)) < 1e-12
+    assert np.max(np.abs(unitary(build_qft3(True)) - expected)) < 1e-12
 
 
 def test_qft_without_swap_is_bit_reversed_dft():
@@ -40,7 +43,20 @@ def test_qft_without_swap_is_bit_reversed_dft():
     for b in range(8):
         perm[b, rev[b]] = 1.0
     expected = np.kron(perm @ _dft8(), np.eye(4))
-    assert np.max(np.abs(circuit_unitary(build_qft3(False)) - expected)) < 1e-12
+    assert np.max(np.abs(unitary(build_qft3(False)) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_qft_is_the_dft_exactly_in_z_zeta8(swap):
+    # |j>|rest> -> sum_k zeta^(jk) |k>|rest> / sqrt(8), zeta = exp(2 pi i/8); without the swap,
+    # output register b holds k = m_from_register_index(b)
+    k_of = (lambda b: b) if swap else m_from_register_index
+    for j in range(8):
+        for rest in range(4):
+            expected = [(0, 0, 0, 0)] * DIM
+            for b in range(8):
+                expected[4 * b + rest] = zeta_times((1, 0, 0, 0), j * k_of(b))
+            assert exact_state(build_qft3(swap), 4 * j + rest) == (expected, 3), (j, rest)
 
 
 @pytest.mark.parametrize("swap", [True, False])
@@ -106,7 +122,7 @@ def test_a_token_naming_one_spin_twice_is_named_in_the_error(bad):
 
 
 def test_c35_flips_y0_conditioned_on_x0():
-    u = circuit_unitary(parse_native_sequence("C35"))
+    u = unitary(parse_native_sequence("C35"))
     for b in range(32):
         x0 = (b >> 2) & 1
         expected = b ^ x0  # flip the lowest bit when spin 3 is set
@@ -116,12 +132,12 @@ def test_c35_flips_y0_conditioned_on_x0():
 
 
 def test_p54_inverse_pair_is_identity():
-    u = circuit_unitary(parse_native_sequence("P54 P54'"))
+    u = unitary(parse_native_sequence("P54 P54'"))
     assert np.allclose(u, np.eye(32), atol=1e-12)
 
 
 def test_readout_d_maps_basis_to_basis_up_to_phase_from_ground_register():
-    u = circuit_unitary(parse_readout_listing(READOUT_SEQUENCES[4]))
+    u = unitary(parse_readout_listing(READOUT_SEQUENCES[4]))
     assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-12
     for x in range(8):
         col = u[:, 4 * x + 0]  # second register |00>
@@ -141,7 +157,7 @@ def test_verify_is_global_phase_invariant():
     assert verify_oracle_sequence(seq, pi, 0)
     # P45 N4 P45 N4 puts i^{b5} on every basis state; conjugated by N5 it puts i^{1 - b5}
     phase_block = parse_native_sequence("P45 N4 P45 N4 N5 P45 N4 P45 N4 N5")
-    assert np.allclose(circuit_unitary(phase_block), 1j * np.eye(32), atol=1e-12)
+    assert np.allclose(unitary(phase_block), 1j * np.eye(32), atol=1e-12)
     assert verify_oracle_sequence(seq + phase_block, pi, 0)
 
 

@@ -139,6 +139,20 @@ def test_run_too_narrow_linewidth_exits_2_without_a_non_finite_spectrum(tmp_path
     assert not (out / "spectrum_spin1.csv").exists()
 
 
+def test_run_grid_too_far_from_a_line_exits_2_naming_the_grid(tmp_path, capsys):
+    # every line frequency is finite, but grid point - 1.7e308 overflows at the grid's low end
+    config = tmp_path / "mol.json"
+    config.write_text('{"shifts": [1.7e308, 10, 20, 30, 40], "J": ' + json.dumps([[0] * 5] * 5)
+                      + ', "linewidth_hz": 1.0}')
+    out = tmp_path / "run"
+    assert main(["run", "--perm", "(0 1 2 3)", "--y", "0", "--molecule", str(config),
+                 "--grid=-8e307,8e307,5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: grid -8e+307,8e+307 Hz is too far from the line at 1.7e+308 Hz: "
+                   "the frequency offsets are not finite\n")
+    assert not out.exists()
+
+
 def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys):
     # every file of a run is computed before the first is written, so a spectrum that overflows writes none
     out = tmp_path / "run"

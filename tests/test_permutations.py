@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import unitary
 from orderfinding import classical
 from orderfinding.circuits import oracle_stages, parse_native_sequence, verify_oracle_sequence
 from orderfinding.permutations import (
@@ -19,7 +20,6 @@ from orderfinding.permutations import (
     power,
     trajectory,
 )
-from orderfinding.simulator import circuit_unitary
 from orderfinding.spectra import FrequencyGrid
 
 PERMS = ALL_PERMUTATIONS
@@ -126,12 +126,12 @@ def test_trajectory_and_oracle_stages_equal_the_power_reference():
 
 
 def test_oracle_identity_is_identity():
-    assert np.allclose(circuit_unitary(oracle_stages(IDENTITY)), np.eye(32), atol=1e-12)
+    assert np.allclose(unitary(oracle_stages(IDENTITY)), np.eye(32), atol=1e-12)
 
 
 def test_oracle_unitary_is_permutation_matrix_for_all():
     for pi in PERMS:
-        u = circuit_unitary(oracle_stages(pi))
+        u = unitary(oracle_stages(pi))
         assert np.allclose(u.conj().T @ u, np.eye(32), atol=1e-12)
         assert np.all((np.abs(u) < 1e-12) | (np.abs(u - 1) < 1e-12))
 
@@ -151,12 +151,12 @@ def _brute_force_oracle(pi: Permutation) -> np.ndarray:
 
 def test_oracle_matches_brute_force_for_four_cycle():
     pi = parse_permutation("(0 1 2 3)")
-    assert np.array_equal(circuit_unitary(oracle_stages(pi)).real, _brute_force_oracle(pi))
+    assert np.array_equal(unitary(oracle_stages(pi)).real, _brute_force_oracle(pi))
 
 
 def test_oracle_action_exhaustive():
     for pi in PERMS:
-        u = circuit_unitary(oracle_stages(pi))
+        u = unitary(oracle_stages(pi))
         for x in range(8):
             for y in range(4):
                 col = u[:, 4 * x + y]
@@ -179,7 +179,7 @@ def test_stage_product_equals_direct_sum_construction():
         for x in range(8):
             block = _block(power(pi, x))
             direct[4 * x : 4 * x + 4, 4 * x : 4 * x + 4] = block
-        assert np.allclose(circuit_unitary(oracle_stages(pi)), direct, atol=1e-12)
+        assert np.allclose(unitary(oracle_stages(pi)), direct, atol=1e-12)
 
 
 def test_cycle_notation_round_trip():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import zsum_to_matrix
+from dense_reference import unitary, zsum_to_matrix
 from orderfinding import CertificateError, circuits
 from orderfinding.circuits import parse_native_sequence
 from orderfinding.gates import ControlledNot, NotGate
@@ -21,7 +21,6 @@ from orderfinding.prodops import (
     standard_prep_sequences,
     verify_prep_set,
 )
-from orderfinding.simulator import circuit_unitary
 
 ALL_MASKS = range(1, 32)  # the non-identity 5-spin strings; spin 1 is the most significant bit
 C_OPS = [ControlledNot(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
@@ -123,7 +122,7 @@ def test_apply_prep_matches_dense_conjugation(seq, terms):
     out = apply_prep_dense(seq, terms)
     assert apply_prep(seq, terms) == out
     assert out[0] == terms[0]  # the identity commutes with every op
-    u = circuit_unitary(seq)
+    u = unitary(seq)
     assert np.allclose(zsum_to_matrix(out), u @ zsum_to_matrix(terms) @ u.conj().T, atol=1e-9)
 
 
@@ -154,7 +153,7 @@ def test_prep_report_images_are_tuples():
 def test_production_prep_set_dense_cross_check():
     total = np.zeros((32, 32), dtype=complex)
     for seq in standard_prep_sequences():
-        u = circuit_unitary(seq)
+        u = unitary(seq)
         total += u @ zsum_to_matrix(equilibrium_zsum()) @ u.conj().T
     assert np.allclose(total, zsum_to_matrix(effective_pure_target()), atol=1e-9)
 

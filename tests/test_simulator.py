@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import unitary
 from orderfinding import simulator
 from orderfinding.gates import DIM, ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
 from orderfinding.simulator import (
     DensityOperator,
     apply_unitary,
-    circuit_unitary,
     expectation_Iz,
-    gate_unitary,
     run_circuits,
     run_instances,
 )
@@ -49,12 +48,12 @@ def test_conditional_z_phase_convention():
 
 
 def test_empty_circuit_is_identity():
-    assert np.allclose(circuit_unitary(()), np.eye(DIM), atol=1e-15)
+    assert np.allclose(unitary(()), np.eye(DIM), atol=1e-15)
 
 
 def test_cnot_involution():
     c = (ControlledNot(1, 2), ControlledNot(1, 2))
-    assert np.allclose(circuit_unitary(c), np.eye(DIM), atol=1e-12)
+    assert np.allclose(unitary(c), np.eye(DIM), atol=1e-12)
 
 
 def test_qft3_circuit_matches_dft_tensor_identity():
@@ -64,7 +63,7 @@ def test_qft3_circuit_matches_dft_tensor_identity():
     omega = np.exp(2j * np.pi / 8)
     dft = np.array([[omega ** (j * k) for k in range(8)] for j in range(8)]) / np.sqrt(8)
     expected = np.kron(dft, np.eye(4))
-    assert np.max(np.abs(circuit_unitary(build_qft3(True)) - expected)) < 1e-12
+    assert np.max(np.abs(unitary(build_qft3(True)) - expected)) < 1e-12
 
 
 def test_expectation_iz_ground_and_mixed():
@@ -120,8 +119,8 @@ def test_norm_preserved_by_every_gate(state, op):
 
 
 @given(st.lists(gate_strategy(), max_size=100))
-def test_circuit_unitary_is_unitary(ops):
-    u = circuit_unitary(tuple(ops))
+def test_random_circuits_are_unitary(ops):
+    u = unitary(tuple(ops))
     assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-10
 
 
@@ -129,13 +128,13 @@ def test_circuit_unitary_is_unitary(ops):
 def test_gate_sequencing_matches_unitary_product(state, ops):
     c = tuple(ops)
     (stepped,) = run_circuits([c], state[None])
-    assert np.max(np.abs(stepped - circuit_unitary(c) @ state)) < 1e-10
+    assert np.max(np.abs(stepped - unitary(c) @ state)) < 1e-10
 
 
 @given(state_strategy(), st.lists(gate_strategy(), max_size=8))
 def test_density_conjugation_preserves_hermiticity_and_trace(state, ops):
     rho = np.outer(state, state.conj())
-    u = circuit_unitary(tuple(ops))
+    u = unitary(tuple(ops))
     evolved = DensityOperator(u @ rho @ u.conj().T, kind="normalized")  # validates hermiticity and unit trace
     assert evolved.kind == "normalized"
 
@@ -174,13 +173,13 @@ def reference_unitary(op) -> np.ndarray:
 
 def _assert_matches_reference(op) -> None:
     expected = reference_unitary(op)
-    assert np.max(np.abs(gate_unitary(op) - expected)) < 1e-12, op
+    assert np.max(np.abs(unitary((op,)) - expected)) < 1e-12, op
     for b in range(DIM):
         col = run_gate(BASIS[b], op)
         assert np.max(np.abs(col - expected[:, b])) < 1e-12, op
 
 
-def test_gate_unitary_matches_apply_gate_on_basis_states():
+def test_single_gate_matches_the_kron_reference_on_basis_states():
     # both share the simulator's kernel, so each is checked against the kron reference
     ops = [
         Hadamard(3),
@@ -330,7 +329,7 @@ def test_controlled_permutation_gather_is_byte_equal_to_the_matrix_kernel(contro
     assert gathered.tobytes() == expected.tobytes()
     for row, op, out in zip(amps, ops, expected):
         assert run_circuits([(op,)], row[None])[0].tobytes() == out.tobytes()
-        assert gate_unitary(op).tobytes() == _matrix_controlled_permutation(np.eye(DIM), op).T.tobytes()
+        assert unitary((op,)).tobytes() == _matrix_controlled_permutation(np.eye(DIM), op).T.tobytes()
 
 
 def test_equal_controlled_permutations_compare_and_hash_equal():
@@ -359,7 +358,7 @@ def test_numpy_integer_spins_are_accepted_like_ints():
     op = Hadamard(np.int64(1))
     assert op == Hadamard(1) and hash(op) == hash(Hadamard(1))
     assert ControlledNot(np.int32(2), np.int64(3)) == ControlledNot(2, 3)
-    assert gate_unitary(op).tobytes() == gate_unitary(Hadamard(1)).tobytes()
+    assert unitary((op,)).tobytes() == unitary((Hadamard(1),)).tobytes()
     for spin in (True, np.bool_(True)):
         with pytest.raises(ValueError, match="is not an integer in 1..5"):
             Hadamard(spin)
@@ -371,7 +370,7 @@ def test_a_circuit_holding_a_non_gate_is_rejected_when_run(circuit):
     with pytest.raises(TypeError, match="not a gate op"):
         run_circuits([circuit], BASIS[:1])
     with pytest.raises(TypeError, match="not a gate op"):
-        circuit_unitary(circuit)
+        unitary(circuit)
 
 
 def test_quantum_state_norm_validated():

@@ -1,16 +1,17 @@
 """Production coverage: which function-body statements of `orderfinding` no CLI input runs.
 
-Runs 21 CLI invocations in one process under a stdlib `sys.settrace` line
+Runs 22 CLI invocations in one process under a stdlib `sys.settrace` line
 tracer: every subcommand on its defaults, `run` also with the molecule
 file and `verify-sequence` also on a listing with P tokens, plus a bad
 sequence token, a token naming one spin twice, a bad permutation, an image
 list with a digit int() cannot read, a bad molecule, a molecule whose
-linewidth is too narrow to render, two molecules whose line frequencies
-overflow (a coupling of either sign), an empty and a missing molecule
-path, and two bad grids.  A statement inside a function body counts as run when
-its first line was reached; module-level statements run on import and are
-not counted.  Prints, per module, the never-run statements over the total
-and their line numbers.
+linewidth is too narrow to render, a molecule with a line too far from its
+grid to render, two molecules whose line frequencies overflow (a coupling
+of either sign), an empty and a missing molecule path, and two bad grids.
+A statement inside a function body counts as run when its first line was
+reached; module-level statements run on import and are not counted.
+Prints, per module, the never-run statements over the total and their
+line numbers.
 
 Usage: python3 tools/prodcov.py   (from the repository root or anywhere)
 
@@ -35,6 +36,9 @@ def invocations(tmp: Path) -> list[list[str]]:
     narrow_molecule = tmp / "narrow_molecule.json"  # no couplings: spin 1's lines peak on one grid point
     narrow_molecule.write_text('{"shifts": [0, 10, 20, 30, 40], "J": ' + str([[0] * 5] * 5)
                                + ', "linewidth_hz": 5e-324}\n')
+    far_molecule = tmp / "far_molecule.json"  # spin 1's lines at 1.7e308 Hz: an offset from the grid below overflows
+    far_molecule.write_text('{"shifts": [1.7e308, 10, 20, 30, 40], "J": ' + str([[0] * 5] * 5)
+                            + ', "linewidth_hz": 1.0}\n')
     overflow = [tmp / "overflow_molecule.json", tmp / "overflow_negative_molecule.json"]
     for path, j12 in zip(overflow, (1e308, -1e308)):  # shifts[0] + |J12|/2 overflows for either sign
         couplings = [[0.0] * 5 for _ in range(5)]
@@ -55,6 +59,7 @@ def invocations(tmp: Path) -> list[list[str]]:
         ["run", "--perm", "\u00b2,0,1,3", "--y", "0", "--out", str(tmp / "bad_image")],
         run + ["--molecule", str(bad_molecule)],
         run + ["--molecule", str(narrow_molecule)],
+        run + ["--molecule", str(far_molecule), "--grid=-8e307,8e307,5"],
         *[run + ["--molecule", str(path)] for path in overflow],
         run + ["--molecule", ""],
         run + ["--molecule", str(tmp / "missing.json")],
