@@ -50,7 +50,7 @@ from .gates import (
     NotGate,
     bit_of,
 )
-from .permutations import N_ELEMENTS, Permutation, _check_start, power, trajectory
+from .permutations import N_ELEMENTS, Permutation, trajectory
 
 _TOKEN_RE = re.compile(r"([CPN])([1-5])([1-5]?)('?)")
 
@@ -145,11 +145,12 @@ def verify_oracle_sequence(seq: Circuit, pi: Permutation, y: int) -> bool:
     branch |x>|y> to i^k times one basis state, so that holds exactly when
     the eight branches land on the eight target states and share one k.
     Full-unitary equality is deliberately not required: the readout
-    sequences only have to be correct on this subspace.  y is an int in 0..3.
+    sequences only have to be correct on this subspace.  y is an int in 0..3;
+    pi^x(y) is read from its trajectory.
     """
-    _check_start(y)
+    path = trajectory(pi, y)
     images = [native_image(seq, 4 * x + y) for x in range(8)]
-    return ({index for index, _ in images} == {4 * x + power(pi, x)(y) for x in range(8)}
+    return ({index for index, _ in images} == {4 * x + path[x] for x in range(8)}
             and len({k for _, k in images}) == 1)
 
 

@@ -18,10 +18,9 @@ the witness's integer table by relabeling the seen z, the prior through an
 index map of each permutation to its conjugate.  A failed check raises
 CertificateError.  The checks sum integer numerators over one denominator
 (weight times guess probability, or prior mass), so each result is one
-Fraction(total, den).  The two-query witness is checked on the same tables,
-and no certificate builds a Permutation or calls `power`.  The tables
-depend only on the permutations and are built once per process; the stored
-literals are read and every check runs on every call.
+Fraction(total, den).  The two-query witness is checked on the same tables.
+The tables depend only on the permutations and are built once per process;
+the stored literals are read and every check runs on every call.
 """
 from __future__ import annotations
 

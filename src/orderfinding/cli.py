@@ -3,7 +3,11 @@
 Subcommands: run, sweep, prep-verify, guess-table, classical, qft-check,
 verify-sequence.  All outputs are plain CSV/JSON with stable key and column
 order, so identical inputs produce byte-identical files.  Exit status is 0
-only if every verification invoked by the subcommand passes.
+only if every verification invoked by the subcommand passes.  A subcommand
+with `--out` computes every output before it creates the directory and
+writes the first file, so a bad input (exit 2) or a failed certificate
+(exit 1 with an `error:` line) leaves `--out` as it was; a FAIL verdict
+still writes its report.
 
 Each subcommand imports only the modules it runs, inside its `cmd_*`
 function, so importing this module loads no other submodule and no numpy,
@@ -75,11 +79,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: FrequencyGrid) -> int:
-    """One instance end to end: `cmd_sweep`'s simulation and reductions on a one-row batch.
-
-    Every output is computed before the first file is written, so a failure
-    leaves `out` as it was.
-    """
+    """One instance end to end: `cmd_sweep`'s simulation and reductions on a one-row batch."""
     import numpy as np
 
     from . import measurement, spectra
@@ -148,12 +148,12 @@ def cmd_sweep(out: Path) -> int:
     from .measurement import outcome_probabilities
     from .simulator import expectation_Iz, run_instances
 
-    out.mkdir(parents=True, exist_ok=True)
     specs, labels, analytic = _sweep_table()
     amps = run_instances(specs)
     errors = np.abs(outcome_probabilities(amps) - analytic).max(axis=1)
     observables = expectation_Iz(amps * amps.conj())
     rows = [(*label, err, *o) for label, err, o in zip(labels, errors.tolist(), observables.tolist())]
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv",
                ["perm", "y", "r", "dist_error", "O_1", "O_2", "O_3", "O_4", "O_5"], list(zip(*rows)))
     worst = errors.max()
@@ -166,11 +166,11 @@ def cmd_sweep(out: Path) -> int:
 def cmd_prep_verify(out: Path) -> int:
     from . import prodops
 
-    out.mkdir(parents=True, exist_ok=True)
     seqs = prodops.standard_prep_sequences()
     report = prodops.verify_prep_set(seqs)
     eq = prodops.equilibrium_zsum()
     dense_ok = all(image == prodops.apply_prep_dense(seq, eq) for seq, image in zip(seqs, report.images))
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "prep_report.json", {
         "sequences": list(prodops.PREP_SET_5SPIN),
         "total_terms": report.total_terms,
@@ -188,10 +188,10 @@ def cmd_prep_verify(out: Path) -> int:
 def cmd_guess_table(out: Path) -> int:
     from . import measurement
 
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"],
-               [list(range(8))] + [measurement.analytic_distribution(r).tolist() for r in measurement.ORDERS])
+    dists = [measurement.analytic_distribution(r).tolist() for r in measurement.ORDERS]
     sol = measurement.solve_guess_game()
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"], [list(range(8))] + dists)
     _write_csv(out / "guess_strategy.csv", ["m", "g_r1", "g_r2", "g_r3", "g_r4"],
                [list(range(8))] + sol.strategy.T.tolist())
     _write_json(out / "guess_report.json", {
@@ -209,7 +209,6 @@ def cmd_guess_table(out: Path) -> int:
 def cmd_classical(out: Path) -> int:
     from . import classical
 
-    out.mkdir(parents=True, exist_ok=True)
     one = classical.one_query_value()
     two = classical.two_query_certainty()
     witness_desc = {
@@ -220,6 +219,7 @@ def cmd_classical(out: Path) -> int:
             if one.witness.x_weights[x]
         },
     }
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "classical_report.json", {
         "one_query_value": str(one.value),
         "one_query_value_per_y": [str(v) for v in one.values_per_y],

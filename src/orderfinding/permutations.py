@@ -1,10 +1,10 @@
-"""Permutations on {0,1,2,3}: cycle structure, powers, trajectories and text forms.
+"""Permutations on {0,1,2,3}: cycle structure, trajectories and text forms.
 
 Plain Python over ints, with no numpy and no import from the rest of the
 package.  `trajectory(pi, y)` lists pi^0(y) .. pi^12(y), every power of pi
-that can act on y.  `order_of`, the classical certificates and the oracle
-stages of `circuits` read it; `power` builds a whole permutation and is
-kept for the native-sequence check and as the reference.
+that can act on y, and is the one walk of a permutation's images here:
+`order_of`, the cycle notation, the classical certificates, and the oracle
+stages and native-sequence check of `circuits` all read it.
 `permutation_names()` formats the cycle notation of the 24 permutations
 once per process, for the classical reports and the sweep table.
 """
@@ -31,9 +31,6 @@ class Permutation:
             raise ValueError(f"not a bijection on 0..3: {images}")
         object.__setattr__(self, "images", images)
 
-    def __call__(self, y: int) -> int:
-        return self.images[y]
-
 
 IDENTITY = Permutation((0, 1, 2, 3))
 # All 24 permutations of {0,1,2,3} in lexicographic image order, built once.
@@ -57,16 +54,6 @@ class OracleSpec:
         _check_start(self.y)
 
 
-def power(pi: Permutation, k: int) -> Permutation:
-    """pi^k for an int (not a bool) k >= 0."""
-    if type(k) is not int or k < 0:
-        raise ValueError(f"exponent {k!r} is not a nonnegative int")
-    images = IDENTITY.images
-    for _ in range(k):
-        images = tuple(pi.images[v] for v in images)  # pi after the power so far
-    return Permutation(images)
-
-
 def trajectory(pi: Permutation, y: int) -> tuple[int, ...]:
     """(pi^0(y), pi^1(y), ..., pi^12(y)): every power of pi applied to the start element y."""
     _check_start(y)
@@ -88,23 +75,14 @@ def order_of(pi: Permutation, y: int) -> int:
 # identity; an image list "1,0,3,2" is also accepted.
 
 def format_cycles(pi: Permutation) -> str:
-    seen = [False] * N_ELEMENTS
+    """Each cycle of length > 1 from its smallest element, in ascending order of that element; "()" if none."""
     cycles = []
     for start in range(N_ELEMENTS):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        z = pi(start)
-        while z != start:
-            cycle.append(z)
-            seen[z] = True
-            z = pi(z)
-        if len(cycle) > 1:
+        path = trajectory(pi, start)
+        cycle = path[:path.index(start, 1)]
+        if len(cycle) > 1 and min(cycle) == start:
             cycles.append(cycle)
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
 
 
 @cache

@@ -1,4 +1,5 @@
-"""Exact references for the tests: the field Q(sqrt 2), and the order-finding circuit in Z[zeta_8].
+"""Exact references for the tests: the field Q(sqrt 2), the order-finding circuit in Z[zeta_8], and
+permutation powers by repeated composition.
 
 Production keeps `measurement.QSqrt2` as a plain two-Fraction value: the guess-game certificate
 sums integer pairs and orders them with `measurement.sqrt2_sign`.  `QSqrt2Field` is the full
@@ -12,12 +13,16 @@ unnormalized Hadamards, (u, v) -> (u + v, u - v), so every amplitude stays an el
 c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 of Z[zeta_8] (zeta^4 = -1), a 4-tuple of ints, and the
 true amplitude is that element over sqrt(2)^h for h Hadamards.  `exact_distribution` reads
 Pr[m] from that state as integer pairs in Z[sqrt 2], with no float anywhere.
+
+Production reads pi^x(y) from `permutations.trajectory`; `power` builds pi^x as a whole
+permutation by composing pi x times, the independent route the tests compare it with.
 """
 import cmath
 from fractions import Fraction
 
 from orderfinding.measurement import QSqrt2, m_from_register_index
 from orderfinding.gates import ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
+from orderfinding.permutations import IDENTITY, Permutation
 
 N_SPINS = 5
 DIM = 2**N_SPINS
@@ -118,6 +123,16 @@ def exact_distribution(state: list[ZetaInt], hadamards: int) -> tuple[tuple[tupl
         pairs[m][0] += p
         pairs[m][1] += q
     return tuple(map(tuple, pairs)), 2**hadamards
+
+
+def power(pi: Permutation, k: int) -> Permutation:
+    """pi^k for an int (not a bool) k >= 0."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"exponent {k!r} is not a nonnegative int")
+    images = IDENTITY.images
+    for _ in range(k):
+        images = tuple(pi.images[v] for v in images)  # pi after the power so far
+    return Permutation(images)
 
 
 class QSqrt2Field:

@@ -17,7 +17,9 @@ from orderfinding.classical import (
     two_query_certainty,
     two_query_witness,
 )
-from orderfinding.permutations import ALL_PERMUTATIONS, Permutation, order_of, power, trajectory
+from exact_reference import power
+from orderfinding.circuits import READOUT_SEQUENCES, parse_readout_listing, verify_oracle_sequence
+from orderfinding.permutations import ALL_PERMUTATIONS, Permutation, order_of, trajectory
 
 PERMS = ALL_PERMUTATIONS
 
@@ -85,7 +87,7 @@ def test_two_query_decision_on_trajectories_equals_the_power_reference(queries, 
     strategy = TwoQueryStrategy(queries, dict(zip(keys, guesses)))
     for pi in PERMS:
         for y in range(4):
-            expected = strategy.table[tuple(power(pi, x)(y) == y for x in queries)]
+            expected = strategy.table[tuple(power(pi, x).images[y] == y for x in queries)]
             assert strategy.decide(trajectory(pi, y)) == expected
             assert strategy.decide(classical._cases(y)[PERMS.index(pi)][0]) == expected
 
@@ -97,29 +99,25 @@ def test_two_query_strategy_rejects_a_query_that_is_not_a_nonnegative_int(bad):
         TwoQueryStrategy((2, bad), table)
 
 
-def test_certificates_build_no_permutation_and_call_no_power(monkeypatch):
-    # both certificates read the cached trajectory tables; count every Permutation built and every power call
-    counts = {"Permutation": 0, "power": 0}
-    post_init, real_power = Permutation.__post_init__, permutations.power
+def test_certificates_and_the_oracle_check_build_no_permutation(monkeypatch):
+    # both certificates read the cached trajectory tables, and the oracle check reads pi^x(y) from a trajectory
+    built = []
+    post_init = Permutation.__post_init__
 
     def counted_post_init(self):
-        counts["Permutation"] += 1
+        built.append(self.images)
         post_init(self)
 
-    def counted_power(pi, k):
-        counts["power"] += 1
-        return real_power(pi, k)
-
+    listings = [parse_readout_listing(text) for text in READOUT_SEQUENCES.values()]
     monkeypatch.setattr(Permutation, "__post_init__", counted_post_init)
-    for module in (permutations, classical):
-        if hasattr(module, "power"):
-            monkeypatch.setattr(module, "power", counted_power)
     classical._cases.cache_clear()
     classical._relabeling.cache_clear()
     permutations.permutation_names.cache_clear()
     assert one_query_value().value == Fraction(1, 2)
     assert two_query_certainty().cases_checked == 96
-    assert counts == {"Permutation": 0, "power": 0}
+    verdicts = [verify_oracle_sequence(seq, pi, y) for seq in listings for pi in PERMS for y in range(4)]
+    assert len(verdicts) == 4 * 24 * 4 and any(verdicts)
+    assert built == []
 
 
 @pytest.mark.parametrize("y", range(4))
@@ -129,7 +127,7 @@ def test_case_and_relabeling_tables_are_tuples_read_from_the_permutations(y):
     assert cases == tuple((trajectory(pi, y), order_of(pi, y)) for pi in PERMS)
     assert type(tau) is tuple and tau == tuple(y if v == 0 else 0 if v == y else v for v in range(4))  # (0 y)
     assert type(conjugates) is tuple
-    assert [PERMS[j] for j in conjugates] == [Permutation(tuple(tau[pi(tau[v])] for v in range(4))) for pi in PERMS]
+    assert [PERMS[j] for j in conjugates] == [Permutation(tuple(tau[pi.images[tau[v]]] for v in range(4))) for pi in PERMS]
 
 
 def test_two_query_report(one_query_report):
@@ -150,7 +148,7 @@ def test_single_query_count_matches_enumeration_on_a_smaller_adversary(monkeypat
     for x in range(1, MAX_EXPONENT + 1):
         for code in range(4**4):
             guess = [(code >> (2 * z)) % 4 + 1 for z in range(4)]
-            expected += all(guess[power(pi, x)(0)] == order_of(pi, 0) for pi in perms)
+            expected += all(guess[power(pi, x).images[0]] == order_of(pi, 0) for pi in perms)
     assert expected == 6 * 4**2
     assert classical._single_query_deterministic_perfect_count(0) == (12 * 4**4, expected)
 
@@ -158,10 +156,10 @@ def test_single_query_count_matches_enumeration_on_a_smaller_adversary(monkeypat
 def test_queries_four_and_eight_cannot_give_certainty():
     # orders 1, 2 and 4 all satisfy pi^4(y) = y and pi^8(y) = y, so the
     # observation pair is identical for instances of different order
-    id_obs = (power(PERMS[0], 4)(0), power(PERMS[0], 8)(0))
+    id_obs = (power(PERMS[0], 4).images[0], power(PERMS[0], 8).images[0])
     for pi in PERMS:
         if order_of(pi, 0) in (2, 4):
-            obs = (power(pi, 4)(0), power(pi, 8)(0))
+            obs = (power(pi, 4).images[0], power(pi, 8).images[0])
             assert obs == id_obs
             return
     raise AssertionError("no order-2/4 instance found")
@@ -294,7 +292,7 @@ def reference_best_response(prior: list[Fraction], y: int) -> Fraction:
         mass = [[Fraction(0)] * 4 for _ in range(4)]  # mass[z][r - 1]
         for p, pi in zip(prior, PERMS):
             if p:
-                mass[power(pi, x)(y)][order_of(pi, y) - 1] += p
+                mass[power(pi, x).images[y]][order_of(pi, y) - 1] += p
         best = max(best, sum((max(m) for m in mass), Fraction(0)))
     return best
 

@@ -249,6 +249,14 @@ def test_prep_verify_reports_the_residual_of_an_impure_set(tmp_path, monkeypatch
     ]
 
 
+def test_prep_verify_bad_sequence_token_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(prodops, "PREP_SET_5SPIN", (*prodops.PREP_SET_5SPIN[:8], "C35 X9"))
+    out = tmp_path / "prep"
+    assert main(["prep-verify", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bad sequence token 'X9'\n"
+    assert not out.exists()
+
+
 def test_prep_verify_fails_when_the_basis_map_disagrees(tmp_path, capsys, monkeypatch):
     # every basis image swapped with its partner across spin 5: the map stays a permutation that is affine
     # over GF(2), so the dense Z-sums stay integer, but each experiment's spin-5 strings change sign
@@ -541,4 +549,5 @@ def test_tables_built_once_per_process_cache_no_verdict(tmp_path, capsys, monkey
         patch.setattr(module, name, broken)
         assert main(argv + ["--out", str(tmp_path / "b")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "b").exists()  # every certificate runs before the first write
     assert main(argv + ["--out", str(tmp_path / "c")]) == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import unitary
+from exact_reference import power
 from orderfinding import classical
 from orderfinding.circuits import oracle_stages, parse_native_sequence, verify_oracle_sequence
 from orderfinding.permutations import (
@@ -17,7 +18,6 @@ from orderfinding.permutations import (
     order_of,
     parse_permutation,
     permutation_names,
-    power,
     trajectory,
 )
 from orderfinding.spectra import FrequencyGrid
@@ -28,7 +28,7 @@ perm_strategy = st.sampled_from(PERMS)
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: (p*q)(y) = p(q(y))."""
-    return Permutation(tuple(p(q(y)) for y in range(4)))
+    return Permutation(tuple(p.images[q.images[y]] for y in range(4)))
 
 
 def test_validation():
@@ -115,13 +115,13 @@ def test_power_additivity(pi, a, b):
 
 @given(perm_strategy, st.integers(0, 3))
 def test_cycle_mates_share_order(pi, y):
-    assert order_of(pi, y) == order_of(pi, pi(y))
+    assert order_of(pi, y) == order_of(pi, pi.images[y])
 
 
 def test_trajectory_and_oracle_stages_equal_the_power_reference():
     for pi in PERMS:
         for y in range(4):
-            assert trajectory(pi, y) == tuple(power(pi, x)(y) for x in range(13))
+            assert trajectory(pi, y) == tuple(power(pi, x).images[y] for x in range(13))
         assert [op.images for op in oracle_stages(pi)] == [power(pi, k).images for k in (1, 2, 4)]
 
 
@@ -145,7 +145,7 @@ def _brute_force_oracle(pi: Permutation) -> np.ndarray:
         for _ in range(x):
             sigma = compose(pi, sigma)
         for y in range(4):
-            u[4 * x + sigma(y), 4 * x + y] = 1.0
+            u[4 * x + sigma.images[y], 4 * x + y] = 1.0
     return u
 
 
@@ -161,7 +161,7 @@ def test_oracle_action_exhaustive():
             for y in range(4):
                 col = u[:, 4 * x + y]
                 expected = np.zeros(32)
-                expected[4 * x + power(pi, x)(y)] = 1.0
+                expected[4 * x + power(pi, x).images[y]] = 1.0
                 assert np.allclose(col, expected, atol=1e-12)
 
 
@@ -169,7 +169,7 @@ def _block(pi: Permutation) -> np.ndarray:
     """4x4 matrix sending |y> to |pi(y)>, written here so the test stays independent of the simulator."""
     m = np.zeros((4, 4))
     for y in range(4):
-        m[pi(y), y] = 1.0
+        m[pi.images[y], y] = 1.0
     return m
 
 
@@ -188,6 +188,14 @@ def test_cycle_notation_round_trip():
 
 
 def test_permutation_names_are_the_cycle_notations_in_table_order():
+    # the texts sweep.csv and classical_report.json print: each cycle from its smallest element,
+    # cycles in ascending order of that element, fixed points left out
+    assert permutation_names() == (
+        "()", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)",
+        "(0 1)", "(0 1)(2 3)", "(0 1 2)", "(0 1 2 3)", "(0 1 3 2)", "(0 1 3)",
+        "(0 2 1)", "(0 2 3 1)", "(0 2)", "(0 2 3)", "(0 2)(1 3)", "(0 2 1 3)",
+        "(0 3 2 1)", "(0 3 1)", "(0 3 2)", "(0 3)", "(0 3 1 2)", "(0 3)(1 2)",
+    )
     assert permutation_names() == tuple(format_cycles(pi) for pi in ALL_PERMUTATIONS)
     assert permutation_names() is permutation_names()
 

@@ -1,8 +1,9 @@
 """Production coverage: which function-body statements of `orderfinding` no CLI input runs.
 
-Runs 22 CLI invocations in one process under a stdlib `sys.settrace` line
+Runs 24 CLI invocations in one process under a stdlib `sys.settrace` line
 tracer: every subcommand on its defaults, `run` also with the molecule
-file and `verify-sequence` also on a listing with P tokens, plus a bad
+file and on a permutation given as an image list, `verify-sequence` also
+on a listing with P tokens and on the identity "()", plus a bad
 sequence token, a token naming one spin twice, a bad permutation, an image
 list with a digit int() cannot read, a bad molecule, a molecule whose
 linewidth is too narrow to render, a molecule with a line too far from its
@@ -49,10 +50,12 @@ def invocations(tmp: Path) -> list[list[str]]:
     return [
         run,
         run[:-1] + [str(tmp / "run_molecule"), "--molecule", str(MOLECULE)],
+        ["run", "--perm", "1,0,3,2", "--y", "0", "--out", str(tmp / "run_images")],
         *[[name, "--out", str(tmp / name)] for name in ("sweep", "prep-verify", "guess-table", "classical")],
         ["qft-check"],
         vseq + ["--seq", "C35"],
         vseq + ["--seq", "C24 P34 P54 C35 P54", "--time-order", "listed"],
+        ["verify-sequence", "--perm", "()", "--y", "0", "--seq", "C35"],
         vseq + ["--seq", "C35 X9"],
         vseq + ["--seq", "C11"],
         ["run", "--perm", "(0 1", "--y", "0", "--out", str(tmp / "bad_perm")],
