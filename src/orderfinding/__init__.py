@@ -1,8 +1,8 @@
 """Simulator and verification suite for the five-spin order-finding experiment.
 
 Submodules: gates (the basis convention and the frozen gate values, without
-numpy), simulator (dense five-spin state/operator algebra), permutations
-(the oracle's permutations, their powers and trajectories), circuits (QFT,
+numpy), simulator (dense five-spin state-vector simulation), permutations
+(the oracle's permutations and their trajectories), circuits (QFT,
 order-finding circuit with its controlled permutation stages, native
 pulse-sequence verification), prodops (product-operator temporal labeling),
 measurement (outcome statistics and the certified optimal guess strategy),

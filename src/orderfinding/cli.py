@@ -11,7 +11,8 @@ still writes its report.
 
 Each subcommand imports only the modules it runs, inside its `cmd_*`
 function, so importing this module loads no other submodule and no numpy,
-and `classical`, `prep-verify` and `verify-sequence` run without numpy.
+and `classical`, `prep-verify`, `guess-table` and `verify-sequence` run
+without numpy.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: FrequencyG
 
     from . import measurement, spectra
     from .permutations import OracleSpec, format_cycles, order_of, parse_permutation
-    from .simulator import DensityOperator, expectation_Iz, run_instances
+    from .simulator import expectation_Iz, run_instances
 
     pi = parse_permutation(perm)
     spec = OracleSpec(pi, y)
@@ -93,7 +94,7 @@ def cmd_run(perm: str, y: int, molecule: str | None, out: Path, grid: FrequencyG
     amps = run_instances([spec])
     probs = measurement.outcome_probabilities(amps)[0]
     observables = expectation_Iz(amps * amps.conj())[0].tolist()
-    lines = spectra.readout_lines(DensityOperator(np.outer(amps[0], amps[0].conj())), 1, params)
+    lines = spectra.readout_lines(amps[0], 1, params)
     spectrum = spectra.render_spectrum(lines, params, grid)
     r_true = order_of(pi, y)
     r_inferred = measurement.infer_order(probs)
@@ -188,12 +189,12 @@ def cmd_prep_verify(out: Path) -> int:
 def cmd_guess_table(out: Path) -> int:
     from . import measurement
 
-    dists = [measurement.analytic_distribution(r).tolist() for r in measurement.ORDERS]
+    dists = [measurement.distribution_floats(r) for r in measurement.ORDERS]
     sol = measurement.solve_guess_game()
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "distributions.csv", ["m", "p_r1", "p_r2", "p_r3", "p_r4"], [list(range(8))] + dists)
     _write_csv(out / "guess_strategy.csv", ["m", "g_r1", "g_r2", "g_r3", "g_r4"],
-               [list(range(8))] + sol.strategy.T.tolist())
+               [list(range(8))] + list(zip(*sol.strategy)))
     _write_json(out / "guess_report.json", {
         "value": sol.value,
         "value_exact": repr(sol.exact_value),

@@ -10,14 +10,15 @@ such as `simulator.run_instances(specs)`, one instance per row, and a single
 instance is the one-row case.  `outcome_probabilities` turns the rows into
 a (k, 8) array, each row checked to be a probability vector, and
 `simulator.expectation_Iz` reads O_1..O_5 from the rows' a * conj(a).  An
-outcome distribution is an (8,) float array of Pr[m], m = 0..7, and a guess
-strategy an (8, 4) array of Pr[guess ORDERS[k] | m]; the ones built here are
-read-only.
+outcome distribution is an (8,) float array of Pr[m], m = 0..7, read-only
+where built here, and a guess strategy 8 tuples of Pr[guess ORDERS[k] | m].
+Only the array functions import numpy, so the guess game runs without it.
 
 The outcome distributions exist once, exactly, in Z[zeta_8], zeta =
 exp(2 pi i / 8): each coset sum S_a(m) is four ints, and |S_a(m)|^2 is an
 integer pair p + q sqrt 2, so Pr[m] is the pair (a, b) meaning
-(a + b sqrt 2) / 64.  `analytic_distribution` is the floats of these pairs.
+(a + b sqrt 2) / 64.  `distribution_floats` is the floats of these pairs,
+and `analytic_distribution` the same floats as an array.
 The guess game's optimal vertex is stored as literals and certified on every
 `solve_guess_game()` call, in integers, on the same pairs: the sums are
 ordered by the sign of a + b sqrt 2 (`sqrt2_sign`, after McConnell et al.,
@@ -30,12 +31,15 @@ are read on every call.  By weak duality the value is exactly 60/109, a
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import CertificateError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORDERS = (1, 2, 3, 4)
 
@@ -107,13 +111,20 @@ def _exact_closed_form(r: int) -> tuple[tuple[int, int], ...]:
     return tuple(probs)
 
 
-def analytic_distribution(r: int) -> np.ndarray:
-    """Exact outcome distribution for an 8-point function of period r, a read-only (8,) array.
+def distribution_floats(r: int) -> tuple[float, ...]:
+    """Exact outcome distribution for an 8-point function of period r in ORDERS, Pr[m] for m = 0..7.
 
     The floats of `_exact_closed_form(r)`'s pairs, (a + b sqrt 2) / 64; the
     test suite checks those pairs against the closed forms once typed there
-    and against an exact evaluation of the circuit in Z[zeta_8].  Each
-    order's distribution is built once per process and shared by every
+    and against an exact evaluation of the circuit in Z[zeta_8].
+    """
+    return tuple((a + b * math.sqrt(2.0)) / 64.0 for a, b in _exact_closed_form(r))
+
+
+def analytic_distribution(r: int) -> np.ndarray:
+    """`distribution_floats(r)` as a read-only (8,) array.
+
+    Each order's array is built once per process and shared by every
     caller.  `r` must be an int (not a bool) in 1..4.
     """
     if isinstance(r, bool) or not isinstance(r, int) or r not in ORDERS:
@@ -123,8 +134,9 @@ def analytic_distribution(r: int) -> np.ndarray:
 
 @functools.cache
 def _analytic_distribution(r: int) -> np.ndarray:
-    a, b = np.array(_exact_closed_form(r)).T
-    probs = (a + b * np.sqrt(2.0)) / 64.0
+    import numpy as np
+
+    probs = np.array(distribution_floats(r))
     probs.flags.writeable = False
     return probs
 
@@ -137,24 +149,23 @@ def m_from_register_index(b: int) -> int:
 
 def outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     """Pr[m] for m = 0..7 from each row of final amplitudes (k, 32), each row checked: shape (k, 8)."""
-    register = (np.abs(amps) ** 2).reshape(-1, 8, 4).sum(axis=2)  # spins 1-3, indexed b1b2b3
-    probs = np.empty_like(register)
-    probs[:, [m_from_register_index(b) for b in range(8)]] = register
+    register = (abs(amps) ** 2).reshape(-1, 8, 4).sum(axis=2)  # spins 1-3, indexed b1b2b3
+    probs = register[:, [m_from_register_index(m) for m in range(8)]]  # m <- index b, a bit reversal, self-inverse
     _check_probability_rows(probs)
     return probs
 
 
 def infer_order(probs: np.ndarray) -> int:
     """The order whose analytic distribution is closest in L1 distance to `probs`, Pr[m] for m = 0..7."""
-    dists = {r: np.abs(probs - analytic_distribution(r)).sum() for r in ORDERS}
+    dists = {r: abs(probs - analytic_distribution(r)).sum() for r in ORDERS}
     return min(dists, key=dists.get)
 
 
 @dataclass(frozen=True)
 class GuessGameSolution:
-    """strategy[m, k] = Pr[guess ORDERS[k] | m], a read-only (8, 4) array; the value is its worst success."""
+    """strategy[m][k] = Pr[guess ORDERS[k] | m], 8 tuples of 4 floats; the value is its worst success."""
 
-    strategy: np.ndarray
+    strategy: tuple[tuple[float, ...], ...]
     value: float
     exact_value: QSqrt2
     prior: tuple[QSqrt2, ...]
@@ -197,10 +208,8 @@ def _certified_value(table, strategy, prior) -> tuple[QSqrt2, tuple[QSqrt2, ...]
 def solve_guess_game() -> GuessGameSolution:
     """The maximin guess strategy and the hardest prior over r: the stored vertex, certified on every call."""
     value, successes = _certified_value([_exact_closed_form(r) for r in ORDERS], GUESS_STRATEGY, GUESS_PRIOR)
-    strategy = np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR
-    strategy.flags.writeable = False
     return GuessGameSolution(
-        strategy=strategy,
+        strategy=tuple(tuple(c / GUESS_DENOMINATOR for c in row) for row in GUESS_STRATEGY),
         value=float(value),
         exact_value=value,
         prior=tuple(QSqrt2(Fraction(p, GUESS_DENOMINATOR)) for p in GUESS_PRIOR),

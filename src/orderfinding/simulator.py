@@ -2,8 +2,8 @@
 
 The basis convention and the gate values are those of module `gates`.  A
 state has one form: a complex amplitude array of shape (32,) or (k, 32),
-one state per row; |b> is row b of the identity.  `DensityOperator`, the
-readout spectra's input, is the one checked matrix type.
+one state per row; |b> is row b of the identity.  The readout spectra read
+a final state's row too, so no density matrix is formed.
 
 Every gate type is lowered by `_memo_operands`, the only place gate types
 are told apart for simulation.  A `ControlledPermutation` lowers to an exact
@@ -46,7 +46,6 @@ construction and are safe to share across threads.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
@@ -72,40 +71,9 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _MEMO_SIZE = 256
 
 
-def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """np.allclose(a, b, rtol=1e-5, atol) for finite entries; any NaN or infinite entry fails."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the comparison
-        return bool(np.all(np.abs(a - b) <= atol + 1e-5 * np.abs(b)))
-
-
 def _phase(angle_deg: float, dagger: bool) -> complex:
     sign = -1.0 if dagger else 1.0
     return np.exp(1j * sign * np.deg2rad(angle_deg))
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """32x32 Hermitian operator; `kind` is "normalized" (unit trace) or "deviation" (traceless)."""
-
-    matrix: np.ndarray
-    kind: str = "normalized"
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (DIM, DIM):
-            raise ValueError("density operator must be 32x32")
-        if not _close(m, m.conj().T, atol=1e-9):
-            raise ValueError("density operator must be Hermitian")
-        tr = np.trace(m)
-        if self.kind == "normalized":
-            if not abs(tr - 1.0) <= 1e-9:
-                raise ValueError(f"normalized density operator has trace {tr}")
-        elif self.kind == "deviation":
-            if not abs(tr) <= 1e-9 * max(1.0, np.abs(m).max()):
-                raise ValueError(f"deviation density operator has trace {tr}")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "matrix", m)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -1,4 +1,4 @@
-"""Synthetic NMR readout spectra from a final density operator.
+"""Synthetic NMR readout spectra from a final state's amplitude row.
 
 The weak-coupling Hamiltonian is diagonal, so a spin's spectrum is an exact
 line list: one line per configuration of the other four spins, at frequency
@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gates import DIM, N_SPINS
-from .simulator import DensityOperator, apply_unitary
+from .gates import N_SPINS
+from .simulator import apply_unitary
 
 AMPLITUDE_SNAP = 1e-12
 MAX_GRID_POINTS = 1_000_000
@@ -263,21 +263,17 @@ def line_frequency(spin: int, label: str, params: MoleculeParams) -> float:
     return freq
 
 
-def _rotated(rho: DensityOperator, spin: int) -> np.ndarray:
-    u = apply_unitary(np.eye(DIM), (spin,), _RY90).T
-    return u @ rho.matrix @ u.conj().T
+def readout_lines(amps: np.ndarray, spin: int, params: MoleculeParams) -> list[SpectralLine]:
+    """The 16 labeled lines of one spin's readout spectrum, for the pure state of one (32,) amplitude row.
 
-
-def readout_lines(rho: DensityOperator, spin: int, params: MoleculeParams) -> list[SpectralLine]:
-    """The 16 labeled lines of one spin's readout spectrum.
-
-    Applies the ideal 90-degree readout rotation on the chosen spin and
-    reads the 16 single-quantum coherence elements.  All 16 labels are
-    always returned; amplitudes below 1e-12 are snapped to zero.
+    Applies the ideal 90-degree readout rotation on the chosen spin to the
+    row, v = R a, and reads the 16 single-quantum coherence elements of
+    v v^dagger, each v[row] * conj(v[col]).  All 16 labels are always
+    returned; amplitudes below 1e-12 are snapped to zero.
     """
     if not 1 <= spin <= N_SPINS:
         raise ValueError(f"spin index {spin} out of range")
-    rot = _rotated(rho, spin)
+    v = apply_unitary(amps, (spin,), _RY90)
     others = other_spins(spin)
     lines = []
     for config in range(16):
@@ -285,7 +281,7 @@ def readout_lines(rho: DensityOperator, spin: int, params: MoleculeParams) -> li
         label = "".join(str(b) for b in bits)
         row = sum(b << (N_SPINS - q) for b, q in zip(bits, others))  # spin bit = 0
         col = row | (1 << (N_SPINS - spin))
-        amp = complex(rot[row, col])
+        amp = complex(v[row] * v[col].conjugate())
         if abs(amp) < AMPLITUDE_SNAP:
             amp = 0j
         lines.append(SpectralLine(spin, label, line_frequency(spin, label, params), amp))

@@ -14,10 +14,10 @@ import re
 
 import numpy as np
 
-from dense_reference import net_area, observables_from_distribution, unitary, zsum_to_matrix
+from dense_reference import density_readout, net_area, observables_from_distribution, unitary, zsum_to_matrix
 from orderfinding import circuits, classical, measurement, prodops
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, format_cycles, order_of, parse_permutation
-from orderfinding.simulator import DensityOperator, expectation_Iz, run_instances
+from orderfinding.simulator import expectation_Iz, run_instances
 from orderfinding.spectra import readout_lines, synthetic_molecule
 
 PERMS = ALL_PERMUTATIONS
@@ -153,24 +153,23 @@ def test_c8_spectral_signatures():
     from orderfinding.prodops import effective_pure_target
 
     checks = []
-    pure = DensityOperator(zsum_to_matrix(effective_pure_target()), kind="deviation")
-    lines = readout_lines(pure, 1, PARAMS)
+    lines = density_readout(zsum_to_matrix(effective_pure_target()), 1, PARAMS)
     by_label = {l.label: l.amplitude for l in lines}
     checks.append(by_label["0000"].real > 0 and abs(by_label["0000"].imag) < 1e-9)
     checks.append(all(abs(a) < 1e-9 for lab, a in by_label.items() if lab != "0000"))
 
     amps = run_instances([OracleSpec(parse_permutation(text), 0) for text in ("(0 1)(2 3)", "(0 1 2 3)", "(0 1 2)")])
-    rho2, rho4, rho3 = (DensityOperator(np.outer(a, a.conj())) for a in amps)
-    lines2 = readout_lines(rho2, 1, PARAMS)
+    row2, row4, row3 = amps
+    lines2 = readout_lines(row2, 1, PARAMS)
     positive = {l.label for l in lines2 if l.amplitude.real > 1e-9}
     checks.append(positive == {"0000", "0001", "0100", "0101"})
     checks.append(all(abs(l.amplitude) < 1e-9 for l in lines2 if l.label not in positive))
 
-    lines4 = readout_lines(rho4, 1, PARAMS)
+    lines4 = readout_lines(row4, 1, PARAMS)
     checks.append(all(l.amplitude.real >= -1e-9 for l in lines4))
     checks.append(net_area(lines4) > 0)
 
-    checks.append(abs(net_area(readout_lines(rho3, 1, PARAMS))) < 1e-9)
+    checks.append(abs(net_area(readout_lines(row3, 1, PARAMS))) < 1e-9)
 
     _report("criterion 8 (spectral signatures: pure/r=2/r=4/r=3)", all(checks),
             f"{sum(checks)}/{len(checks)} signature checks")

@@ -13,6 +13,7 @@ from orderfinding.circuits import (
     READOUT_SEQUENCES,
     build_orderfinding,
     build_qft3,
+    native_image,
     parse_native_sequence,
     parse_readout_listing,
     verify_oracle_sequence,
@@ -21,6 +22,7 @@ from orderfinding import cli
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, format_cycles, order_of, parse_permutation
 from orderfinding.gates import DIM, ConditionalZRotation, ControlledNot, ControlledPermutation, Hadamard, NotGate
 from orderfinding.measurement import m_from_register_index
+from orderfinding.prodops import standard_prep_sequences
 from orderfinding.simulator import run_circuits, run_instances
 
 PERMS = ALL_PERMUTATIONS
@@ -248,6 +250,19 @@ def test_exact_verdicts_match_the_dense_reference_for_every_listing_instance_and
                     assert exact == _dense_verdict(seq, pi, y), (text, parse.__name__, format_cycles(pi), y)
                     verdicts += exact
     assert verdicts == 55
+
+
+def test_native_image_is_the_exact_run_of_every_listing_and_preparation_sequence():
+    # native ops send |b> to i^k |b'>, and i = zeta^2: the exact run in Z[zeta_8] has one nonzero
+    # amplitude, at the index native_image gives, equal to zeta^(2k)
+    sequences = [parse_readout_listing(text) for text in READOUT_SEQUENCES.values()] + standard_prep_sequences()
+    assert len(sequences) == 13
+    for seq in sequences:
+        for index in range(DIM):
+            image, k = native_image(seq, index)
+            expected = [(0, 0, 0, 0)] * DIM
+            expected[image] = zeta_times((1, 0, 0, 0), 2 * k)
+            assert exact_state(seq, index) == (expected, 0), (seq, index)
 
 
 NATIVE_TOKENS = [f"N{i}" for i in range(1, 6)] + [

@@ -18,13 +18,15 @@ from orderfinding.measurement import (
     InfeasibleInput,
     QSqrt2,
     analytic_distribution,
+    distribution_floats,
     infer_order,
     m_from_register_index,
     outcome_probabilities,
     solve_guess_game,
 )
 from orderfinding.permutations import ALL_PERMUTATIONS, IDENTITY, OracleSpec, order_of, parse_permutation
-from orderfinding.simulator import DensityOperator, expectation_Iz, run_circuits, run_instances
+from orderfinding.simulator import expectation_Iz, run_circuits, run_instances
+from orderfinding.spectra import FrequencyGrid, MoleculeParams
 
 SQRT2 = math.sqrt(2.0)
 PERMS = ALL_PERMUTATIONS
@@ -73,6 +75,7 @@ def test_exact_circuit_distributions_equal_the_exact_closed_forms():
 def test_analytic_distribution_is_the_floats_of_the_exact_pairs(r):
     exact = measurement._exact_closed_form(r)
     assert analytic_distribution(r).tolist() == [(a + b * SQRT2) / 64 for a, b in exact]
+    assert distribution_floats(r) == tuple(analytic_distribution(r).tolist())
     assert [analytic_distribution(r)[m] for m in range(1, 8)] == [analytic_distribution(r)[8 - m] for m in range(1, 8)]
 
 
@@ -95,9 +98,10 @@ def test_analytic_distribution_rejects_non_int_or_out_of_range_order(r):
 
 def test_guess_solution_strategy_is_read_only():
     strategy = solve_guess_game().strategy
-    assert strategy.tobytes() == (np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR).tobytes()
-    with pytest.raises(ValueError):
-        strategy[0, 0] = 0.5
+    assert np.array(strategy).tobytes() == (np.array(GUESS_STRATEGY) / GUESS_DENOMINATOR).tobytes()
+    assert type(strategy) is tuple and all(type(row) is tuple for row in strategy)
+    with pytest.raises(TypeError):
+        strategy[0][0] = 0.5
 
 
 @pytest.mark.parametrize("r", ORDERS)
@@ -210,7 +214,7 @@ def test_guess_game_hardest_prior_is_pinned():
 def test_solve_guess_game_strategy_and_value():
     sol = solve_guess_game()
     assert 0.545 <= sol.value <= 0.560
-    assert sol.strategy.shape == (8, 4)
+    assert np.shape(sol.strategy) == (8, 4)
 
 
 def test_guess_game_vertex_is_pinned():
@@ -408,9 +412,10 @@ def _with_entry(valid: np.ndarray, value: float) -> np.ndarray:
     lambda v: run_circuits([()], _with_entry(np.eye(DIM, dtype=complex)[:1], v)),
     lambda v: outcome_probabilities(np.full((1, DIM), v)),
     lambda v: outcome_probabilities(_with_entry(np.eye(DIM, dtype=complex)[:1], v)),
-    lambda v: DensityOperator(np.full((DIM, DIM), v)),
-    lambda v: DensityOperator(_with_entry(np.eye(DIM, dtype=complex) / DIM, v)),
-], ids=["state", "state-entry", "distribution", "distribution-entry", "density", "density-entry"])
+    # the readout's molecule and frequency grid are checked where they are built
+    lambda v: MoleculeParams((0.0, 0.0, v, 0.0, 0.0), np.zeros((5, 5)), 1.0),
+    lambda v: FrequencyGrid(-60.0, v, 11),
+], ids=["state", "state-entry", "distribution", "distribution-entry", "molecule-shift", "grid-bound"])
 def test_validated_types_reject_non_finite_entries(make, value):
     with pytest.raises(ValueError):
         make(value)

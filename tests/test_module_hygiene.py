@@ -124,7 +124,8 @@ def _run_fresh(code: str) -> None:
 
 
 @pytest.mark.parametrize("module", ["orderfinding", "orderfinding.permutations", "orderfinding.classical",
-                                    "orderfinding.gates", "orderfinding.circuits", "orderfinding.prodops"])
+                                    "orderfinding.gates", "orderfinding.circuits", "orderfinding.prodops",
+                                    "orderfinding.measurement"])
 def test_importing_the_package_loads_no_numpy(module):
     _run_fresh(f"import sys, {module}; assert 'numpy' not in sys.modules, sorted(sys.modules)")
 
@@ -139,6 +140,7 @@ def test_importing_the_cli_loads_no_other_submodule_and_no_numpy():
 @pytest.mark.parametrize("argv", [
     ["classical", "--out", "{tmp}/classical"],
     ["prep-verify", "--out", "{tmp}/prep"],
+    ["guess-table", "--out", "{tmp}/guess"],
     ["verify-sequence", "--seq", "C24 P34 P54 C35 P54", "--perm", "(0 1 2 3)", "--y", "0"],
 ], ids=lambda argv: argv[0])
 def test_exact_subcommands_run_without_numpy(tmp_path, argv):

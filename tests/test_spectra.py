@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import net_area, zsum_to_matrix
+from dense_reference import density_readout, net_area, zsum_to_matrix
 from orderfinding.permutations import ALL_PERMUTATIONS, OracleSpec, parse_permutation
 from orderfinding.prodops import effective_pure_target, equilibrium_zsum
 from orderfinding.gates import DIM, bit_of
-from orderfinding.simulator import DensityOperator, expectation_Iz, run_instances
+from orderfinding.simulator import expectation_Iz, run_instances
 from orderfinding.spectra import (
     FrequencyGrid,
     MoleculeError,
@@ -28,11 +28,6 @@ from orderfinding.spectra import (
 PARAMS = synthetic_molecule()
 PERMS = ALL_PERMUTATIONS
 BASIS = np.eye(DIM, dtype=complex)  # row b is the basis state |b>
-
-
-def pure_density(amps: np.ndarray) -> DensityOperator:
-    """|a><a| for one amplitude row a, as `run` hands it to `readout_lines`."""
-    return DensityOperator(np.outer(amps, amps.conj()))
 
 
 def test_line_frequency_no_couplings():
@@ -88,7 +83,7 @@ def test_line_frequency_matches_hamiltonian_eigenvalue_differences():
 
 
 def test_ground_state_single_positive_line():
-    lines = readout_lines(pure_density(BASIS[0]), 1, PARAMS)
+    lines = readout_lines(BASIS[0], 1, PARAMS)
     by_label = {l.label: l.amplitude for l in lines}
     assert by_label["0000"].real == pytest.approx(0.5, abs=1e-12)
     assert by_label["0000"].imag == pytest.approx(0.0, abs=1e-12)
@@ -96,28 +91,27 @@ def test_ground_state_single_positive_line():
 
 
 def test_effective_pure_deviation_single_line():
-    dev = DensityOperator(zsum_to_matrix(effective_pure_target()), kind="deviation")
-    lines = readout_lines(dev, 1, PARAMS)
+    lines = density_readout(zsum_to_matrix(effective_pure_target()), 1, PARAMS)
     by_label = {l.label: l.amplitude for l in lines}
     assert by_label["0000"].real == pytest.approx(16.0, abs=1e-9)
     assert all(abs(amp) < 1e-9 for label, amp in by_label.items() if label != "0000")
 
 
 def test_equilibrium_sixteen_equal_lines():
-    eq = DensityOperator(zsum_to_matrix(equilibrium_zsum()), kind="deviation")
+    eq = zsum_to_matrix(equilibrium_zsum())
     for spin in range(1, 6):
-        amps = [l.amplitude for l in readout_lines(eq, spin, PARAMS)]
+        amps = [l.amplitude for l in density_readout(eq, spin, PARAMS)]
         assert np.allclose(amps, 1.0, atol=1e-12)
 
 
 def test_maximally_mixed_all_lines_vanish():
-    lines = readout_lines(DensityOperator(np.eye(DIM, dtype=complex) / DIM), 1, PARAMS)
+    lines = density_readout(np.eye(DIM, dtype=complex) / DIM, 1, PARAMS)
     assert all(l.amplitude == 0 for l in lines)
 
 
 def test_sixteen_labels_always_present():
     for spin in range(1, 6):
-        lines = readout_lines(pure_density(BASIS[7]), spin, PARAMS)
+        lines = readout_lines(BASIS[7], spin, PARAMS)
         assert sorted(l.label for l in lines) == sorted(format(c, "04b") for c in range(16))
 
 
@@ -130,18 +124,18 @@ def density_pair(draw):
         m = gen.normal(size=(DIM, DIM)) + 1j * gen.normal(size=(DIM, DIM))
         h = (m + m.conj().T) / 2
         h -= np.trace(h) / DIM * np.eye(DIM)
-        out.append(DensityOperator(h, kind="deviation"))
+        out.append(h)
     return out
 
 
 @given(density_pair(), st.integers(1, 5))
 @settings(max_examples=15)
 def test_readout_linearity(pair, spin):
+    # the reference reads deviation and mixed operators, so it must be linear in the operator
     rho1, rho2 = pair
-    combined = DensityOperator(2 * rho1.matrix - 3 * rho2.matrix, kind="deviation")
-    lines = readout_lines(combined, spin, PARAMS)
-    l1 = readout_lines(rho1, spin, PARAMS)
-    l2 = readout_lines(rho2, spin, PARAMS)
+    lines = density_readout(2 * rho1 - 3 * rho2, spin, PARAMS)
+    l1 = density_readout(rho1, spin, PARAMS)
+    l2 = density_readout(rho2, spin, PARAMS)
     for line, a, b in zip(lines, l1, l2):
         assert line.amplitude == pytest.approx(2 * a.amplitude - 3 * b.amplitude, abs=1e-9)
 
@@ -149,15 +143,13 @@ def test_readout_linearity(pair, spin):
 def test_net_area_proportional_to_observable_across_sweep():
     amps = run_instances([OracleSpec(pi, y) for pi in PERMS[::4] for y in range(4)])
     for row, observables in zip(amps, expectation_Iz(amps * amps.conj())):
-        rho = pure_density(row)
         for spin in range(1, 6):
-            area = net_area(readout_lines(rho, spin, PARAMS))
+            area = net_area(readout_lines(row, spin, PARAMS))
             assert area == pytest.approx(observables[spin - 1] / 2.0, abs=1e-10)
 
 
 def test_order_two_line_signature():
-    rho = pure_density(run_instances([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)])[0])
-    lines = readout_lines(rho, 1, PARAMS)
+    lines = readout_lines(run_instances([OracleSpec(parse_permutation("(0 1)(2 3)"), 0)])[0], 1, PARAMS)
     positive = {l.label for l in lines if l.amplitude.real > 1e-9}
     assert positive == {"0000", "0001", "0100", "0101"}
     for line in lines:
@@ -166,8 +158,7 @@ def test_order_two_line_signature():
 
 
 def test_order_four_lines_all_nonnegative_with_positive_sum():
-    rho = pure_density(run_instances([OracleSpec(parse_permutation("(0 1 2 3)"), 0)])[0])
-    lines = readout_lines(rho, 1, PARAMS)
+    lines = readout_lines(run_instances([OracleSpec(parse_permutation("(0 1 2 3)"), 0)])[0], 1, PARAMS)
     assert all(l.amplitude.real >= -1e-9 for l in lines)
     assert net_area(lines) > 0.1
 
@@ -175,7 +166,21 @@ def test_order_four_lines_all_nonnegative_with_positive_sum():
 def test_order_three_net_area_vanishes():
     specs = [OracleSpec(parse_permutation(text), y) for text, y in (("(0 1 2)", 0), ("(1 2 3)", 1), ("(0 2 3)", 2))]
     for row in run_instances(specs):
-        assert abs(net_area(readout_lines(pure_density(row), 1, PARAMS))) < 1e-9
+        assert abs(net_area(readout_lines(row, 1, PARAMS))) < 1e-9
+
+
+def test_row_readout_equals_the_density_readout_on_every_instance():
+    # production reads a pure state's lines from its row; the reference reads them from |a><a|
+    amps = run_instances([OracleSpec(pi, y) for pi in PERMS for y in range(4)])
+    for row in amps:
+        rho = np.outer(row, row.conj())
+        for spin in range(1, 6):
+            lines, reference = readout_lines(row, spin, PARAMS), density_readout(rho, spin, PARAMS)
+            assert [(l.spin, l.label, l.frequency_hz) for l in lines] == \
+                [(l.spin, l.label, l.frequency_hz) for l in reference]
+            for line, ref in zip(lines, reference):
+                assert abs(line.amplitude.real - ref.amplitude.real) <= 1e-16
+                assert abs(line.amplitude.imag - ref.amplitude.imag) <= 1e-16
 
 
 def test_unit_line_integral_and_peak():

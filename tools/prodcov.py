@@ -1,14 +1,16 @@
 """Production coverage: which function-body statements of `orderfinding` no CLI input runs.
 
-Runs 24 CLI invocations in one process under a stdlib `sys.settrace` line
+Runs 26 CLI invocations in one process under a stdlib `sys.settrace` line
 tracer: every subcommand on its defaults, `run` also with the molecule
-file and on a permutation given as an image list, `verify-sequence` also
-on a listing with P tokens and on the identity "()", plus a bad
-sequence token, a token naming one spin twice, a bad permutation, an image
-list with a digit int() cannot read, a bad molecule, a molecule whose
-linewidth is too narrow to render, a molecule with a line too far from its
-grid to render, two molecules whose line frequencies overflow (a coupling
-of either sign), an empty and a missing molecule path, and two bad grids.
+file, on a permutation given as an image list and on instances of order 1
+and 3 (so `run` of every order, with the defaults' order 4 and the image
+list's order 2), `verify-sequence` also on a listing with P tokens and on
+the identity "()", plus a bad sequence token, a token naming one spin
+twice, a bad permutation, an image list with a digit int() cannot read, a
+bad molecule, a molecule whose linewidth is too narrow to render, a
+molecule with a line too far from its grid to render, two molecules whose
+line frequencies overflow (a coupling of either sign), an empty and a
+missing molecule path, and two bad grids.
 A statement inside a function body counts as run when its first line was
 reached; module-level statements run on import and are not counted.
 Prints, per module, the never-run statements over the total and their
@@ -51,6 +53,8 @@ def invocations(tmp: Path) -> list[list[str]]:
         run,
         run[:-1] + [str(tmp / "run_molecule"), "--molecule", str(MOLECULE)],
         ["run", "--perm", "1,0,3,2", "--y", "0", "--out", str(tmp / "run_images")],
+        ["run", "--perm", "(1 2 3)", "--y", "0", "--out", str(tmp / "run_order1")],
+        ["run", "--perm", "(0 1 2)", "--y", "0", "--out", str(tmp / "run_order3")],
         *[[name, "--out", str(tmp / name)] for name in ("sweep", "prep-verify", "guess-table", "classical")],
         ["qft-check"],
         vseq + ["--seq", "C35"],
